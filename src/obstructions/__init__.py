@@ -6,7 +6,6 @@ from .torus import (
     BudgetError,
     DiscrepancyReport,
     TorusInterval,
-    TorusPoint,
     erdos_turan_bound,
     exact_discrepancy,
     grid_discrepancy,

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .torus import BudgetError, Real, TorusInterval
+from .torus import BudgetError, TorusInterval
 from .patterns import Pattern, PolySeqSpec
 
 MEASURE_PIECE_BUDGET = 60_000_000
@@ -187,23 +187,6 @@ class DensityReport:
         if not 0.0 <= self.fraction <= 1.0:
             raise ValueError("fraction must be in [0, 1]")
 
-    def merge(self, other: "DensityReport") -> "DensityReport":
-        """Pool two Monte Carlo runs of the same configuration."""
-        if self.method != "monte-carlo" or other.method != "monte-carlo":
-            raise ValueError("only Monte Carlo reports merge")
-        if (self.R, self.target) != (other.R, other.target):
-            raise ValueError("cannot merge different configurations")
-        n1, n2 = self.detail["samples"], other.detail["samples"]
-        hits = self.detail["hits"] + other.detail["hits"]
-        frac = hits / (n1 + n2)
-        return DensityReport(
-            R=self.R, fraction=frac, target=self.target,
-            target_kind=self.target_kind, method="monte-carlo",
-            detail={"samples": n1 + n2, "hits": hits},
-            seed=self.seed,
-            std_error=math.sqrt(max(frac * (1 - frac), 1e-300) / (n1 + n2)),
-        )
-
     def to_dict(self) -> dict:
         d = {
             "R": self.R, "fraction": self.fraction, "target": self.target,
@@ -269,6 +252,8 @@ def density(spec: AnnulusSpec, R: float, method: str = "monte-carlo",
 
     if method != "monte-carlo":
         raise ValueError(f"unknown method {method!r}")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     ss = np.random.SeedSequence(seed)
     block = 1 << 18
     n_blocks = -(-samples // block)
@@ -387,7 +372,7 @@ def reduction_coefficients(x: np.ndarray, v: np.ndarray, r: float,
 
 
 def reduce_to_polynomial(spec: AnnulusSpec, pattern: Pattern,
-                         placement: Placement, leading: Real):
+                         placement: Placement, leading: Fraction):
     """Polynomial whose values mod 1 reproduce the set's defining function
     along the copy {x + r k v : k in pattern}, after dropping the constant
     term and the integer multiple of k^p.
@@ -451,18 +436,6 @@ class NoCopyReport:
     def passed(self) -> bool:
         return self.violations_total == 0
 
-    def merge(self, other: "NoCopyReport") -> "NoCopyReport":
-        if self.epsilon != other.epsilon:
-            raise ValueError("cannot merge reports with different epsilon")
-        return NoCopyReport(
-            epsilon=self.epsilon,
-            placements_total=self.placements_total + other.placements_total,
-            violations_total=self.violations_total + other.violations_total,
-            per_scale=self.per_scale + other.per_scale,
-            worst_margin=min(self.worst_margin, other.worst_margin),
-            route_mismatches=self.route_mismatches + other.route_mismatches,
-        )
-
     def to_dict(self) -> dict:
         return {
             "epsilon": self.epsilon,
@@ -475,7 +448,7 @@ class NoCopyReport:
         }
 
 
-def no_copy_check(spec: AnnulusSpec, pattern: Pattern, leading: Real,
+def no_copy_check(spec: AnnulusSpec, pattern: Pattern, leading: Fraction,
                   j_list: Sequence[int], placements_per_scale: int,
                   seed: int = 0, pattern_epsilon: Optional[float] = None,
                   box_scale: float = 10.0) -> NoCopyReport:
@@ -496,13 +469,9 @@ def no_copy_check(spec: AnnulusSpec, pattern: Pattern, leading: Real,
     p, d = spec.exponent, spec.dimension
     w = spec.band_halfwidth
     ks = np.asarray(pattern.indices, dtype=float)
-    lead = leading if isinstance(leading, Fraction) else float(leading)
-    if isinstance(lead, Fraction):
-        a, b = lead.numerator, lead.denominator
-        lead_vals = np.array([(a * pow(k, p, b)) % b for k in pattern.indices],
-                             dtype=float) / b
-    else:
-        lead_vals = np.array([(lead * k ** p) % 1.0 for k in pattern.indices])
+    lead_poly = PolySeqSpec(p, leading)
+    lead_vals = (np.array(lead_poly._lead_residues(pattern.indices), dtype=float)
+                 / lead_poly.leading.denominator)
 
     children = np.random.SeedSequence(seed).spawn(len(j_list))
     per_scale = []
@@ -510,9 +479,9 @@ def no_copy_check(spec: AnnulusSpec, pattern: Pattern, leading: Real,
     mismatches = 0
     worst_margin = math.inf
     for j, child in zip(j_list, children):
-        if float(lead) + j <= 0:
+        if float(leading) + j <= 0:
             raise ValueError(f"scale index {j} leaves leading + j <= 0")
-        r = (float(lead) + j) ** (1.0 / p)
+        r = (float(leading) + j) ** (1.0 / p)
         rng = np.random.default_rng(child)
         L = box_scale * r
         xs = (rng.random((placements_per_scale, d)) - 0.5) * 2 * L

@@ -92,18 +92,49 @@ def _write_pattern_file(path: str, pattern: Pattern, degree: int,
     _atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+_PATTERN_KEYS = {"indices": list, "Q": int, "provenance": str, "p": int,
+                 "A_num": int, "A_den": int}
+
+
 def _read_pattern_file(path: str):
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"--pattern {path}: expected a JSON object")
+    for key, kind in _PATTERN_KEYS.items():
+        if not isinstance(doc.get(key), kind):
+            raise ValueError(f"--pattern {path}: {key!r} must be a JSON {kind.__name__}")
+    if not all(isinstance(k, int) for k in doc["indices"]):
+        raise ValueError(f"--pattern {path}: 'indices' must hold integers")
+    if doc["A_den"] == 0:
+        raise ValueError(f"--pattern {path}: 'A_den' must be nonzero")
+    eps = doc.get("epsilon_verified")
+    if eps is not None and not isinstance(eps, (int, float)):
+        raise ValueError(f"--pattern {path}: 'epsilon_verified' must be a number or null")
     pattern = Pattern(tuple(doc["indices"]), doc["Q"], doc["provenance"])
     leading = Fraction(doc["A_num"], doc["A_den"])
-    return pattern, doc["p"], leading, doc.get("epsilon_verified")
+    return pattern, doc["p"], leading, eps
 
 
 def _threads(args) -> int:
-    if getattr(args, "threads", None):
-        return args.threads
-    return int(os.environ.get(THREADS_ENV, "1"))
+    """--threads, else $OBSTRUCTIONS_THREADS, else 1; must be a positive integer."""
+    source, value = "--threads", args.threads
+    if value is None:
+        source, value = f"${THREADS_ENV}", os.environ.get(THREADS_ENV, "1")
+    try:
+        threads = int(value)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"{source} must be a positive integer, got {value!r}")
+    return threads
+
+
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(token)
+    return value
 
 
 def _apply_config_file(parser: argparse.ArgumentParser, argv):
@@ -111,6 +142,8 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv):
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
+    if i + 1 == len(argv):
+        parser.error("--config needs a file path")
     path = argv[i + 1]
     rest = argv[:i] + argv[i + 2:]
     extra = []
@@ -151,7 +184,7 @@ def _cmd_construct(args) -> int:
         cal = calibrate_sampled(
             pattern.n, degree, pattern.universe, seed=args.seed,
             n_samples=args.samples, retries=args.retries,
-            epsilon_target=args.target_epsilon, threads=_threads(args),
+            epsilon_target=args.target_epsilon, threads=args.threads,
         )
         pattern = cal.pattern
         epsilon_verified = cal.epsilon_min
@@ -160,7 +193,7 @@ def _cmd_construct(args) -> int:
     elif args.epsilon is not None:
         rep = verify_hitting_sampled(
             pattern, leading, degree, args.epsilon,
-            n_samples=args.samples, seed=args.seed, threads=_threads(args),
+            n_samples=args.samples, seed=args.seed, threads=args.threads,
         )
         reports["hitting"] = rep.to_dict()
         epsilon_verified = args.epsilon if rep.passed else None
@@ -186,10 +219,12 @@ def _cmd_verify(args) -> int:
     epsilon = args.epsilon if args.epsilon is not None else eps_file
     if epsilon is None:
         raise ValueError("no epsilon given and none recorded in the pattern file")
-    threads = _threads(args)
+    threads = args.threads
     if args.method == "net":
         scale = args.resolution_scale
-        if args.net_cells:
+        if args.net_cells is not None:
+            if args.net_cells < 1:
+                raise ValueError("--net-cells must be >= 1")
             scale = scale_for_budget(degree, pattern.universe,
                                      float(epsilon) if epsilon != "auto" else 0.5,
                                      args.net_cells)
@@ -261,10 +296,14 @@ def _read_points_csv(path: str):
 
 def _parse_coefficient(token: str, exact: bool):
     """num/den and decimal strings parse exactly; plain floats stay floats."""
-    if "/" in token:
-        num, _, den = token.partition("/")
-        return Fraction(int(num), int(den))
-    return Fraction(token) if exact else float(token)
+    try:
+        if "/" in token:
+            num, _, den = token.partition("/")
+            return Fraction(int(num), int(den))
+        return Fraction(token) if exact else _finite_float(token)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"--B: {token!r} is not a finite number or num/den "
+                         "with a nonzero den") from None
 
 
 def _cmd_discrepancy(args) -> int:
@@ -274,7 +313,10 @@ def _cmd_discrepancy(args) -> int:
         source = {"points": args.points}
     else:
         num, _, den = args.A.partition("/")
-        leading = Fraction(int(num), int(den or "1"))
+        try:
+            leading = Fraction(int(num), int(den or "1"))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"--A: {args.A!r} is not num/den with a nonzero den") from None
         lower = tuple(_parse_coefficient(tok, args.exact)
                       for tok in args.B.split(",")) if args.B else ()
         degree = len(lower) + 1
@@ -343,6 +385,8 @@ def _cmd_render(args) -> int:
     t0 = time.perf_counter()
     if args.p != 2 or args.d != 2:
         raise ValueError("render supports d=2, p=2 (circular annuli) only")
+    if args.R <= 0:
+        raise ValueError("--R must be positive")
     svg, shells = _render_svg(args.epsilon, args.R)
     _atomic_write(args.out, svg)
     config = {"d": args.d, "p": args.p, "epsilon": args.epsilon, "R": args.R,
@@ -374,13 +418,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Q", type=int, default=None,
                    help="universe override (default: Bertrand prime)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epsilon", type=float, default=None,
+    p.add_argument("--epsilon", type=_finite_float, default=None,
                    help="verify (sampled) at this epsilon and record it")
     p.add_argument("--calibrate", action="store_true",
                    help="search seeds for the smallest passing epsilon")
     p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--retries", type=int, default=1)
-    p.add_argument("--target-epsilon", type=float, default=None)
+    p.add_argument("--target-epsilon", type=_finite_float, default=None)
     p.add_argument("--pattern-out", required=True)
     common(p)
     p.set_defaults(func=_cmd_construct)
@@ -392,7 +436,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="float, or 'auto' (net mode) for the smallest passing")
     p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--resolution-scale", type=float, default=1.0)
+    p.add_argument("--resolution-scale", type=_finite_float, default=1.0)
     p.add_argument("--net-cells", type=int, default=None,
                    help="choose resolution_scale so the net fits this many cells")
     p.add_argument("--budget", type=int, default=NET_CELL_BUDGET)
@@ -402,8 +446,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("density", help="volume fraction of the obstruction set")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--R", type=float, required=True)
+    p.add_argument("--epsilon", type=_finite_float, required=True)
+    p.add_argument("--R", type=_finite_float, required=True)
     p.add_argument("--method", choices=("monte-carlo", "exact-slice"),
                    default="monte-carlo")
     p.add_argument("--samples", type=int, default=1_000_000)
@@ -414,7 +458,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nocopy", help="sampled placements must leave the set")
     p.add_argument("--pattern", required=True)
     p.add_argument("--d", type=int, default=2)
-    p.add_argument("--epsilon", type=float, default=None,
+    p.add_argument("--epsilon", type=_finite_float, default=None,
                    help="set epsilon (default: the pattern file's verified value)")
     p.add_argument("--j-list", default="1,2,3,4,5")
     p.add_argument("--samples", type=int, default=10_000,
@@ -443,8 +487,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="SVG of the planar annular set")
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--p", type=int, default=2)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--R", type=float, required=True)
+    p.add_argument("--epsilon", type=_finite_float, required=True)
+    p.add_argument("--R", type=_finite_float, required=True)
     p.add_argument("--out", required=True)
     common(p)
     p.set_defaults(func=_cmd_render)
@@ -461,7 +505,12 @@ def main(argv=None) -> int:
             if not (args.A and args.N):
                 parser.error("discrepancy needs --points or --A with --N")
         if args.subcommand == "verify" and args.epsilon not in (None, "auto"):
-            args.epsilon = float(args.epsilon)
+            try:
+                args.epsilon = _finite_float(args.epsilon)
+            except ValueError:
+                parser.error(f"argument --epsilon: expected a finite number or "
+                             f"'auto', got {args.epsilon!r}")
+        args.threads = _threads(args)
         return args.func(args)
     except SystemExit as exc:  # argparse usage errors and --help/--version
         return int(exc.code or 0)

@@ -25,7 +25,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .torus import BudgetError, Real, TorusInterval, max_circular_gap
+from .torus import BudgetError, Real, TorusInterval, _max_sorted_gap, max_circular_gap
 
 NET_CELL_BUDGET = 20_000_000
 FISHER_YATES_CUTOFF = 1 << 20
@@ -144,82 +144,66 @@ def elementary_pattern(n: int):
 class PolySeqSpec:
     """Polynomial A k^p + c_{p-1} k^{p-1} + ... + c_1 k evaluated mod 1.
 
-    ``leading`` is the degree-p coefficient; ``lower`` holds the coefficients
-    of k^1..k^{p-1} in increasing degree. Exact mode (all Fractions) reduces
+    ``leading`` is the degree-p coefficient, an exact rational (a Fraction,
+    or an int); ``lower`` holds the coefficients of k^1..k^{p-1} in
+    increasing degree. Exact mode (all lower coefficients Fractions) reduces
     mod 1 in rational arithmetic, bit-exactly for any k.
     """
 
     degree: int
-    leading: Real
+    leading: Fraction
     lower: tuple = ()
 
     def __post_init__(self):
         if self.degree < 1:
             raise ValueError("degree must be >= 1")
+        if not isinstance(self.leading, (Fraction, int)):
+            raise ValueError("the leading coefficient must be exact (a Fraction "
+                             f"or an int), got {type(self.leading).__name__}")
         lower = tuple(self.lower)
         if not lower and self.degree > 1:
-            zero = Fraction(0) if isinstance(self.leading, Fraction) else 0.0
-            lower = (zero,) * (self.degree - 1)
+            lower = (Fraction(0),) * (self.degree - 1)
         if len(lower) != self.degree - 1:
             raise ValueError(f"expected {self.degree - 1} lower coefficients")
         if self.leading == 0:
             raise ValueError("leading coefficient must be nonzero")
+        object.__setattr__(self, "leading", Fraction(self.leading))
         object.__setattr__(self, "lower", lower)
 
     @property
     def is_exact(self) -> bool:
-        return isinstance(self.leading, Fraction) and all(
-            isinstance(c, Fraction) for c in self.lower
-        )
+        return all(isinstance(c, Fraction) for c in self.lower)
+
+    def _lead_residues(self, ks: Iterable[int]) -> list:
+        """a * k^p mod b for leading a/b: the numerators of A k^p mod 1 over b."""
+        a, b = self.leading.numerator, self.leading.denominator
+        return [(a * pow(k, self.degree, b)) % b for k in ks]
 
     def value_at(self, k: int) -> Real:
-        """x_k mod 1; Fraction in exact mode."""
+        """x_k mod 1; a Fraction in exact mode, else the float of ``values``."""
         if self.is_exact:
             acc = self.leading * k ** self.degree
             for i, c in enumerate(self.lower, start=1):
                 acc += c * k ** i
             return acc % 1
-        acc = (float(self.leading) * k ** self.degree) % 1.0
-        for i, c in enumerate(self.lower, start=1):
-            acc = (acc + (float(c) * k ** i) % 1.0) % 1.0
-        return acc
-
-    def phase(self, k: int, multiplier: int = 1) -> Real:
-        """m * x_k mod 1, reduced exactly in exact mode."""
-        if self.is_exact:
-            acc = multiplier * self.leading * k ** self.degree
-            for i, c in enumerate(self.lower, start=1):
-                acc += multiplier * c * k ** i
-            return acc % 1
-        return (multiplier * self.value_at(k)) % 1.0
+        return float(self.values([k])[0])
 
     def values(self, ks: Iterable[int]) -> np.ndarray:
         """Float values with the leading rational term reduced exactly first.
 
-        For a rational leading a/b the k^p contribution is (a*k^p mod b)/b,
-        computed in integer arithmetic, so large k^p costs no precision.
+        The k^p contribution is (a*k^p mod b)/b, computed in integer
+        arithmetic, so large k^p costs no precision.
         """
         ks = list(int(k) for k in ks)
-        if isinstance(self.leading, Fraction):
-            a, b = self.leading.numerator, self.leading.denominator
-            lead = np.array(
-                [(a * pow(k, self.degree, b)) % b for k in ks], dtype=float
-            ) / b
-        else:
-            lead = np.array(
-                [(float(self.leading) * k ** self.degree) % 1.0 for k in ks], dtype=float
-            )
-        acc = lead
+        acc = np.array(self._lead_residues(ks), dtype=float) / self.leading.denominator
         for i, c in enumerate(self.lower, start=1):
             term = np.array([(float(c) * k ** i) % 1.0 for k in ks], dtype=float)
             acc = (acc + term) % 1.0
         return acc
 
-    def negated(self) -> "PolySeqSpec":
-        return PolySeqSpec(self.degree, -self.leading, tuple(-c for c in self.lower))
 
-
-def pattern_gap(pattern: Pattern, leading: Real, degree: int, coeffs: Sequence[Real]) -> Real:
+def pattern_gap(pattern: Pattern, leading: Fraction, degree: int,
+                coeffs: Sequence[Real]) -> Real:
     """Max circular gap of {x_k : k in pattern} for one coefficient vector."""
     spec = PolySeqSpec(degree, leading, tuple(coeffs))
     return max_circular_gap([spec.value_at(k) for k in pattern.indices])
@@ -231,7 +215,7 @@ def pattern_gap(pattern: Pattern, leading: Real, degree: int, coeffs: Sequence[R
 
 @dataclass(frozen=True)
 class NetSpec:
-    """Coefficient grids and the reference interval family for net verification.
+    """Coefficient grids for net verification.
 
     mesh_i = epsilon / (100 * p * Q^i * resolution_scale); resolution_scale 1
     is the recipe value (then sum_i mesh_i * Q^i <= epsilon/100), smaller
@@ -244,9 +228,6 @@ class NetSpec:
     resolution_scale: float
     meshes: tuple
     sizes: tuple
-    interval_stride: float
-    interval_length: float
-    interval_count: int
     total_cells: int
 
     @property
@@ -261,9 +242,6 @@ class NetSpec:
             "resolution_scale": self.resolution_scale,
             "meshes": list(self.meshes),
             "sizes": list(self.sizes),
-            "interval_stride": self.interval_stride,
-            "interval_length": self.interval_length,
-            "interval_count": self.interval_count,
             "total_cells": self.total_cells,
             "full_resolution": self.full_resolution,
         }
@@ -305,9 +283,6 @@ def build_nets(degree: int, universe: int, epsilon: float,
         resolution_scale=resolution_scale,
         meshes=tuple(meshes),
         sizes=tuple(sizes),
-        interval_stride=epsilon / 100,
-        interval_length=0.9 * epsilon,
-        interval_count=math.ceil(100 / epsilon),
         total_cells=total,
     )
 
@@ -341,13 +316,14 @@ class _ExactKernel:
     """Per-pattern tables for exact gap evaluation over uint64 coefficients."""
 
     def __init__(self, pattern: Pattern, leading: Fraction, degree: int):
-        a, b = leading.numerator % leading.denominator, leading.denominator
+        spec = PolySeqSpec(degree, leading)
+        b = spec.leading.denominator
         self.s = _scale_bits(b)
         self.denominator = b << self.s
         ks = pattern.indices
         self.n = len(ks)
         self.lead = np.array(
-            [((a * pow(k, degree, b)) % b) << self.s for k in ks], dtype=np.uint64
+            [r << self.s for r in spec._lead_residues(ks)], dtype=np.uint64
         )
         self.kpows = [
             np.array([pow(k, i, 1 << self.s) for k in ks], dtype=np.uint64)
@@ -372,11 +348,7 @@ class _ExactKernel:
         vals = self.lead[None, :] + self.b * acc
         vals -= self.big * (vals >= self.big).astype(np.uint64)
         vals.sort(axis=1)
-        if self.n == 1:
-            return np.full(rows, int(self.denominator), dtype=np.uint64)
-        inner = np.diff(vals, axis=1).max(axis=1)
-        wrap = self.big - vals[:, -1] + vals[:, 0]
-        return np.maximum(inner, wrap)
+        return _max_sorted_gap(vals, self.big)
 
 
 def _scan_chunks(kernel: _ExactKernel, chunks, threads: int):
@@ -406,7 +378,7 @@ def _scan_chunks(kernel: _ExactKernel, chunks, threads: int):
 @dataclass(frozen=True)
 class HittingReport:
     """Outcome of a hitting verification run; pass iff worst gap <= epsilon
-    (sampled mode) or <= 9/10 epsilon - 2*slack (net mode)."""
+    (sampled mode) or <= 9/10 epsilon - slack (net mode)."""
 
     mode: str                       # "net" or "sampled"
     epsilon: float
@@ -424,30 +396,6 @@ class HittingReport:
     pattern_n: Optional[int] = None
     universe: Optional[int] = None
     degree: Optional[int] = None
-
-    def merge(self, other: "HittingReport") -> "HittingReport":
-        """Combine two runs of the same configuration: worst case wins."""
-        if (self.mode, self.epsilon) != (other.mode, other.epsilon):
-            raise ValueError("cannot merge reports with different configurations")
-        worse = self if self.worst_gap >= other.worst_gap else other
-        return HittingReport(
-            mode=self.mode,
-            epsilon=self.epsilon,
-            passed=self.passed and other.passed,
-            worst_gap=worse.worst_gap,
-            tested=self.tested + other.tested,
-            worst_coeffs=worse.worst_coeffs,
-            worst_gap_exact=worse.worst_gap_exact,
-            worst_coeffs_exact=worse.worst_coeffs_exact,
-            slack=self.slack,
-            epsilon_guaranteed=worse.epsilon_guaranteed,
-            resolution_scale=self.resolution_scale,
-            full_resolution=self.full_resolution,
-            seed=self.seed,
-            pattern_n=self.pattern_n,
-            universe=self.universe,
-            degree=self.degree,
-        )
 
     def to_dict(self) -> dict:
         d = {
@@ -473,13 +421,6 @@ class HittingReport:
         return d
 
 
-def _require_exact_leading(leading) -> Fraction:
-    if not isinstance(leading, Fraction):
-        raise ValueError("net verification demands exact coefficients; "
-                         "pass the leading coefficient as a Fraction")
-    return leading
-
-
 def verify_hitting_net(pattern: Pattern, leading: Fraction, degree: int,
                        epsilon, nets: NetSpec,
                        threads: int = 1, chunk: int = _KERNEL_CHUNK) -> HittingReport:
@@ -497,7 +438,6 @@ def verify_hitting_net(pattern: Pattern, leading: Fraction, degree: int,
 
     epsilon="auto" picks the smallest epsilon that passes.
     """
-    leading = _require_exact_leading(leading)
     if pattern.universe == 0 or leading != Fraction(1, pattern.universe):
         raise ValueError("net verification expects leading = 1/universe "
                          "with the pattern confined to {0..universe-1}")
@@ -576,77 +516,41 @@ def verify_hitting_net(pattern: Pattern, leading: Fraction, degree: int,
     )
 
 
-def verify_hitting_sampled(pattern: Pattern, leading, degree: int, epsilon: float,
-                           n_samples: int, seed: int,
+def verify_hitting_sampled(pattern: Pattern, leading: Fraction, degree: int,
+                           epsilon: float, n_samples: int, seed: int,
                            threads: int = 1, chunk: int = _KERNEL_CHUNK) -> HittingReport:
     """Monte Carlo surrogate: worst gap over random coefficient vectors.
 
     Coefficients are drawn as exact dyadics u/2^s (uniform on the fixed-point
-    grid) when the leading coefficient is rational, so each sampled gap is
-    exact; no universal guarantee is implied either way.
+    grid) and the leading coefficient is an exact rational, so each sampled
+    gap is exact; no universal guarantee is implied.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     dims = degree - 1
     rng = np.random.default_rng(seed)
 
-    if isinstance(leading, Fraction):
-        kernel = _ExactKernel(pattern, leading, degree)
-        s = kernel.s
+    kernel = _ExactKernel(pattern, leading, degree)
+    s = kernel.s
 
-        def chunks():
-            remaining = n_samples
-            while remaining > 0:
-                take = min(chunk, remaining)
-                yield rng.integers(0, 1 << s, size=(take, dims), dtype=np.uint64)
-                remaining -= take
+    def chunks():
+        remaining = n_samples
+        while remaining > 0:
+            take = min(chunk, remaining)
+            yield rng.integers(0, 1 << s, size=(take, dims), dtype=np.uint64)
+            remaining -= take
 
-        best_gap, best_u, tested = _scan_chunks(kernel, chunks(), threads)
-        gap_frac = Fraction(best_gap, kernel.denominator)
-        return HittingReport(
-            mode="sampled",
-            epsilon=float(epsilon),
-            passed=bool(gap_frac <= Fraction(float(epsilon))),
-            worst_gap=float(gap_frac),
-            tested=tested,
-            worst_coeffs=tuple(u / (1 << s) for u in best_u),
-            worst_gap_exact=(best_gap, kernel.denominator),
-            worst_coeffs_exact=tuple((u, s) for u in best_u),
-            seed=seed,
-            pattern_n=pattern.n,
-            universe=pattern.universe,
-            degree=degree,
-        )
-
-    # Float leading coefficient: plain float evaluation.
-    ks = np.asarray(pattern.indices, dtype=float)
-    lead_vals = np.array([(float(leading) * k ** degree) % 1.0
-                          for k in pattern.indices])
-    worst, worst_b = 0.0, ()
-    remaining = n_samples
-    while remaining > 0:
-        take = min(chunk, remaining)
-        B = rng.random((take, dims))
-        vals = np.broadcast_to(lead_vals, (take, len(ks))).copy()
-        for d in range(dims):
-            vals = (vals + B[:, d][:, None] * ks[None, :] ** (d + 1)) % 1.0
-        vals.sort(axis=1)
-        if len(ks) == 1:
-            g = np.ones(take)
-        else:
-            g = np.maximum(np.diff(vals, axis=1).max(axis=1),
-                           1.0 - vals[:, -1] + vals[:, 0])
-        j = int(g.argmax())
-        if g[j] > worst:
-            worst, worst_b = float(g[j]), tuple(float(x) for x in B[j])
-        remaining -= take
+    best_gap, best_u, tested = _scan_chunks(kernel, chunks(), threads)
+    gap_frac = Fraction(best_gap, kernel.denominator)
     return HittingReport(
         mode="sampled",
         epsilon=float(epsilon),
-        passed=worst <= float(epsilon),
-        worst_gap=worst,
-        tested=n_samples,
-        worst_coeffs=worst_b,
+        passed=bool(gap_frac <= Fraction(float(epsilon))),
+        worst_gap=float(gap_frac),
+        tested=tested,
+        worst_coeffs=tuple(u / (1 << s) for u in best_u),
+        worst_gap_exact=(best_gap, kernel.denominator),
+        worst_coeffs_exact=tuple((u, s) for u in best_u),
         seed=seed,
         pattern_n=pattern.n,
         universe=pattern.universe,

@@ -1,9 +1,10 @@
 """Arithmetic on the circle R/Z: gaps, exact interval discrepancy, Weyl sums.
 
-Points live in [0, 1). A point is "exact" when its value is a Fraction
-(fixed-point dyadics u/2^s are the common case); exact arithmetic is closed
-and bit-exact, float arithmetic is ordinary IEEE double. Every operation in
-this module is a pure function of its inputs.
+Functions take plain sequences of values, reduced into [0, 1). A set is
+exact when every value is a Fraction (fixed-point dyadics u/2^s are the
+common case); exact arithmetic is closed and bit-exact, float arithmetic is
+ordinary IEEE double. Every operation in this module is a pure function of
+its inputs.
 """
 
 from __future__ import annotations
@@ -29,47 +30,6 @@ def _mod1(value: Real) -> Real:
     if isinstance(value, Fraction):
         return value % 1
     return float(value) % 1.0
-
-
-@dataclass(frozen=True)
-class TorusPoint:
-    """A point on R/Z; Fraction value means exact mode, float means float mode."""
-
-    value: Real
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", _mod1(self.value))
-
-    @classmethod
-    def from_fixed(cls, numerator: int, scale_bits: int = 64) -> "TorusPoint":
-        """Exact fixed-point u/2^s, reduced mod 1."""
-        return cls(Fraction(numerator % (1 << scale_bits), 1 << scale_bits))
-
-    @classmethod
-    def from_float(cls, x: float) -> "TorusPoint":
-        return cls(float(x) % 1.0)
-
-    @property
-    def is_exact(self) -> bool:
-        return isinstance(self.value, Fraction)
-
-    def to_float(self) -> float:
-        return float(self.value)
-
-    def __add__(self, other: "TorusPoint") -> "TorusPoint":
-        return TorusPoint(_mod1(self.value + other.value))
-
-    def __neg__(self) -> "TorusPoint":
-        return TorusPoint(_mod1(-self.value))
-
-    def times(self, k: int) -> "TorusPoint":
-        """Integer multiple k*x mod 1, exact in exact mode."""
-        return TorusPoint(_mod1(self.value * k))
-
-    def distance_to_integers(self) -> Real:
-        """Arclength distance to 0, i.e. min(x, 1-x), in [0, 1/2]."""
-        v = self.value
-        return min(v, 1 - v)
 
 
 @dataclass(frozen=True)
@@ -117,8 +77,6 @@ def _number_json(v: Real):
 
 
 def _as_value(point) -> Real:
-    if isinstance(point, TorusPoint):
-        return point.value
     if isinstance(point, Fraction):
         return point % 1
     return float(point) % 1.0
@@ -133,6 +91,21 @@ def _coerce(points) -> tuple[list, bool]:
     return values, exact
 
 
+def _max_sorted_gap(rows: np.ndarray, period):
+    """Max circular gap of each already-sorted row of values in [0, period).
+
+    The largest difference between consecutive entries, or the wrap-around
+    period - last + first if that is larger; a single point leaves the whole
+    period. Rows hold uint64 numerators over the period, float64 values, or
+    Fractions in an object array.
+    """
+    if rows.shape[-1] == 1:
+        return np.full(rows.shape[:-1], period, dtype=rows.dtype)
+    inner = np.diff(rows, axis=-1).max(axis=-1)
+    wrap = period - rows[..., -1] + rows[..., 0]
+    return np.maximum(inner, wrap)
+
+
 def max_circular_gap(points) -> Real:
     """Largest arc between consecutive points (with wrap-around).
 
@@ -143,20 +116,12 @@ def max_circular_gap(points) -> Real:
     values, exact = _coerce(points)
     if not values:
         raise ValueError("empty point set")
-    if exact:
-        vs = sorted(values)
-        gap = max(
-            max((b - a) for a, b in zip(vs, vs[1:])) if len(vs) > 1 else Fraction(0),
-            1 - vs[-1] + vs[0],
-        )
-        return gap
-    vs = np.sort(np.asarray(values, dtype=float))
-    if len(vs) == 1:
-        return 1.0
-    return float(max(np.diff(vs).max(), 1.0 - vs[-1] + vs[0]))
+    row = np.sort(np.asarray(values, dtype=object if exact else float))
+    gap = _max_sorted_gap(row[None, :], Fraction(1) if exact else 1.0)[0]
+    return gap if exact else float(gap)
 
 
-def _interval_count(sorted_values, start, length, lo_closed: bool, hi_closed: bool) -> int:
+def _count_in_interval(sorted_values, start, length, lo_closed: bool, hi_closed: bool) -> int:
     """Exact point count in a wrapped interval with explicit endpoint closures."""
     cnt = 0
     for x in sorted_values:
@@ -255,7 +220,7 @@ def exact_discrepancy(points, et_cutoff: Optional[int] = None,
         length = _mod1(ys[j1] - ys[i1])
         witness = TorusInterval(ys[i1], length, "closed")
         flag = "attained"
-        rec = Fraction(_interval_count(ys, ys[i1], length, True, True), n) - length
+        rec = Fraction(_count_in_interval(ys, ys[i1], length, True, True), n) - length
     else:
         # Open interval (y_i, y_j); reported as the half-open interval with
         # the same endpoints and flagged "limit" since the sup is approached
@@ -266,7 +231,7 @@ def exact_discrepancy(points, et_cutoff: Optional[int] = None,
             length = one  # circle minus the start point
         witness = TorusInterval(ys[i2], length, "half-open")
         flag = "limit"
-        rec = length - Fraction(_interval_count(ys, ys[i2], length, False, False), n)
+        rec = length - Fraction(_count_in_interval(ys, ys[i2], length, False, False), n)
 
     # The recount can only confirm or beat the separable bound; keep the max.
     if rec > value:
@@ -337,34 +302,15 @@ def unit_phase(t: Real) -> complex:
 def weyl_sum(poly, n_terms: int, multiplier: int = 1) -> complex:
     """Sum of e(m*f(k)) for k = 0..n_terms-1.
 
-    ``poly`` is anything with a ``phase(k, multiplier)`` method returning
-    f(k)*m mod 1 (exact Fraction or float), or a plain coefficient sequence
-    (c_0, c_1, ..., c_p) in increasing degree. In exact mode the phase is
-    reduced mod 1 in rational arithmetic before exponentiation, so the
-    magnitude carries no precision loss from large k^p.
+    ``poly`` is a ``PolySeqSpec``. With exact coefficients m*f(k) is reduced
+    mod 1 in rational arithmetic before exponentiation, so the magnitude
+    carries no precision loss from large k^p.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
-    if hasattr(poly, "phase"):
-        phase = lambda k: poly.phase(k, multiplier)
-    else:
-        coeffs = list(poly)
-        exact = all(isinstance(c, Fraction) for c in coeffs)
-
-        def phase(k, _coeffs=coeffs, _exact=exact):
-            if _exact:
-                acc = Fraction(0)
-                for i, c in enumerate(_coeffs):
-                    acc += multiplier * c * k ** i
-                return acc % 1
-            acc = 0.0
-            for i, c in enumerate(_coeffs):
-                acc = (acc + (multiplier * float(c) * k ** i) % 1.0) % 1.0
-            return acc
-
     total = 0j
     for k in range(n_terms):
-        total += unit_phase(phase(k))
+        total += unit_phase(multiplier * poly.value_at(k))
     return total
 
 

@@ -176,15 +176,6 @@ def test_density_converges_like_one_over_R():
     assert devs[100] <= 1.5 * C / 100 + 1e-9, (devs, C)
 
 
-def test_density_merge():
-    spec = AnnulusSpec(2, 2, 0.2)
-    a = density(spec, 30, samples=50_000, seed=1)
-    b = density(spec, 30, samples=50_000, seed=2)
-    merged = a.merge(b)
-    assert merged.detail["samples"] == 100_000
-    assert min(a.fraction, b.fraction) <= merged.fraction <= max(a.fraction, b.fraction)
-
-
 # ---------------------------------------------------------------------------
 # placements and reduction
 

@@ -2,6 +2,8 @@ import json
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from obstructions.cli import main
 
@@ -215,3 +217,174 @@ def test_every_subcommand_rerun_identical(tmp_path):
         _, p1 = run(args, tmp_path, f"{name}1.json")
         _, p2 = run(args, tmp_path, f"{name}2.json")
         assert payload_without_meta(p1) == payload_without_meta(p2), name
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract: 0 pass, 1 mathematical failure, 2 usage or budget error
+
+
+def _pattern_files(tmp_path):
+    """Write a quadratic and a cubic pattern file plus malformed variants."""
+    files = {}
+    for name, extra in (("pat2", ["--Q", "64", "--epsilon", "0.95"]),
+                        ("pat3", ["--n", "4", "--p", "3", "--Q", "11"])):
+        path = tmp_path / f"{name}.json"
+        argv = ["construct", "--mode", "thinned", "--n", "8", "--seed", "1",
+                *extra, "--pattern-out", str(path), "-o", str(tmp_path / "c.json")]
+        assert main(argv) in (0, 1)
+        files[name] = str(path)
+    doc = json.loads((tmp_path / "pat2.json").read_text())
+    doc.pop("indices")
+    (tmp_path / "noidx.json").write_text(json.dumps(doc))
+    files["noidx"] = str(tmp_path / "noidx.json")
+    (tmp_path / "garbage.json").write_text("{not json")
+    files["garbage"] = str(tmp_path / "garbage.json")
+    files["missing"] = str(tmp_path / "missing.json")
+    return files
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["density", "--config"], "--config"),
+    (["discrepancy", "--A", "1/0", "--N", "5"], "--A"),
+    (["discrepancy", "--A", "1/7", "--B", "1/0", "--N", "5"], "--B"),
+    (["verify", "--pattern", "@noidx", "--method", "sampled",
+      "--epsilon", "0.5"], "indices"),
+    (["density", "--d", "2", "--p", "2", "--epsilon", "0.1", "--R", "10",
+      "--samples", "0"], "samples"),
+    (["verify", "--pattern", "@pat2", "--method", "sampled", "--epsilon", "0.9",
+      "--samples", "10", "--threads", "-3"], "--threads"),
+    (["verify", "--pattern", "@pat2", "--method", "net", "--epsilon", "0.9",
+      "--net-cells", "0"], "--net-cells"),
+    (["verify", "--pattern", "@pat2", "--method", "net", "--epsilon", "0.9",
+      "--net-cells", "-5"], "--net-cells"),
+    (["verify", "--pattern", "@pat2", "--method", "sampled",
+      "--epsilon", "inf"], "--epsilon"),
+    (["render", "--epsilon", "0.3", "--R", "0", "--out", "@svg"], "--R"),
+], ids=["config-no-path", "A-zero-den", "B-zero-den", "pattern-no-indices",
+        "density-zero-samples", "negative-threads", "net-cells-zero",
+        "net-cells-negative", "epsilon-inf", "render-zero-R"])
+def test_bad_input_exits_2_naming_the_flag(tmp_path, capsys, monkeypatch, argv, flag):
+    monkeypatch.delenv("OBSTRUCTIONS_THREADS", raising=False)
+    files = {**_pattern_files(tmp_path), "svg": str(tmp_path / "f.svg")}
+    capsys.readouterr()
+    argv = [files[tok[1:]] if tok.startswith("@") else tok for tok in argv]
+    assert main([argv[0], "-o", str(tmp_path / "r.json"), *argv[1:]]) == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_bad_threads_env_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("OBSTRUCTIONS_THREADS", "-1")
+    code = main(["density", "--d", "1", "--p", "2", "--epsilon", "0.2",
+                 "--R", "5", "--samples", "10", "-o", str(tmp_path / "r.json")])
+    assert code == 2
+    assert "OBSTRUCTIONS_THREADS" in capsys.readouterr().err
+
+
+# Valid flag values per subcommand, small so that every run is short. "@name"
+# tokens become paths under tmp_path. Required flags, --samples (whose
+# defaults are slow) and output paths are always passed; each example then
+# applies at most one mutation: a malformed value, a dropped flag, a bare
+# --config or an unknown flag.
+FUZZ_FLAGS = {
+    "construct": {
+        "--mode": ["thinned", "elementary"],
+        "--n": ["4", "8", "16"],
+        "--p": ["1", "2", "3"],
+        "--Q": ["11", "64", "101"],
+        "--seed": ["0", "3"],
+        "--epsilon": ["0.5", "0.95"],
+        "--samples": ["1", "20"],
+        "--retries": ["1", "2"],
+        "--target-epsilon": ["0.5", "0.99"],
+        "--pattern-out": ["@out"],
+    },
+    "verify": {
+        "--pattern": ["@pat2", "@pat3", "@noidx", "@garbage", "@missing"],
+        "--method": ["net", "sampled"],
+        "--epsilon": ["auto", "0.5", "0.95"],
+        "--samples": ["1", "50"],
+        "--seed": ["0", "2"],
+        "--resolution-scale": ["1", "0.5"],
+        "--net-cells": ["1", "1000"],
+        "--budget": ["1000", "100000"],
+    },
+    "density": {
+        "--d": ["1", "2", "3"],
+        "--p": ["2", "3", "4"],
+        "--epsilon": ["0.1", "0.5"],
+        "--R": ["1", "5", "20"],
+        "--method": ["monte-carlo", "exact-slice"],
+        "--samples": ["1", "100"],
+        "--seed": ["0", "3"],
+    },
+    "nocopy": {
+        "--pattern": ["@pat2", "@pat3", "@noidx", "@garbage", "@missing"],
+        "--d": ["1", "2"],
+        "--epsilon": ["0.5", "0.95"],
+        "--j-list": ["1", "1,2"],
+        "--samples": ["1", "20"],
+        "--seed": ["0", "4"],
+    },
+    "discrepancy": {
+        "--points": ["@csv", "@missing"],
+        "--A": ["1/7", "3"],
+        "--B": ["0.25", "3/8,1/5"],
+        "--N": ["1", "5", "20"],
+        "--M": ["1", "5"],
+        "--dump": ["@dump"],
+        "--grid": ["2", "10"],
+    },
+    "render": {
+        "--d": ["2", "3"],
+        "--p": ["2", "3"],
+        "--epsilon": ["0.25", "1"],
+        "--R": ["1", "6"],
+        "--out": ["@svg"],
+    },
+}
+ALWAYS = {"--mode", "--n", "--pattern-out", "--pattern", "--method", "--d",
+          "--p", "--epsilon", "--R", "--samples", "--out", "--A", "--N"}
+SWITCHES = {"construct": ["--calibrate"], "discrepancy": ["--exact", "--estimate"]}
+BAD = ["", "x", "-1", "0", "1.5", "1/0", "0/5", "a,", ",", "nan", "inf"]
+
+
+@st.composite
+def cli_argv(draw):
+    sub = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    pairs = [[flag, draw(st.sampled_from(values))]
+             for flag, values in FUZZ_FLAGS[sub].items()
+             if flag in ALWAYS or draw(st.booleans())]
+    mutation = draw(st.sampled_from(["none", "value", "drop", "config", "bogus"]))
+    if mutation == "value":
+        draw(st.sampled_from(pairs))[1] = draw(st.sampled_from(BAD))
+    elif mutation == "drop":
+        pairs.remove(draw(st.sampled_from(pairs)))
+    argv = [sub] + [tok for pair in pairs for tok in pair]
+    argv += [s for s in SWITCHES.get(sub, []) if draw(st.booleans())]
+    if draw(st.booleans()):
+        argv += ["--threads", str(draw(st.integers(-2, 4)))]
+    if mutation in ("config", "bogus"):
+        argv.append("--config" if mutation == "config" else "--bogus")
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("fuzz")
+    files = _pattern_files(tmp_path)
+    (tmp_path / "pts.csv").write_text("value\n0.1\n0.7\n0.75\n")
+    files.update(csv=str(tmp_path / "pts.csv"), out=str(tmp_path / "o.json"),
+                 dump=str(tmp_path / "d.csv"), svg=str(tmp_path / "f.svg"))
+    return tmp_path, files
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=cli_argv())
+def test_cli_fuzz_exits_0_1_or_2(fuzz_files, monkeypatch, argv):
+    tmp_path, files = fuzz_files
+    # a malformed value in an output flag becomes a relative path
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("OBSTRUCTIONS_THREADS", raising=False)
+    argv = [files[tok[1:]] if tok.startswith("@") else tok for tok in argv]
+    assert main([argv[0], "-o", str(tmp_path / "r.json"), *argv[1:]]) in (0, 1, 2)

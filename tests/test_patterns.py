@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from obstructions import (
+    AnnulusSpec,
     BudgetError,
     Pattern,
     PolySeqSpec,
@@ -17,6 +18,7 @@ from obstructions import (
     find_hitter,
     is_prime_64,
     max_circular_gap,
+    no_copy_check,
     pattern_gap,
     scale_for_budget,
     thin_pattern,
@@ -313,20 +315,17 @@ def test_sampled_equal_spacing_floor():
 
 
 def test_sampled_float_leading_path():
+    # every route evaluates an exact rational leading coefficient; a float
+    # one is refused where it enters, with the same message everywhere
     pat, leading = elementary_pattern(64)
-    rep = verify_hitting_sampled(pat, float(leading), 2, 10 / 8.0, 300, seed=5)
-    assert rep.passed
-    assert rep.worst_gap <= 10 / 8.0
-
-
-def test_report_merge():
-    universe = 101
-    pat = thin_pattern(8, universe, seed=1)
-    a = verify_hitting_sampled(pat, Fraction(1, universe), 2, 0.9, 100, seed=1)
-    b = verify_hitting_sampled(pat, Fraction(1, universe), 2, 0.9, 100, seed=2)
-    merged = a.merge(b)
-    assert merged.tested == 200
-    assert merged.worst_gap == max(a.worst_gap, b.worst_gap)
+    calls = [
+        lambda: PolySeqSpec(2, float(leading)),
+        lambda: verify_hitting_sampled(pat, float(leading), 2, 10 / 8.0, 300, seed=5),
+        lambda: no_copy_check(AnnulusSpec(2, 2, 0.9), pat, float(leading), [1], 10),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="exact"):
+            call()
 
 
 def test_sampled_gap_below_et_bound_of_same_points():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from obstructions import (
     DiscrepancyReport,
     TorusInterval,
-    TorusPoint,
     PolySeqSpec,
     erdos_turan_bound,
     exact_discrepancy,
@@ -21,24 +20,7 @@ from obstructions import (
 
 
 # ---------------------------------------------------------------------------
-# points and intervals
-
-
-def test_torus_point_exact_arithmetic_is_closed():
-    a = TorusPoint.from_fixed(3, 4)          # 3/16
-    b = TorusPoint.from_fixed(15, 4)         # 15/16
-    s = a + b
-    assert s.is_exact and s.value == Fraction(1, 8)
-    assert a.times(7).value == Fraction(21 % 16, 16)
-    assert (-a).value == Fraction(13, 16)
-
-
-def test_torus_point_range_and_modes():
-    assert TorusPoint.from_float(2.75).value == 0.75
-    assert not TorusPoint.from_float(0.5).is_exact
-    assert TorusPoint(Fraction(9, 4)).value == Fraction(1, 4)
-    assert TorusPoint(Fraction(1, 3)).distance_to_integers() == Fraction(1, 3)
-    assert TorusPoint(Fraction(2, 3)).distance_to_integers() == Fraction(1, 3)
+# intervals
 
 
 def test_interval_wraparound_membership():
@@ -196,8 +178,8 @@ def test_discrepancy_report_validation():
 
 
 def test_weyl_sum_trivial_cases():
-    assert weyl_sum([Fraction(0)], 7) == 7 + 0j
-    assert weyl_sum([Fraction(0), Fraction(1, 2)], 2) == 0j
+    assert weyl_sum(PolySeqSpec(1, Fraction(1)), 7) == 7 + 0j
+    assert weyl_sum(PolySeqSpec(1, Fraction(1, 2)), 2) == 0j
 
 
 def test_weyl_sum_gauss_magnitude():
@@ -212,7 +194,7 @@ def test_weyl_sum_gauss_magnitude():
 def test_weyl_sum_conjugate_symmetry_exact():
     f = PolySeqSpec(3, Fraction(3, 17), (Fraction(1, 5), Fraction(2, 9)))
     a = weyl_sum(f, 60)
-    b = weyl_sum(f.negated(), 60)
+    b = weyl_sum(PolySeqSpec(3, Fraction(-3, 17), (Fraction(-1, 5), Fraction(-2, 9))), 60)
     assert a == b.conjugate()  # bit-exact, thanks to phase folding
 
 
