@@ -1,4 +1,4 @@
-"""Annular obstruction sets: membership, exact 1-D measures, densities,
+"""Annular obstruction sets: membership, closed-form 1-D measures, densities,
 binomial reduction of dilated line copies to polynomial sequences mod 1,
 and end-to-end no-copy checks.
 
@@ -19,10 +19,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .torus import BudgetError, TorusInterval
+from .torus import BudgetError
 from .patterns import Pattern, PolySeqSpec
-
-MEASURE_PIECE_BUDGET = 60_000_000
 
 
 @dataclass(frozen=True)
@@ -94,84 +92,110 @@ def _reflected(start: float, length: float) -> tuple:
     return ((1.0 - start - length) % 1.0, length)
 
 
-def _root_inplace(arr: np.ndarray, p: int) -> np.ndarray:
-    """arr ** (1/p) in place; sqrt/cbrt chains beat np.power by a lot."""
-    q = p
-    while q % 2 == 0 and q > 1:
-        np.sqrt(arr, out=arr)
-        q //= 2
-    while q % 3 == 0 and q > 1:
-        np.cbrt(arr, out=arr)
-        q //= 3
-    if q > 1:
-        np.power(arr, 1.0 / q, out=arr)
-    return arr
+# one_variable_measure: _DIRECT_TERMS root intervals, then Euler-Maclaurin
+_DIRECT_TERMS = 64
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42)
+_MEASURE_TOLERANCE = 1e-6
 
 
-def _halfline_measure(p: int, start: float, length: float, T: float,
-                      piece_budget: int) -> float:
-    """Measure of {t in [0, T] : t^p mod 1 in [start, start+length)}.
+def _geometric(y, z, k: int):
+    """sum_{i<k} y^i z^(k-1-i), which is (y^k - z^k) / (y - z)."""
+    return sum(y ** i * z ** (k - 1 - i) for i in range(k))
 
-    The set is the union over integers m of [ (m+a)^{1/p}, (m+b)^{1/p} )
-    clipped to [0, T]; at most T^p + 2 pieces, summed vectorized.
-    """
-    if length >= 1.0:
-        return T
-    m_top = int(math.floor(T ** p)) + 1
-    if m_top + 1 > piece_budget:
-        raise BudgetError(
-            f"exact measure needs {m_top + 1} pieces for R/2={T}, p={p} "
-            f"(budget {piece_budget}); use the Monte Carlo estimator"
-        )
-    pieces = [(start, min(start + length, 1.0))]
-    if start + length > 1.0:
-        pieces.append((0.0, start + length - 1.0))
+
+def _falling(p: int, n: int) -> float:
+    """(1/p)(1/p-1)...(1/p-n+1): the n-th derivative of x^(1/p) over x^(1/p-n)."""
+    return math.prod(1.0 / p - i for i in range(n))
+
+
+def _roots(m, alpha: float, beta: float, p: int) -> tuple:
+    """y = (m+beta)^(1/p), z = (m+alpha)^(1/p) and y - z, factored."""
+    y, z = (m + beta) ** (1.0 / p), (m + alpha) ** (1.0 / p)
+    return y, z, (beta - alpha) / _geometric(y, z, p)
+
+
+def _tail(p: int, alpha: float, beta: float, hi: int) -> float:
+    """Euler-Maclaurin sum of f(m) = (m+beta)^(1/p) - (m+alpha)^(1/p) over
+    K = _DIRECT_TERMS <= m < hi: p/(p+1) (y^(p+1) - z^(p+1)) - f/2 + sum_k
+    B_2k/(2k)! f^(2k-1) at hi minus at K, with f^(n) = (1/p)_n (y^(1-pn) - z^(1-pn))."""
     total = 0.0
-    chunk = 1 << 22
-    for alpha, beta in pieces:
-        for lo_m in range(0, m_top + 1, chunk):
-            m = np.arange(lo_m, min(lo_m + chunk, m_top + 1), dtype=float)
-            lo = _root_inplace(m + alpha, p)
-            hi = _root_inplace(m + beta, p)
-            np.minimum(lo, T, out=lo)
-            np.minimum(hi, T, out=hi)
-            total += float((hi - lo).sum())
+    for m, sign in ((hi, 1.0), (_DIRECT_TERMS, -1.0)):
+        y, z, f = _roots(float(m), alpha, beta, p)
+        total += sign * f * (p / (p + 1) * _geometric(y, z, p + 1) - 0.5)
+        for k, bernoulli in enumerate(_BERNOULLI, 1):
+            # y^-e - z^-e = -(y - z) / (y z) * _geometric(1/y, 1/z, e)
+            e = p * (2 * k - 1) - 1
+            total -= (sign * f / (y * z) * _geometric(1 / y, 1 / z, e)
+                      * bernoulli / math.factorial(2 * k) * _falling(p, 2 * k - 1))
     return total
 
 
-def one_variable_measure(p: int, sigma: int, R: float, interval,
-                         piece_budget: int = MEASURE_PIECE_BUDGET) -> float:
-    """Exact measure of {t in [-R/2, R/2] : sigma*t^p mod 1 in I}.
+def _halfline_measure(p: int, start: float, length: float, T: float) -> float:
+    """Measure of {t in [0, T] : t^p mod 1 in [start, start+length)}: the
+    floor(T^p - b) + 1 whole pieces [(m+a)^(1/p), (m+b)^(1/p)), counted
+    exactly, and the piece cut by T, each a factored root difference."""
+    if length >= 1.0:
+        return T
+    arcs = [(start, min(start + length, 1.0))]
+    if start + length > 1.0:
+        arcs.append((0.0, start + length - 1.0))
+    top = Fraction(T) ** p
+    total = 0.0
+    for alpha, beta in arcs:
+        whole = max(0, math.floor(top - Fraction(beta)) + 1)
+        head = np.arange(min(whole, _DIRECT_TERMS), dtype=float)
+        total += math.fsum(_roots(head, alpha, beta, p)[2])
+        if whole > _DIRECT_TERMS:
+            total += _tail(p, alpha, beta, whole)
+        cut = top - whole - Fraction(alpha)
+        if cut > 0:  # T - (whole+alpha)^(1/p) = cut / sum T^i z^(p-1-i)
+            total += float(cut) / _geometric(T, (whole + alpha) ** (1.0 / p), p)
+    return total
 
-    Enumerates the constituent root intervals per sign of t; deviates from
-    |I|*R by a bounded amount independent of R.
+
+def one_variable_measure(p: int, sigma: int, R: float, interval) -> float:
+    """Measure of {t in [-R/2, R/2] : sigma*t^p mod 1 in I}, in closed form,
+    for the arc I given as a (start, length) pair.
+
+    Deviates from |I|*R by a bounded amount independent of R. Raises
+    BudgetError when its numerical error bound exceeds 1e-6.
     """
     if R < 1:
         raise ValueError("R must be >= 1")
     if sigma not in (1, -1):
         raise ValueError("sigma must be +1 or -1")
-    if isinstance(interval, TorusInterval):
-        start, length = float(interval.start), float(interval.length)
-    else:
-        start, length = float(interval[0]) % 1.0, float(interval[1])
+    start, length = float(interval[0]) % 1.0, float(interval[1])
     if not 0 < length <= 1:
         raise ValueError("interval length must be in (0, 1]")
     T = R / 2.0
+    # Per half-line the Euler-Maclaurin remainder of _tail is at most |B_6|/6!
+    # |f^(5)(K)| <= |B_6|/6! |(1/p)_6| |I| K^(1/p-6), as f^(6) keeps one sign;
+    # rounding costs a few ulps of the O(T) antiderivative.
+    J, K = len(_BERNOULLI), _DIRECT_TERMS
+    bound = (2 * (abs(_BERNOULLI[-1] * _falling(p, 2 * J)) / math.factorial(2 * J)
+                  * length * K ** (1.0 / p - 2 * J) + 16 * p * (T + K) * 2.0 ** -52)
+             if p * math.log2(T) <= 1000 else math.inf)  # T^p must stay a float
+    if bound > _MEASURE_TOLERANCE:
+        raise BudgetError(f"one-variable measure at R={R}, p={p} has error bound "
+                          f"{bound:.1e} above {_MEASURE_TOLERANCE:g}; lower --R")
 
-    # positive t: condition is sigma * t^p mod 1 in I
-    pos = (start, length) if sigma == 1 else _reflected(start, length)
-    # negative t = -s: sigma * (-s)^p = sigma * (-1)^p * s^p
-    neg_sigma = sigma * (-1) ** p
-    neg = (start, length) if neg_sigma == 1 else _reflected(start, length)
+    # t > 0 sees sigma * t^p, t = -s < 0 sees sigma * (-1)^p * s^p; a sign
+    # of -1 reflects the arc
+    pos, neg = ((start, length) if sg == 1 else _reflected(start, length)
+                for sg in (sigma, sigma * (-1) ** p))
     if pos == neg:  # even p: both halves coincide
-        return 2.0 * _halfline_measure(p, pos[0], pos[1], T, piece_budget)
-    return (_halfline_measure(p, pos[0], pos[1], T, piece_budget)
-            + _halfline_measure(p, neg[0], neg[1], T, piece_budget))
+        return 2.0 * _halfline_measure(p, *pos, T)
+    return _halfline_measure(p, *pos, T) + _halfline_measure(p, *neg, T)
 
 
 @dataclass(frozen=True)
 class DensityReport:
-    """Measured volume fraction of a set in the centered cube of side R."""
+    """Measured volume fraction of a set in the centered cube of side R.
+
+    exact-slice's error_bound 3/R (+ grid step h) leaves room for rounding: a
+    computed measure is within 1e-6 of the exact one, which is within 3 of
+    |I|*R (about 1.2 at even p), so rounding moves the fraction by <= 1e-6/R.
+    """
 
     R: float
     fraction: float
@@ -222,33 +246,21 @@ def density(spec: AnnulusSpec, R: float, method: str = "monte-carlo",
         if spec.parity != "even":
             raise ValueError("exact-slice supports even exponents only; "
                              "use monte-carlo for odd exponents")
-        d = spec.dimension
-        if d == 1:
-            frac = one_variable_measure(spec.exponent, 1, R,
-                                        (band_start, band_length)) / R
-            return DensityReport(R=R, fraction=min(frac, 1.0), target=target,
-                                 target_kind=kind, method="exact-slice",
-                                 detail={"nodes": 1}, error_bound=3.0 / R)
-        if d > 2:
+        if spec.dimension > 2:
             raise BudgetError("exact-slice is limited to d <= 2; use monte-carlo")
-        half = R / 2.0
-        count = max(1, math.ceil(half / grid_step))
+        # d = 2: midpoint nodes x_2 on [0, R/2], as the slice measure is even
+        count = 1 if spec.dimension == 1 else max(1, math.ceil(R / 2.0 / grid_step))
         if count > node_budget:
             raise BudgetError(f"{count} quadrature nodes over budget {node_budget}")
-        h = half / count
-        # midpoint nodes on [0, R/2]; the slice measure is even in x_2
-        xs = (np.arange(count) + 0.5) * h
+        h = 0.0 if spec.dimension == 1 else R / 2.0 / count
         acc = 0.0
-        for x2 in xs:
-            shift = abs(x2) ** spec.exponent
-            frac = one_variable_measure(
-                spec.exponent, 1, R, ((band_start - shift) % 1.0, band_length)) / R
-            acc += frac
-        frac = acc / count
-        return DensityReport(R=R, fraction=min(frac, 1.0), target=target,
+        for x2 in (np.arange(count) + 0.5) * h:
+            acc += one_variable_measure(spec.exponent, 1, R, (
+                (band_start - x2 ** spec.exponent) % 1.0, band_length)) / R
+        detail = {"nodes": count} if spec.dimension == 1 else {"nodes": count, "grid_step": h}
+        return DensityReport(R=R, fraction=min(acc / count, 1.0), target=target,
                              target_kind=kind, method="exact-slice",
-                             detail={"nodes": int(count), "grid_step": h},
-                             error_bound=3.0 / R + h)
+                             detail=detail, error_bound=3.0 / R + h)
 
     if method != "monte-carlo":
         raise ValueError(f"unknown method {method!r}")
@@ -356,6 +368,7 @@ def reduction_coefficients(x: np.ndarray, v: np.ndarray, r: float,
 
         F_sigma(x + r k v) = sum_l B_l k^l + (r^p |v|_p^p) k^p,
         B_l = C(p, l) r^l sum_i sigma_i x_i^{p-l} v_i^l.
+    x and v have shape (d,) or (count, d); the sums run over the last axis.
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -363,12 +376,10 @@ def reduction_coefficients(x: np.ndarray, v: np.ndarray, r: float,
         signs = np.ones_like(v)
     else:
         signs = np.where(v >= 0, 1.0, -1.0)
-    coeffs = []
-    for l in range(p):
-        coeffs.append(math.comb(p, l) * r ** l *
-                      float((signs * x ** (p - l) * v ** l).sum()))
-    leading = r ** p * float((signs * v ** p).sum())
-    return tuple(coeffs), leading, tuple(int(s) for s in signs)
+    coeffs = tuple(math.comb(p, l) * r ** l * (signs * x ** (p - l) * v ** l).sum(axis=-1)
+                   for l in range(p))
+    leading = r ** p * (signs * v ** p).sum(axis=-1)
+    return coeffs, leading, signs
 
 
 def reduce_to_polynomial(spec: AnnulusSpec, pattern: Pattern,
@@ -387,7 +398,8 @@ def reduce_to_polynomial(spec: AnnulusSpec, pattern: Pattern,
     norm = float((np.abs(v) ** p).sum() ** (1.0 / p))
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"direction is not l^p-unit: norm residual {norm - 1.0}")
-    coeffs, lead_val, signs = reduction_coefficients(x, v, placement.scale, p)
+    coeffs, lead_val, sgn = reduction_coefficients(x, v, placement.scale, p)
+    coeffs, signs = tuple(float(c) for c in coeffs), tuple(int(s) for s in sgn)
     target = float(leading) + placement.scale_index
 
     ks = list(pattern.indices)
@@ -395,7 +407,6 @@ def reduce_to_polynomial(spec: AnnulusSpec, pattern: Pattern,
         step = max(1, len(ks) // 64)
         ks = ks[::step] + [pattern.indices[-1]]
     worst = 0.0
-    sgn = np.asarray(signs, dtype=float)
     for k in ks:
         y = x + placement.scale * k * v
         direct = float((sgn * y ** p).sum())
@@ -466,6 +477,8 @@ def no_copy_check(spec: AnnulusSpec, pattern: Pattern, leading: Fraction,
             f"inconsistent epsilon: pattern verified at {pattern_epsilon}, "
             f"set built with {spec.epsilon}"
         )
+    if placements_per_scale < 1:
+        raise ValueError("placements per scale (--samples) must be >= 1")
     p, d = spec.exponent, spec.dimension
     w = spec.band_halfwidth
     ks = np.asarray(pattern.indices, dtype=float)
@@ -475,9 +488,7 @@ def no_copy_check(spec: AnnulusSpec, pattern: Pattern, leading: Fraction,
 
     children = np.random.SeedSequence(seed).spawn(len(j_list))
     per_scale = []
-    total_violations = 0
     mismatches = 0
-    worst_margin = math.inf
     for j, child in zip(j_list, children):
         if float(leading) + j <= 0:
             raise ValueError(f"scale index {j} leaves leading + j <= 0")
@@ -491,16 +502,11 @@ def no_copy_check(spec: AnnulusSpec, pattern: Pattern, leading: Fraction,
         # rational term comes from the exact table, the rest from the
         # binomial coefficients of each placement (constant term included,
         # it aligns the values with the membership band)
-        if p % 2 == 0:
-            sgn = np.ones_like(vs)
-        else:
-            sgn = np.where(vs >= 0, 1.0, -1.0)
+        coeffs, _, sgn = reduction_coefficients(xs, vs, r, p)
         vals = np.broadcast_to(lead_vals, (placements_per_scale, len(ks))).copy()
-        for l in range(p):
-            B_l = math.comb(p, l) * r ** l * (sgn * xs ** (p - l) * vs ** l).sum(axis=1)
+        for l, B_l in enumerate(coeffs):
             vals = (vals + (B_l[:, None] * ks[None, :] ** l) % 1.0) % 1.0
-        poly_dist = np.minimum(vals % 1.0, 1.0 - vals % 1.0)
-        poly_inside_all = (poly_dist < w).all(axis=1)
+        poly_inside_all = (_dist_to_z(vals) < w).all(axis=1)
 
         # direct route in extended precision
         direct_inside_all = np.empty(placements_per_scale, dtype=bool)
@@ -513,28 +519,24 @@ def no_copy_check(spec: AnnulusSpec, pattern: Pattern, leading: Fraction,
             Y = X[:, None, :] + np.longdouble(r) * ks[None, :, None] * V[:, None, :]
             S = sgn[lo:hi].astype(np.longdouble)
             F = (S[:, None, :] * Y ** p).sum(axis=2)
-            frac = F % np.longdouble(1.0)
-            dist = np.minimum(frac, np.longdouble(1.0) - frac).astype(float)
+            dist = _dist_to_z(F).astype(float)
             direct_inside_all[lo:hi] = (dist < w).all(axis=1)
             margins[lo:hi] = (dist - w).max(axis=1)
 
-        v_count = int(direct_inside_all.sum())
-        total_violations += v_count
         mismatches += int((direct_inside_all != poly_inside_all).sum())
-        worst_margin = min(worst_margin, float(margins.min()))
         per_scale.append({
             "j": int(j),
             "scale": r,
             "placements": placements_per_scale,
-            "violations": v_count,
+            "violations": int(direct_inside_all.sum()),
             "worst_margin": float(margins.min()),
         })
 
     return NoCopyReport(
         epsilon=spec.epsilon,
         placements_total=placements_per_scale * len(j_list),
-        violations_total=total_violations,
+        violations_total=sum(s["violations"] for s in per_scale),
         per_scale=tuple(per_scale),
-        worst_margin=worst_margin,
+        worst_margin=min((s["worst_margin"] for s in per_scale), default=math.inf),
         route_mismatches=mismatches,
     )

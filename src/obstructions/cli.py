@@ -270,7 +270,11 @@ def _cmd_nocopy(args) -> int:
     if epsilon is None:
         raise ValueError("no epsilon given and none recorded in the pattern file")
     spec = AnnulusSpec(args.d, degree, float(epsilon))
-    j_list = [int(tok) for tok in args.j_list.split(",")]
+    try:
+        j_list = [int(tok) for tok in args.j_list.split(",")]
+    except ValueError:
+        raise ValueError(f"--j-list: {args.j_list!r} is not a comma-separated "
+                         "list of integers") from None
     rep = no_copy_check(spec, pattern, leading, j_list, args.samples,
                         seed=args.seed, pattern_epsilon=eps_file)
     config = {"pattern": args.pattern, "d": args.d, "epsilon": float(epsilon),
@@ -326,7 +330,7 @@ def _cmd_discrepancy(args) -> int:
                   "B": [float(c) for c in lower], "N": args.N, "degree": degree}
     if args.dump:
         _atomic_write(args.dump,
-                      "\n".join(repr(v) for v in values) + "\n")
+                      "\n".join(repr(float(v)) for v in values) + "\n")
     if args.estimate:
         est = grid_discrepancy(values, grid=args.grid)
         reports = {"discrepancy_estimate": {"value": est, "grid": args.grid,

@@ -91,9 +91,6 @@ class Configuration:
     def n(self) -> int:
         return len(self.points)
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.points, dtype=float)
-
 
 @dataclass(frozen=True)
 class LineCopy:

@@ -76,15 +76,9 @@ def _number_json(v: Real):
     return float(v)
 
 
-def _as_value(point) -> Real:
-    if isinstance(point, Fraction):
-        return point % 1
-    return float(point) % 1.0
-
-
 def _coerce(points) -> tuple[list, bool]:
     """Normalize a point sequence; exact iff every entry is a Fraction."""
-    values = [_as_value(pt) for pt in points]
+    values = [_mod1(pt) for pt in points]
     exact = all(isinstance(v, Fraction) for v in values)
     if not exact:
         values = [float(v) for v in values]

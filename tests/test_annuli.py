@@ -107,9 +107,56 @@ def test_measure_bounded_deviation_across_scales():
                 assert abs(m - length * R) <= 3.0
 
 
-def test_measure_budget_error_suggests_monte_carlo():
-    with pytest.raises(BudgetError, match="Monte Carlo"):
-        one_variable_measure(4, 1, 1000.0, (0.2, 0.3))
+def test_measure_large_R_stays_near_length():
+    m = one_variable_measure(4, 1, 1000.0, (0.2, 0.3))
+    assert abs(m - 0.3 * 1000.0) <= 3.0
+
+
+def test_measure_refuses_R_beyond_its_error_bound():
+    with pytest.raises(BudgetError, match="--R"):
+        one_variable_measure(4, 1, 1e9, (0.2, 0.3))
+    with pytest.raises(BudgetError, match="--R"):
+        one_variable_measure(60, 1, 1e6, (0.2, 0.3))
+
+
+def _oracle_halfline(p, start, length, T):
+    """Brute force: math.fsum over every root interval (m+a)^(1/p)..(m+b)^(1/p)
+    in [0, T], each length written as (b-a) / sum y^i z^(p-1-i)."""
+    arcs = [(start, min(start + length, 1.0))]
+    if start + length > 1.0:
+        arcs.append((0.0, start + length - 1.0))
+    top = Fraction(T) ** p
+    terms = []
+    for a, b in arcs:
+        last = math.floor(top - Fraction(b))  # pieces m <= last end inside [0, T]
+        for lo in range(0, last + 1, 1 << 20):
+            m = np.arange(lo, min(lo + (1 << 20), last + 1), dtype=float)
+            y, z = (m + b) ** (1.0 / p), (m + a) ** (1.0 / p)
+            den = sum(y ** i * z ** (p - 1 - i) for i in range(p))
+            terms.append(math.fsum(((b - a) / den).tolist()))
+        cut = top - (last + 1) - Fraction(a)
+        if cut > 0:  # the piece cut by T
+            z = (last + 1 + a) ** (1.0 / p)
+            terms.append(float(cut) / sum(T ** i * z ** (p - 1 - i) for i in range(p)))
+    return math.fsum(terms)
+
+
+def test_measure_matches_brute_force_oracle():
+    rng = np.random.default_rng(7)
+    for p in (2, 3, 4):
+        for sigma in (1, -1):
+            for R in (1.0, 2.5, 3.7, 8.0, 24.0, 64.0, 128.0):
+                if p == 4 and R > 64:
+                    continue  # 1.7e7 pieces: too slow for a unit test
+                length = float(rng.uniform(0.05, 0.95))
+                start = float(rng.uniform(1.0 - length, 1.0))  # the arc wraps
+                T = R / 2.0
+                pos = (start, length) if sigma == 1 else ((1 - start - length) % 1.0, length)
+                neg_sigma = sigma * (-1) ** p
+                neg = (start, length) if neg_sigma == 1 else ((1 - start - length) % 1.0, length)
+                expected = (_oracle_halfline(p, *pos, T) + _oracle_halfline(p, *neg, T))
+                got = one_variable_measure(p, sigma, R, (start, length))
+                assert abs(got - expected) <= 1e-10, (p, sigma, R, got, expected)
 
 
 def test_measure_validation():

@@ -134,6 +134,25 @@ def test_discrepancy_points_file_roundtrip(tmp_path):
     assert payload["reports"]["discrepancy"]["exact_discrepancy"] == 0.5
 
 
+def test_discrepancy_dump_reads_back(tmp_path):
+    dump = tmp_path / "points.csv"
+    code, generated = run(["discrepancy", "--A", "1/101", "--B", "0.25",
+                           "--N", "20", "--dump", str(dump)], tmp_path)
+    assert code == 0
+    code, reread = run(["discrepancy", "--points", str(dump)], tmp_path)
+    assert code == 0
+    assert (reread["reports"]["discrepancy"]["exact_discrepancy"]
+            == generated["reports"]["discrepancy"]["exact_discrepancy"])
+
+
+def test_density_exact_slice_p4_at_large_R(tmp_path):
+    code, payload = run(["density", "--d", "2", "--p", "4", "--epsilon", "0.2",
+                         "--R", "400", "--method", "exact-slice"], tmp_path)
+    assert code == 0
+    rep = payload["reports"]["density"]
+    assert abs(rep["fraction"] - rep["target"]) <= rep["error_bound"]
+
+
 def test_discrepancy_usage_error(capsys):
     assert main(["discrepancy"]) == 2
     assert "needs --points or --A" in capsys.readouterr().err
@@ -260,9 +279,16 @@ def _pattern_files(tmp_path):
     (["verify", "--pattern", "@pat2", "--method", "sampled",
       "--epsilon", "inf"], "--epsilon"),
     (["render", "--epsilon", "0.3", "--R", "0", "--out", "@svg"], "--R"),
+    (["nocopy", "--pattern", "@pat2", "--epsilon", "0.99", "--samples", "0"],
+     "--samples"),
+    (["nocopy", "--pattern", "@pat2", "--epsilon", "0.99", "--j-list", ""],
+     "--j-list"),
+    (["nocopy", "--pattern", "@pat2", "--epsilon", "0.99", "--j-list", "1,x"],
+     "--j-list"),
 ], ids=["config-no-path", "A-zero-den", "B-zero-den", "pattern-no-indices",
         "density-zero-samples", "negative-threads", "net-cells-zero",
-        "net-cells-negative", "epsilon-inf", "render-zero-R"])
+        "net-cells-negative", "epsilon-inf", "render-zero-R",
+        "nocopy-zero-samples", "j-list-empty", "j-list-not-integer"])
 def test_bad_input_exits_2_naming_the_flag(tmp_path, capsys, monkeypatch, argv, flag):
     monkeypatch.delenv("OBSTRUCTIONS_THREADS", raising=False)
     files = {**_pattern_files(tmp_path), "svg": str(tmp_path / "f.svg")}
