@@ -3,8 +3,9 @@ densities, run no-copy checks, compute discrepancies, render the planar set.
 
 Reports are schema-stable JSON: a ``config`` echo of every resolved
 parameter, the module reports, a ``pass`` flag (conjunction of sub-report
-passes), and a volatile ``meta`` block (timestamp, wall clock) that is the
-only part allowed to differ between identical reruns. Rationals are
+passes), and a volatile ``meta`` block (timestamp, wall clock, and for gap
+scans the ``counters`` cells, block_rows and cells_per_s) that is the only
+part allowed to differ between identical reruns. Rationals are
 serialized as {num, den} pairs. Output files are written atomically.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed (witness in
@@ -30,6 +31,7 @@ from .patterns import (
     Pattern,
     PolySeqSpec,
     bertrand_prime,
+    block_rows,
     build_nets,
     calibrate_sampled,
     elementary_pattern,
@@ -57,7 +59,7 @@ def _atomic_write(path: str, data: str) -> None:
 
 
 def _emit_report(args, subcommand: str, config: dict, reports: dict,
-                 passed: bool, t_start: float) -> int:
+                 passed: bool, t_start: float, counters: dict = None) -> int:
     payload = {
         "tool": {"name": "obstructions", "version": __version__},
         "subcommand": subcommand,
@@ -69,6 +71,8 @@ def _emit_report(args, subcommand: str, config: dict, reports: dict,
             "wall_clock_s": time.perf_counter() - t_start,
         },
     }
+    if counters is not None:
+        payload["meta"]["counters"] = counters
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if getattr(args, "output", None):
         _atomic_write(args.output, text)
@@ -158,6 +162,12 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv):
     return rest[:1] + extra + rest[1:]
 
 
+def _scan_counters(cells: int, n: int, seconds: float) -> dict:
+    """Volatile counters of an exact gap scan, for the report's meta block."""
+    return {"cells": cells, "block_rows": block_rows(n),
+            "cells_per_s": cells / seconds if seconds > 0 else None}
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -180,7 +190,9 @@ def _cmd_construct(args) -> int:
     reports = {}
     epsilon_verified = None
     passed = True
+    counters = None
     if args.calibrate:
+        t_scan = time.perf_counter()
         cal = calibrate_sampled(
             pattern.n, degree, pattern.universe, seed=args.seed,
             n_samples=args.samples, retries=args.retries,
@@ -190,6 +202,8 @@ def _cmd_construct(args) -> int:
         epsilon_verified = cal.epsilon_min
         reports["calibration"] = cal.to_dict()
         passed = cal.achieved
+        counters = _scan_counters(len(cal.attempts) * cal.n_samples, pattern.n,
+                                  time.perf_counter() - t_scan)
     elif args.epsilon is not None:
         rep = verify_hitting_sampled(
             pattern, leading, degree, args.epsilon,
@@ -210,7 +224,7 @@ def _cmd_construct(args) -> int:
     }
     reports["pattern"] = pattern.to_dict()
     reports["leading"] = {"num": leading.numerator, "den": leading.denominator}
-    return _emit_report(args, "construct", config, reports, passed, t0)
+    return _emit_report(args, "construct", config, reports, passed, t0, counters)
 
 
 def _cmd_verify(args) -> int:
@@ -231,6 +245,7 @@ def _cmd_verify(args) -> int:
         nets = build_nets(degree, pattern.universe,
                           float(epsilon) if epsilon != "auto" else 0.5,
                           resolution_scale=scale, max_cells=args.budget)
+        t_scan = time.perf_counter()
         rep = verify_hitting_net(pattern, leading, degree, epsilon, nets,
                                  threads=threads)
         reports = {"nets": nets.to_dict(), "hitting": rep.to_dict()}
@@ -238,17 +253,19 @@ def _cmd_verify(args) -> int:
         if epsilon == "auto":
             raise ValueError("epsilon 'auto' needs net mode; sampled runs "
                              "report the worst observed gap at a fixed epsilon")
+        t_scan = time.perf_counter()
         rep = verify_hitting_sampled(pattern, leading, degree, float(epsilon),
                                      n_samples=args.samples, seed=args.seed,
                                      threads=threads)
         reports = {"hitting": rep.to_dict()}
+    counters = _scan_counters(rep.tested, pattern.n, time.perf_counter() - t_scan)
     config = {
         "pattern": args.pattern, "method": args.method, "epsilon": epsilon,
         "samples": args.samples, "seed": args.seed,
         "resolution_scale": args.resolution_scale, "net_cells": args.net_cells,
         "budget": args.budget, "threads": threads,
     }
-    return _emit_report(args, "verify", config, reports, rep.passed, t0)
+    return _emit_report(args, "verify", config, reports, rep.passed, t0, counters)
 
 
 def _cmd_density(args) -> int:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,11 +26,10 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .torus import BudgetError, Real, TorusInterval, _max_sorted_gap, max_circular_gap
+from .torus import BudgetError, Real, TorusInterval, max_circular_gap
 
 NET_CELL_BUDGET = 20_000_000
 FISHER_YATES_CUTOFF = 1 << 20
-_KERNEL_CHUNK = 1 << 15
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -247,6 +247,10 @@ class NetSpec:
         }
 
 
+_NET_ADVICE = ("Raise --budget, or coarsen the net with a lower --net-cells "
+               "or --resolution-scale.")
+
+
 def build_nets(degree: int, universe: int, epsilon: float,
                resolution_scale: float = 1.0,
                max_cells: int = NET_CELL_BUDGET) -> NetSpec:
@@ -266,7 +270,7 @@ def build_nets(degree: int, universe: int, epsilon: float,
             raise BudgetError(
                 f"B-net for the k^{i} coefficient needs {size} points "
                 f"(Q^{i}/epsilon = {universe ** i / epsilon:.3g}); "
-                f"budget {max_cells}. Lower resolution_scale or the budget."
+                f"budget {max_cells}. {_NET_ADVICE}"
             )
         meshes.append(mesh)
         sizes.append(size)
@@ -274,7 +278,7 @@ def build_nets(degree: int, universe: int, epsilon: float,
     if total > max_cells:
         raise BudgetError(
             f"net has {total} cells total, over budget {max_cells} "
-            f"(sizes {sizes}); lower resolution_scale."
+            f"(sizes {sizes}). {_NET_ADVICE}"
         )
     return NetSpec(
         degree=degree,
@@ -312,6 +316,16 @@ def _scale_bits(denominator: int) -> int:
     return s
 
 
+# one (rows, n) uint64 scratch buffer of the exact kernel is about this size,
+# small enough to stay in cache across the stages of a block
+_BLOCK_BYTES = 1 << 19
+
+
+def block_rows(n: int) -> int:
+    """Coefficient rows per kernel block for an n-point pattern."""
+    return max(1, _BLOCK_BYTES // (8 * n))
+
+
 class _ExactKernel:
     """Per-pattern tables for exact gap evaluation over uint64 coefficients."""
 
@@ -322,6 +336,8 @@ class _ExactKernel:
         self.denominator = b << self.s
         ks = pattern.indices
         self.n = len(ks)
+        self.rows = block_rows(self.n)
+        self.row_starts = np.arange(0, self.rows * self.n, self.n)
         self.lead = np.array(
             [r << self.s for r in spec._lead_residues(ks)], dtype=np.uint64
         )
@@ -333,46 +349,91 @@ class _ExactKernel:
         self.b = np.uint64(b)
         self.big = np.uint64(self.denominator)
 
-    def gaps(self, u: np.ndarray) -> np.ndarray:
-        """Exact gap numerators for rows of coefficient numerators u/2^s.
+    def buffers(self):
+        """The two (rows, n) scratch arrays one thread reuses for every block."""
+        return (np.empty((self.rows, self.n), dtype=np.uint64),
+                np.empty((self.rows, self.n), dtype=np.uint64))
 
-        u has shape (rows, degree-1), dtype uint64. uint64 products wrap mod
-        2^64, and masking keeps the low s bits, which is exactly the product
-        mod 2^s; everything stays below 2^63 so no overflow occurs.
+    def gaps(self, u: np.ndarray, buffers) -> np.ndarray:
+        """Exact gap numerators over D = b * 2^s for rows of coefficients u/2^s.
+
+        u has shape (rows, degree-1), dtype uint64, with at most self.rows
+        rows; every stage writes into the two buffers. uint64 products and
+        sums wrap mod 2^64, and 2^s divides 2^64, so masking the sum to its
+        low s bits gives sum_i u_i k^i mod 2^s exactly. Then each value
+        v = lead + b * acc lies below D + D = 2D < 2^63 (D < 2^62 by the
+        choice of s), so one wrapping subtraction reduces it mod D: if
+        v < D, v - D wraps to at least 2^64 - D > 2^63 > v and min keeps v.
         """
         rows = u.shape[0]
-        acc = np.zeros((rows, self.n), dtype=np.uint64)
+        vals, tmp = buffers[0][:rows], buffers[1][:rows]
+        if not self.kpows:
+            vals.fill(0)
         for d, kp in enumerate(self.kpows):
-            acc += (u[:, d][:, None] * kp[None, :]) & self.mask
-        acc &= self.mask
-        vals = self.lead[None, :] + self.b * acc
-        vals -= self.big * (vals >= self.big).astype(np.uint64)
+            np.multiply(u[:, d:d + 1], kp, out=tmp if d else vals)
+            if d:
+                vals += tmp
+        vals &= self.mask
+        vals *= self.b
+        vals += self.lead
+        np.subtract(vals, self.big, out=tmp)
+        np.minimum(vals, tmp, out=vals)
         vals.sort(axis=1)
-        return _max_sorted_gap(vals, self.big)
+        # consecutive differences over the flat buffer (one long loop instead
+        # of one per row); each row's last slot, which got the difference
+        # across the row boundary, is then overwritten by the row's wrap
+        # D - last + first (mod 2^64)
+        flat_vals, flat_tmp = vals.reshape(-1), tmp.reshape(-1)
+        np.subtract(flat_vals[1:], flat_vals[:-1], out=flat_tmp[:-1])
+        np.subtract(vals[:, 0], vals[:, -1], out=tmp[:, -1])
+        tmp[:, -1] += self.big
+        return np.maximum.reduceat(flat_tmp, self.row_starts[:rows])
 
 
-def _scan_chunks(kernel: _ExactKernel, chunks, threads: int):
-    """Max-gap reduction over coefficient chunks; deterministic merge.
+def _scan_blocks(kernel: _ExactKernel, blocks, threads: int):
+    """Max-gap reduction over coefficient blocks; deterministic merge.
 
-    Each chunk yields (gap, coefficient tuple); the global best is the max
-    gap with ties broken by the smallest coefficient tuple, so threaded and
-    serial scans return identical results.
+    Each worker thread pulls the next block from the shared iterator, so at
+    most ``threads`` blocks exist at once, and keeps its own scratch buffers
+    and its own best (gap, coefficient tuple). The global best is the max
+    gap with ties broken by the smallest coefficient tuple, whatever the
+    order in which blocks were scanned, so threaded and serial scans return
+    identical results.
     """
-    def work(chunk):
-        u = chunk
-        g = kernel.gaps(u)
-        j = int(g.argmax())
-        return int(g[j]), tuple(int(x) for x in u[j]), u.shape[0]
+    blocks = iter(blocks)
+    lock = threading.Lock()
 
-    results = []
+    def worker():
+        buffers = kernel.buffers()
+        best, tested = None, 0
+        while True:
+            with lock:
+                u = next(blocks, None)
+            if u is None:
+                return best, tested
+            g = kernel.gaps(u, buffers)
+            top = np.flatnonzero(g == g.max())
+            if len(top) > 1 and u.shape[1]:
+                top = top[np.lexsort(u[top].T[::-1])]
+            found = (int(g[top[0]]), tuple(int(x) for x in u[top[0]]))
+            best = found if best is None else max(best, found, key=_rank)
+            tested += u.shape[0]
+
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, chunks))
+            futures = [pool.submit(worker) for _ in range(threads)]
+            results = [f.result() for f in futures]
     else:
-        results = [work(c) for c in chunks]
-    tested = sum(r[2] for r in results)
-    best_gap, best_u, _ = max(results, key=lambda r: (r[0], tuple(-x for x in r[1])))
+        results = [worker()]
+    tested = sum(r[1] for r in results)
+    best_gap, best_u = max((r[0] for r in results if r[0] is not None), key=_rank)
     return best_gap, best_u, tested
+
+
+def _rank(found):
+    """Order (gap, coefficients) by larger gap, then by smaller tuple."""
+    gap, coeffs = found
+    return gap, tuple(-x for x in coeffs)
 
 
 @dataclass(frozen=True)
@@ -423,7 +484,7 @@ class HittingReport:
 
 def verify_hitting_net(pattern: Pattern, leading: Fraction, degree: int,
                        epsilon, nets: NetSpec,
-                       threads: int = 1, chunk: int = _KERNEL_CHUNK) -> HittingReport:
+                       threads: int = 1) -> HittingReport:
     """Exhaustive exact scan over the coefficient net, with transfer margin.
 
     The net grids are realized as dyadic multiples of w_i/2^s with
@@ -460,19 +521,19 @@ def verify_hitting_net(pattern: Pattern, leading: Fraction, degree: int,
     slack = 2 * sum(Fraction(w, 1 << s) * pattern.universe ** (i + 1)
                     for i, w in enumerate(ws))
 
-    def chunks():
+    def blocks():
         if dims == 0:
             yield np.zeros((1, 0), dtype=np.uint64)
             return
         inner = int(np.argmax(counts))
         outer_dims = [d for d in range(dims) if d != inner]
-        inner_vals = np.arange(counts[inner], dtype=np.uint64) * np.uint64(ws[inner])
+        step = np.uint64(ws[inner])
 
         def emit(prefix):
-            for lo in range(0, counts[inner], chunk):
-                block = inner_vals[lo:lo + chunk]
-                u = np.zeros((len(block), dims), dtype=np.uint64)
-                u[:, inner] = block
+            for lo in range(0, counts[inner], kernel.rows):
+                hi = min(lo + kernel.rows, counts[inner])
+                u = np.empty((hi - lo, dims), dtype=np.uint64)
+                np.multiply(np.arange(lo, hi, dtype=np.uint64), step, out=u[:, inner])
                 for d, t in zip(outer_dims, prefix):
                     u[:, d] = np.uint64(t * ws[d])
                 yield u
@@ -483,7 +544,7 @@ def verify_hitting_net(pattern: Pattern, leading: Fraction, degree: int,
             for prefix in itertools.product(*(range(counts[d]) for d in outer_dims)):
                 yield from emit(prefix)
 
-    best_gap, best_u, tested = _scan_chunks(kernel, chunks(), threads)
+    best_gap, best_u, tested = _scan_blocks(kernel, blocks(), threads)
     gap_frac = Fraction(best_gap, kernel.denominator)
     # lengths above 1 are meaningless on the circle; a clamped guarantee of
     # 1 means the net was too coarse to certify anything
@@ -518,7 +579,7 @@ def verify_hitting_net(pattern: Pattern, leading: Fraction, degree: int,
 
 def verify_hitting_sampled(pattern: Pattern, leading: Fraction, degree: int,
                            epsilon: float, n_samples: int, seed: int,
-                           threads: int = 1, chunk: int = _KERNEL_CHUNK) -> HittingReport:
+                           threads: int = 1) -> HittingReport:
     """Monte Carlo surrogate: worst gap over random coefficient vectors.
 
     Coefficients are drawn as exact dyadics u/2^s (uniform on the fixed-point
@@ -526,21 +587,21 @@ def verify_hitting_sampled(pattern: Pattern, leading: Fraction, degree: int,
     gap is exact; no universal guarantee is implied.
     """
     if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+        raise ValueError(f"samples (--samples) must be >= 1, got {n_samples}")
     dims = degree - 1
     rng = np.random.default_rng(seed)
 
     kernel = _ExactKernel(pattern, leading, degree)
     s = kernel.s
 
-    def chunks():
+    def blocks():
         remaining = n_samples
         while remaining > 0:
-            take = min(chunk, remaining)
+            take = min(kernel.rows, remaining)
             yield rng.integers(0, 1 << s, size=(take, dims), dtype=np.uint64)
             remaining -= take
 
-    best_gap, best_u, tested = _scan_chunks(kernel, chunks(), threads)
+    best_gap, best_u, tested = _scan_blocks(kernel, blocks(), threads)
     gap_frac = Fraction(best_gap, kernel.denominator)
     return HittingReport(
         mode="sampled",
@@ -642,6 +703,8 @@ def calibrate_sampled(n: int, degree: int, universe: int, seed: int = 0,
     best attempt and the full log. This measures the constant achievable at
     this scale; it proves nothing about other coefficient vectors.
     """
+    if retries < 1:
+        raise ValueError(f"retries (--retries) must be >= 1, got {retries}")
     leading = Fraction(1, universe)
     target = None if epsilon_target is None else Fraction(epsilon_target)
 
@@ -650,7 +713,7 @@ def calibrate_sampled(n: int, degree: int, universe: int, seed: int = 0,
 
     attempts = []
     best = None
-    for t in range(max(1, retries)):
+    for t in range(retries):
         pattern_seed = seed + t
         pattern = thin_pattern(n, universe, pattern_seed)
         report = verify_hitting_sampled(

@@ -85,21 +85,6 @@ def _coerce(points) -> tuple[list, bool]:
     return values, exact
 
 
-def _max_sorted_gap(rows: np.ndarray, period):
-    """Max circular gap of each already-sorted row of values in [0, period).
-
-    The largest difference between consecutive entries, or the wrap-around
-    period - last + first if that is larger; a single point leaves the whole
-    period. Rows hold uint64 numerators over the period, float64 values, or
-    Fractions in an object array.
-    """
-    if rows.shape[-1] == 1:
-        return np.full(rows.shape[:-1], period, dtype=rows.dtype)
-    inner = np.diff(rows, axis=-1).max(axis=-1)
-    wrap = period - rows[..., -1] + rows[..., 0]
-    return np.maximum(inner, wrap)
-
-
 def max_circular_gap(points) -> Real:
     """Largest arc between consecutive points (with wrap-around).
 
@@ -110,8 +95,11 @@ def max_circular_gap(points) -> Real:
     values, exact = _coerce(points)
     if not values:
         raise ValueError("empty point set")
+    period = Fraction(1) if exact else 1.0
     row = np.sort(np.asarray(values, dtype=object if exact else float))
-    gap = _max_sorted_gap(row[None, :], Fraction(1) if exact else 1.0)[0]
+    if len(row) == 1:
+        return period
+    gap = max(np.diff(row).max(), period - row[-1] + row[0])
     return gap if exact else float(gap)
 
 

@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from obstructions.cli import main
+from obstructions.patterns import block_rows
 
 
 def run(args, tmp_path, name="report.json"):
@@ -79,6 +80,36 @@ def test_verify_net_over_budget_exit_2(tmp_path, capsys):
                  "--epsilon", "0.5", "--budget", "1000"])
     assert code == 2
     assert "budget" in capsys.readouterr().err
+
+
+def test_verify_net_budget_error_names_the_flags_that_help(tmp_path, capsys):
+    # lowering the budget cannot help, so the advice must not suggest it
+    pat = tmp_path / "pat.json"
+    run(["construct", "--mode", "thinned", "--n", "16", "--Q", "1048583",
+         "--seed", "0", "--pattern-out", str(pat)], tmp_path)
+    capsys.readouterr()
+    code = main(["verify", "--pattern", str(pat), "--method", "net",
+                 "--epsilon", "0.5", "--budget", "10"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Raise --budget" in err
+    assert "lower --net-cells or --resolution-scale" in err
+
+
+def test_scan_counters_in_meta(tmp_path):
+    pat = tmp_path / "pat.json"
+    code, cal = run(["construct", "--mode", "thinned", "--n", "12", "--Q", "257",
+                     "--calibrate", "--retries", "2", "--samples", "300",
+                     "--pattern-out", str(pat)], tmp_path, "cal.json")
+    assert code == 0
+    code, net = run(["verify", "--pattern", str(pat), "--method", "net",
+                     "--epsilon", "auto"], tmp_path, "net.json")
+    assert code == 0
+    for payload, cells in ((cal, 2 * 300), (net, net["reports"]["hitting"]["tested"])):
+        counters = payload["meta"]["counters"]
+        assert counters["cells"] == cells
+        assert counters["block_rows"] == block_rows(12)
+        assert counters["cells_per_s"] > 0
 
 
 def test_verify_net_threads_deterministic(tmp_path):
@@ -285,13 +316,22 @@ def _pattern_files(tmp_path):
      "--j-list"),
     (["nocopy", "--pattern", "@pat2", "--epsilon", "0.99", "--j-list", "1,x"],
      "--j-list"),
+    (["construct", "--mode", "thinned", "--n", "8", "--Q", "64", "--calibrate",
+      "--retries", "0", "--pattern-out", "@out"], "--retries"),
+    (["construct", "--mode", "thinned", "--n", "8", "--Q", "64", "--calibrate",
+      "--retries", "-3", "--pattern-out", "@out"], "--retries"),
+    (["construct", "--mode", "thinned", "--n", "8", "--Q", "64", "--calibrate",
+      "--samples", "0", "--pattern-out", "@out"], "--samples"),
 ], ids=["config-no-path", "A-zero-den", "B-zero-den", "pattern-no-indices",
         "density-zero-samples", "negative-threads", "net-cells-zero",
         "net-cells-negative", "epsilon-inf", "render-zero-R",
-        "nocopy-zero-samples", "j-list-empty", "j-list-not-integer"])
+        "nocopy-zero-samples", "j-list-empty", "j-list-not-integer",
+        "calibrate-zero-retries", "calibrate-negative-retries",
+        "calibrate-zero-samples"])
 def test_bad_input_exits_2_naming_the_flag(tmp_path, capsys, monkeypatch, argv, flag):
     monkeypatch.delenv("OBSTRUCTIONS_THREADS", raising=False)
-    files = {**_pattern_files(tmp_path), "svg": str(tmp_path / "f.svg")}
+    files = {**_pattern_files(tmp_path), "svg": str(tmp_path / "f.svg"),
+             "out": str(tmp_path / "out.json")}
     capsys.readouterr()
     argv = [files[tok[1:]] if tok.startswith("@") else tok for tok in argv]
     assert main([argv[0], "-o", str(tmp_path / "r.json"), *argv[1:]]) == 2

@@ -1,10 +1,13 @@
 import itertools
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from obstructions import patterns
 from obstructions import (
     AnnulusSpec,
     BudgetError,
@@ -196,6 +199,16 @@ def test_build_nets_budget_error_names_term():
         build_nets(2, 10 ** 6, 0.01, max_cells=10 ** 6)
 
 
+def test_build_nets_budget_error_names_the_flags_that_help():
+    # one grid over budget, then every grid within it but their product over
+    for degree, universe, eps, budget in ((2, 10 ** 6, 0.01, 10 ** 6),
+                                          (3, 11, 0.5, 10 ** 5)):
+        with pytest.raises(BudgetError) as err:
+            build_nets(degree, universe, eps, max_cells=budget)
+        assert "Raise --budget" in str(err.value)
+        assert "lower --net-cells or --resolution-scale" in str(err.value)
+
+
 def test_scale_for_budget():
     q = 1048583
     scale = scale_for_budget(2, q, 0.5, 10 ** 7)
@@ -290,6 +303,93 @@ def test_net_threads_agree_with_serial():
     assert serial.to_dict() == threaded.to_dict()
 
 
+@pytest.mark.parametrize("degree, universe", [(2, 67), (3, 71), (2, 64), (3, 64)])
+def test_kernel_rows_match_fraction_oracle(degree, universe):
+    # every row's exact gap, over one full block and a short one that reuses
+    # its buffers, against the rational definition; with an odd universe a
+    # row puts a point on D - 1, with a power of two a row puts one on D
+    # itself, which the wrapping reduce must send to 0
+    pat = thin_pattern(64, universe, seed=1)
+    leading = Fraction(1, universe)
+    kernel = patterns._ExactKernel(pat, leading, degree)
+    s, D, dims = kernel.s, kernel.denominator, degree - 1
+    special = [[0] * dims, [(1 << s) - 1] * dims]
+    edge = Fraction(D - 1, D) if universe % 2 else Fraction(0)
+    for k in pat.indices:
+        r = k ** degree % universe
+        # the point is (r 2^s + universe * acc) / D with acc = sum_i u_i k^i mod 2^s
+        want = ((universe - r) << s) - (universe % 2)
+        if k % 2 and r and want % universe == 0:
+            acc = want // universe
+            row = [acc * pow(k, -1, 1 << s) % (1 << s)] + [0] * (dims - 1)
+            coeffs = [Fraction(x, 1 << s) for x in row]
+            assert PolySeqSpec(degree, leading, tuple(coeffs)).value_at(k) == edge
+            special.append(row)
+    assert len(special) > 2
+    special = special[:6]
+    # rows drawn in random order from a few distinct ones, so that the
+    # oracle runs once per distinct row; the special rows open the full
+    # block and close the short one
+    rng = np.random.default_rng(degree)
+    distinct = np.concatenate([
+        np.array(special, dtype=np.uint64),
+        rng.integers(0, 1 << s, size=(120, dims), dtype=np.uint64)])
+    pick = rng.integers(0, len(distinct), size=kernel.rows + 101)
+    pick[:len(special)] = pick[-len(special):] = range(len(special))
+    u = distinct[pick]
+    assert len(u) % kernel.rows != 0
+    buffers = kernel.buffers()
+    got = np.concatenate([kernel.gaps(u[lo:lo + kernel.rows], buffers)
+                          for lo in range(0, len(u), kernel.rows)])
+    assert len(got) == len(u)
+    oracle = {}
+    for row, gap in zip(map(tuple, u.tolist()), got.tolist()):
+        if row not in oracle:
+            coeffs = [Fraction(x, 1 << s) for x in row]
+            oracle[row] = pattern_gap(pat, leading, degree, coeffs)
+        assert Fraction(gap, D) == oracle[row]
+
+
+def test_scan_keeps_few_blocks_in_flight():
+    # workers pull blocks as they free up, so a threaded scan holds at most
+    # about two blocks per thread however many the stream has
+    universe, threads = 257, 4
+    pat = thin_pattern(12, universe, seed=4)
+    kernel = patterns._ExactKernel(pat, Fraction(1, universe), 2)
+    lock = threading.Lock()
+    count = {"yielded": 0, "finished": 0, "peak": 0}
+    gaps = kernel.gaps
+
+    def counting_gaps(u, buffers):
+        g = gaps(u, buffers)
+        with lock:
+            count["finished"] += 1
+        return g
+
+    def blocks():
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            with lock:
+                count["yielded"] += 1
+                count["peak"] = max(count["peak"], count["yielded"] - count["finished"])
+            yield rng.integers(0, 1 << kernel.s, size=(50, 1), dtype=np.uint64)
+
+    serial = patterns._scan_blocks(kernel, blocks(), 1)
+    kernel.gaps = counting_gaps
+    count.update(yielded=0, peak=0)
+    # more threads than cores and frequent switches: a block lost or scanned
+    # twice by racing workers would change the count of tested rows
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = patterns._scan_blocks(kernel, blocks(), threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial and threaded[2] == 300 * 50
+    assert count["finished"] == count["yielded"] == 300
+    assert 1 <= count["peak"] <= 2 * threads
+
+
 # ---------------------------------------------------------------------------
 # sampled verification
 
@@ -304,6 +404,23 @@ def test_sampled_deterministic_and_exact():
     (u, s), = a.worst_coeffs_exact
     oracle = pattern_gap(pat, Fraction(1, universe), 2, (Fraction(u, 1 << s),))
     assert Fraction(num, den) == oracle
+
+
+def test_sampled_ties_go_to_the_smallest_coefficients():
+    # a one-point pattern has gap 1 for every row, so every row ties and the
+    # witness is the lexicographically smallest row of the whole stream,
+    # which is the same however it is cut into blocks or spread over threads
+    pat = Pattern((3,), 11)
+    samples = patterns.block_rows(1) + 5
+    reports = [verify_hitting_sampled(pat, Fraction(1, 11), 3, 0.5, samples,
+                                      seed=7, threads=t) for t in (1, 2)]
+    s = reports[0].worst_coeffs_exact[0][1]
+    drawn = np.random.default_rng(7).integers(0, 1 << s, size=(samples, 2),
+                                              dtype=np.uint64)
+    smallest = min(map(tuple, drawn.tolist()))
+    for rep in reports:
+        assert rep.worst_gap == 1.0 and rep.tested == samples
+        assert tuple(u for u, _ in rep.worst_coeffs_exact) == smallest
 
 
 def test_sampled_equal_spacing_floor():
