@@ -224,9 +224,11 @@ class DensityReport:
         return d
 
 
+_SLICE_GRID_STEP, _SLICE_NODE_BUDGET = 0.1, 200_000  # exact-slice nodes: spacing, cap
+
+
 def density(spec: AnnulusSpec, R: float, method: str = "monte-carlo",
-            seed: int = 0, samples: int = 1_000_000, grid_step: float = 0.1,
-            node_budget: int = 200_000) -> DensityReport:
+            seed: int = 0, samples: int = 1_000_000) -> DensityReport:
     """Volume fraction of the obstruction set in [-R/2, R/2]^d.
 
     exact-slice (even p, d <= 2): integrates the exact one-variable measure
@@ -249,9 +251,10 @@ def density(spec: AnnulusSpec, R: float, method: str = "monte-carlo",
         if spec.dimension > 2:
             raise BudgetError("exact-slice is limited to d <= 2; use monte-carlo")
         # d = 2: midpoint nodes x_2 on [0, R/2], as the slice measure is even
-        count = 1 if spec.dimension == 1 else max(1, math.ceil(R / 2.0 / grid_step))
-        if count > node_budget:
-            raise BudgetError(f"{count} quadrature nodes over budget {node_budget}")
+        count = 1 if spec.dimension == 1 else max(1, math.ceil(R / 2.0 / _SLICE_GRID_STEP))
+        if count > _SLICE_NODE_BUDGET:
+            raise BudgetError(f"{count} quadrature nodes over budget "
+                              f"{_SLICE_NODE_BUDGET}; lower --R")
         h = 0.0 if spec.dimension == 1 else R / 2.0 / count
         acc = 0.0
         for x2 in (np.arange(count) + 0.5) * h:
@@ -459,10 +462,13 @@ class NoCopyReport:
         }
 
 
+# no_copy_check samples base points in the cube of half-side _BOX_SCALE * r
+_BOX_SCALE = 10.0
+
+
 def no_copy_check(spec: AnnulusSpec, pattern: Pattern, leading: Fraction,
                   j_list: Sequence[int], placements_per_scale: int,
-                  seed: int = 0, pattern_epsilon: Optional[float] = None,
-                  box_scale: float = 10.0) -> NoCopyReport:
+                  seed: int = 0, pattern_epsilon: Optional[float] = None) -> NoCopyReport:
     """Sample dilated line copies and confirm each has a point outside the set.
 
     A copy inside the set would put all its defining-function values mod 1
@@ -471,6 +477,16 @@ def no_copy_check(spec: AnnulusSpec, pattern: Pattern, leading: Fraction,
     point is evaluated directly (extended precision), and the polynomial
     route is cross-checked; ``pattern_epsilon`` is the length the pattern
     was verified to hit and must not exceed the set's epsilon.
+
+    Precision guard: with M = max|x_i| + r * max|k| * max|v_i| per scale, a
+    route computes each F within d (4p + d + 5) eps M^p + 2^-48, eps being its
+    machine epsilon: longdouble for the direct route (three roundings in
+    Y = x + r k v, the p-th power, the d-term sum), float64 for the polynomial
+    one (the B_l k^l terms, of total size <= d M^p); 2^-48 covers the float64
+    mod-1 and comparison steps. A copy is decided when its direct margin
+    max_k (dist_k - w) lies farther than that bound from 0, and any undecided
+    copy raises BudgetError. A route mismatch is a polynomial margin of the
+    other sign that its own bound decides.
     """
     if pattern_epsilon is not None and pattern_epsilon > spec.epsilon + 1e-12:
         raise ValueError(
@@ -494,9 +510,11 @@ def no_copy_check(spec: AnnulusSpec, pattern: Pattern, leading: Fraction,
             raise ValueError(f"scale index {j} leaves leading + j <= 0")
         r = (float(leading) + j) ** (1.0 / p)
         rng = np.random.default_rng(child)
-        L = box_scale * r
+        L = _BOX_SCALE * r
         xs = (rng.random((placements_per_scale, d)) - 0.5) * 2 * L
         vs = sample_lp_sphere(rng, placements_per_scale, d, p)
+        magnitude = (np.abs(xs).max() + r * np.abs(ks).max() * np.abs(vs).max()) ** p
+        spread = d * (4 * p + d + 5) * magnitude  # times eps, the routes' error
 
         # polynomial route: j*k^p is an integer and drops mod 1, the leading
         # rational term comes from the exact table, the rest from the
@@ -506,10 +524,9 @@ def no_copy_check(spec: AnnulusSpec, pattern: Pattern, leading: Fraction,
         vals = np.broadcast_to(lead_vals, (placements_per_scale, len(ks))).copy()
         for l, B_l in enumerate(coeffs):
             vals = (vals + (B_l[:, None] * ks[None, :] ** l) % 1.0) % 1.0
-        poly_inside_all = (_dist_to_z(vals) < w).all(axis=1)
+        poly_margins = (_dist_to_z(vals) - w).max(axis=1)
 
         # direct route in extended precision
-        direct_inside_all = np.empty(placements_per_scale, dtype=bool)
         margins = np.empty(placements_per_scale)
         chunk = 2048
         for lo in range(0, placements_per_scale, chunk):
@@ -519,16 +536,25 @@ def no_copy_check(spec: AnnulusSpec, pattern: Pattern, leading: Fraction,
             Y = X[:, None, :] + np.longdouble(r) * ks[None, :, None] * V[:, None, :]
             S = sgn[lo:hi].astype(np.longdouble)
             F = (S[:, None, :] * Y ** p).sum(axis=2)
-            dist = _dist_to_z(F).astype(float)
-            direct_inside_all[lo:hi] = (dist < w).all(axis=1)
-            margins[lo:hi] = (dist - w).max(axis=1)
+            margins[lo:hi] = (_dist_to_z(F).astype(float) - w).max(axis=1)
 
-        mismatches += int((direct_inside_all != poly_inside_all).sum())
+        bound = spread * float(np.finfo(np.longdouble).eps) + 2.0 ** -48
+        undecided = int((np.abs(margins) <= bound).sum())
+        if undecided:
+            raise BudgetError(
+                f"no-copy check at j={j}: max |F| <= {magnitude:.3g} gives a rounding "
+                f"error bound {bound:.3g} against the band half-width w = {w:.6g}; "
+                f"{undecided} of {placements_per_scale} copies are undecided, as "
+                "the pattern's universe is too large for extended precision")
+        inside = margins < 0
+        poly_bound = spread * float(np.finfo(float).eps) + 2.0 ** -48
+        mismatches += int(((np.abs(poly_margins) > poly_bound)
+                           & ((poly_margins < 0) != inside)).sum())
         per_scale.append({
             "j": int(j),
             "scale": r,
             "placements": placements_per_scale,
-            "violations": int(direct_inside_all.sum()),
+            "violations": int(inside.sum()),
             "worst_margin": float(margins.min()),
         })
 

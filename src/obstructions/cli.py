@@ -35,7 +35,6 @@ from .patterns import (
     build_nets,
     calibrate_sampled,
     elementary_pattern,
-    scale_for_budget,
     thin_pattern,
     verify_hitting_net,
     verify_hitting_sampled,
@@ -235,16 +234,9 @@ def _cmd_verify(args) -> int:
         raise ValueError("no epsilon given and none recorded in the pattern file")
     threads = args.threads
     if args.method == "net":
-        scale = args.resolution_scale
-        if args.net_cells is not None:
-            if args.net_cells < 1:
-                raise ValueError("--net-cells must be >= 1")
-            scale = scale_for_budget(degree, pattern.universe,
-                                     float(epsilon) if epsilon != "auto" else 0.5,
-                                     args.net_cells)
         nets = build_nets(degree, pattern.universe,
                           float(epsilon) if epsilon != "auto" else 0.5,
-                          resolution_scale=scale, max_cells=args.budget)
+                          max_cells=args.net_cells)
         t_scan = time.perf_counter()
         rep = verify_hitting_net(pattern, leading, degree, epsilon, nets,
                                  threads=threads)
@@ -262,8 +254,8 @@ def _cmd_verify(args) -> int:
     config = {
         "pattern": args.pattern, "method": args.method, "epsilon": epsilon,
         "samples": args.samples, "seed": args.seed,
-        "resolution_scale": args.resolution_scale, "net_cells": args.net_cells,
-        "budget": args.budget, "threads": threads,
+        "net_cells": args.net_cells if args.method == "net" else None,
+        "threads": threads,
     }
     return _emit_report(args, "verify", config, reports, rep.passed, t0, counters)
 
@@ -275,7 +267,7 @@ def _cmd_density(args) -> int:
                   samples=args.samples)
     config = {"d": args.d, "p": args.p, "epsilon": args.epsilon, "R": args.R,
               "method": args.method, "seed": args.seed, "samples": args.samples}
-    return _emit_report(args, "density", {**config},
+    return _emit_report(args, "density", config,
                         {"spec": spec.to_dict(), "density": rep.to_dict()},
                         True, t0)
 
@@ -315,13 +307,13 @@ def _read_points_csv(path: str):
     return values
 
 
-def _parse_coefficient(token: str, exact: bool):
-    """num/den and decimal strings parse exactly; plain floats stay floats."""
+def _parse_coefficient(token: str):
+    """num/den tokens parse as Fractions, decimal tokens as floats."""
     try:
         if "/" in token:
             num, _, den = token.partition("/")
             return Fraction(int(num), int(den))
-        return Fraction(token) if exact else _finite_float(token)
+        return _finite_float(token)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"--B: {token!r} is not a finite number or num/den "
                          "with a nonzero den") from None
@@ -338,7 +330,7 @@ def _cmd_discrepancy(args) -> int:
             leading = Fraction(int(num), int(den or "1"))
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"--A: {args.A!r} is not num/den with a nonzero den") from None
-        lower = tuple(_parse_coefficient(tok, args.exact)
+        lower = tuple(_parse_coefficient(tok)
                       for tok in args.B.split(",")) if args.B else ()
         degree = len(lower) + 1
         spec = PolySeqSpec(degree, leading, lower)
@@ -404,14 +396,11 @@ def _render_svg(epsilon: float, R: float, size: int = 640):
 
 def _cmd_render(args) -> int:
     t0 = time.perf_counter()
-    if args.p != 2 or args.d != 2:
-        raise ValueError("render supports d=2, p=2 (circular annuli) only")
     if args.R <= 0:
         raise ValueError("--R must be positive")
     svg, shells = _render_svg(args.epsilon, args.R)
     _atomic_write(args.out, svg)
-    config = {"d": args.d, "p": args.p, "epsilon": args.epsilon, "R": args.R,
-              "out": args.out}
+    config = {"epsilon": args.epsilon, "R": args.R, "out": args.out}
     return _emit_report(args, "render", config, {"shells_within_half_side": shells},
                         True, t0)
 
@@ -457,10 +446,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="float, or 'auto' (net mode) for the smallest passing")
     p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--resolution-scale", type=_finite_float, default=1.0)
-    p.add_argument("--net-cells", type=int, default=None,
-                   help="choose resolution_scale so the net fits this many cells")
-    p.add_argument("--budget", type=int, default=NET_CELL_BUDGET)
+    p.add_argument("--net-cells", type=int, default=NET_CELL_BUDGET,
+                   help="net cell budget; the grids coarsen to fit it")
     common(p)
     p.set_defaults(func=_cmd_verify)
 
@@ -495,8 +482,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="lower coefficients k^1.., comma separated; their "
                         "count sets the degree (e.g. --B 0 makes A quadratic)")
     p.add_argument("--N", type=int, default=None, help="sequence length")
-    p.add_argument("--exact", action="store_true",
-                   help="treat lower coefficients as exact rationals")
     p.add_argument("--M", type=int, default=None, help="Erdos-Turan cutoff")
     p.add_argument("--dump", default=None, help="write the points as CSV")
     p.add_argument("--estimate", action="store_true",
@@ -505,9 +490,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_discrepancy)
 
-    p = sub.add_parser("render", help="SVG of the planar annular set")
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--p", type=int, default=2)
+    p = sub.add_parser("render", help="SVG of the planar annular set (d = p = 2)")
     p.add_argument("--epsilon", type=_finite_float, required=True)
     p.add_argument("--R", type=_finite_float, required=True)
     p.add_argument("--out", required=True)

@@ -215,24 +215,31 @@ def pattern_gap(pattern: Pattern, leading: Fraction, degree: int,
 
 @dataclass(frozen=True)
 class NetSpec:
-    """Coefficient grids for net verification.
-
-    mesh_i = epsilon / (100 * p * Q^i * resolution_scale); resolution_scale 1
-    is the recipe value (then sum_i mesh_i * Q^i <= epsilon/100), smaller
-    scales coarsen the grids for desk-scale budgets and are flagged.
+    """The integer grids net verification scans: grid i (the k^i coefficient)
+    holds t * steps[i-1] / 2^scale_bits for t < sizes[i-1], so every
+    coefficient in [0, 1) lies within meshes[i-1] above a grid point.
+    resolution_scale 1 is the recipe mesh epsilon / (100 * p * Q^i) (then
+    sum_i mesh_i * Q^i <= epsilon/100); smaller scales fit a cell budget.
     """
 
     degree: int
     universe: int
     epsilon: float
     resolution_scale: float
-    meshes: tuple
-    sizes: tuple
-    total_cells: int
+    scale_bits: int
+    steps: tuple
 
     @property
-    def full_resolution(self) -> bool:
-        return self.resolution_scale == 1.0
+    def meshes(self) -> tuple:
+        return tuple(w / (1 << self.scale_bits) for w in self.steps)
+
+    @property
+    def sizes(self) -> tuple:
+        return tuple(-(-(1 << self.scale_bits) // w) for w in self.steps)
+
+    @property
+    def total_cells(self) -> int:
+        return math.prod(self.sizes)
 
     def to_dict(self) -> dict:
         return {
@@ -243,63 +250,55 @@ class NetSpec:
             "meshes": list(self.meshes),
             "sizes": list(self.sizes),
             "total_cells": self.total_cells,
-            "full_resolution": self.full_resolution,
+            "full_resolution": self.resolution_scale == 1.0,
         }
 
 
-_NET_ADVICE = ("Raise --budget, or coarsen the net with a lower --net-cells "
-               "or --resolution-scale.")
-
-
 def build_nets(degree: int, universe: int, epsilon: float,
-               resolution_scale: float = 1.0,
                max_cells: int = NET_CELL_BUDGET) -> NetSpec:
-    """Mesh sizes and grid cardinalities for the coefficient nets."""
+    """The net closest to the recipe within max_cells cells: grid i steps by
+    floor(mesh_i * 2^s), capped at 2^s, with mesh_i = epsilon / (100 * p * Q^i)
+    / scale and s the kernel's fixed-point bits for Q. The scale shrinks by
+    0.1% while whole points overshoot max_cells; only a step below 2^-s is
+    refused."""
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must be in (0, 1)")
     if universe < 2:
         raise ValueError("universe must be >= 2")
-    if not 0 < resolution_scale <= 1:
-        raise ValueError("resolution_scale must be in (0, 1]")
-    meshes, sizes = [], []
-    total = 1
-    for i in range(1, degree):
-        mesh = epsilon / (100 * degree * universe ** i) / resolution_scale
-        size = math.ceil(1.0 / mesh)
-        if size > max_cells:
-            raise BudgetError(
-                f"B-net for the k^{i} coefficient needs {size} points "
-                f"(Q^{i}/epsilon = {universe ** i / epsilon:.3g}); "
-                f"budget {max_cells}. {_NET_ADVICE}"
-            )
-        meshes.append(mesh)
-        sizes.append(size)
-        total *= size
-    if total > max_cells:
-        raise BudgetError(
-            f"net has {total} cells total, over budget {max_cells} "
-            f"(sizes {sizes}). {_NET_ADVICE}"
-        )
-    return NetSpec(
-        degree=degree,
-        universe=universe,
-        epsilon=epsilon,
-        resolution_scale=resolution_scale,
-        meshes=tuple(meshes),
-        sizes=tuple(sizes),
-        total_cells=total,
-    )
+    if max_cells < 1:
+        raise ValueError(f"net cell budget (--net-cells) must be >= 1, got {max_cells}")
+    s = _scale_bits(universe)
+    scale = scale_for_budget(degree, universe, epsilon, max_cells)
+    while True:
+        steps = []
+        for i in range(1, degree):
+            mesh = epsilon / (100 * degree * universe ** i) / scale
+            step = min(int(mesh * (1 << s)), 1 << s)
+            if step < 1:
+                raise BudgetError(
+                    f"the k^{i} grid needs mesh {mesh:.3g}, below the exact "
+                    f"kernel's resolution 2^-{s} for Q = {universe}; lower --net-cells"
+                )
+            steps.append(step)
+        nets = NetSpec(degree, universe, epsilon, scale, s, tuple(steps))
+        if nets.total_cells <= max_cells:
+            return nets
+        scale *= 0.999
 
 
 def scale_for_budget(degree: int, universe: int, epsilon: float, max_cells: int) -> float:
-    """Largest resolution_scale (capped at 1) whose net fits in max_cells."""
-    total = 1.0
-    for i in range(1, degree):
-        total *= 100 * degree * universe ** i / epsilon
-    if total <= max_cells:
+    """Largest resolution_scale (capped at 1) whose net fits in max_cells:
+    grid i has about c_i * scale points, c_i = 100 * p * Q^i / epsilon, and at
+    least one, so the grids that would shrink below one point drop out of
+    prod_i c_i * scale = max_cells (less 0.1% per grid)."""
+    costs = [100 * degree * universe ** i / epsilon for i in range(1, degree)]
+    if math.prod(costs) <= max_cells:
         return 1.0
-    dims = degree - 1
-    return float((max_cells / total) ** (1.0 / dims)) * 0.999
+    while True:
+        scale = float((max_cells / math.prod(costs)) ** (1.0 / len(costs))) * 0.999
+        if len(costs) == 1 or costs[0] * scale >= 1:
+            return scale
+        costs = costs[1:]  # the coarsest grid keeps its one point
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +450,6 @@ class HittingReport:
     worst_coeffs_exact: Optional[tuple] = None   # ((num, scale_bits), ...)
     slack: float = 0.0
     epsilon_guaranteed: Optional[float] = None
-    resolution_scale: Optional[float] = None
-    full_resolution: Optional[bool] = None
     seed: Optional[int] = None
     pattern_n: Optional[int] = None
     universe: Optional[int] = None
@@ -474,8 +471,8 @@ class HittingReport:
             d["worst_coeffs_exact"] = [
                 {"num": num, "scale_bits": s} for num, s in self.worst_coeffs_exact
             ]
-        for key in ("slack", "epsilon_guaranteed", "resolution_scale",
-                    "full_resolution", "seed", "pattern_n", "universe", "degree"):
+        for key in ("slack", "epsilon_guaranteed", "seed", "pattern_n",
+                    "universe", "degree"):
             v = getattr(self, key)
             if v is not None:
                 d[key] = v
@@ -487,11 +484,10 @@ def verify_hitting_net(pattern: Pattern, leading: Fraction, degree: int,
                        threads: int = 1) -> HittingReport:
     """Exhaustive exact scan over the coefficient net, with transfer margin.
 
-    The net grids are realized as dyadic multiples of w_i/2^s with
-    w_i = floor(mesh_i * 2^s), so the realized mesh never exceeds the
-    requested one and every point value is exact. Any real coefficient
-    vector lies within the realized mesh of a net point, shifting each value
-    by at most slack/2 = sum_i mesh_i * Q^i, hence:
+    Scans the integer grids of ``nets`` as given: tested equals
+    nets.total_cells. Any real coefficient vector lies within nets.meshes
+    of a net point, shifting each value by at most slack/2 =
+    sum_i mesh_i * Q^i, hence:
 
       * every interval of length worst_gap + slack is hit for EVERY real
         coefficient vector (recorded as epsilon_guaranteed), and
@@ -502,21 +498,12 @@ def verify_hitting_net(pattern: Pattern, leading: Fraction, degree: int,
     if pattern.universe == 0 or leading != Fraction(1, pattern.universe):
         raise ValueError("net verification expects leading = 1/universe "
                          "with the pattern confined to {0..universe-1}")
-    if nets.degree != degree or nets.universe != pattern.universe:
-        raise ValueError("net spec does not match the pattern")
-
     kernel = _ExactKernel(pattern, leading, degree)
+    if (nets.degree, nets.universe, nets.scale_bits) != (degree, pattern.universe, kernel.s):
+        raise ValueError("net spec does not match the pattern")
     s = kernel.s
     dims = degree - 1
-    ws, counts = [], []
-    for mesh in nets.meshes:
-        w = int(mesh * (1 << s))
-        if w < 1:
-            raise BudgetError(
-                f"mesh {mesh} below fixed-point resolution 2^-{s}; coarsen the net"
-            )
-        ws.append(w)
-        counts.append(-(-(1 << s) // w))
+    ws, counts = nets.steps, nets.sizes
 
     slack = 2 * sum(Fraction(w, 1 << s) * pattern.universe ** (i + 1)
                     for i, w in enumerate(ws))
@@ -569,8 +556,6 @@ def verify_hitting_net(pattern: Pattern, leading: Fraction, degree: int,
         worst_coeffs_exact=tuple((u, s) for u in best_u),
         slack=float(slack),
         epsilon_guaranteed=float(guaranteed),
-        resolution_scale=nets.resolution_scale,
-        full_resolution=nets.full_resolution,
         pattern_n=pattern.n,
         universe=pattern.universe,
         degree=degree,

@@ -181,9 +181,7 @@ def thinning_instance():
         )
     art["cal_elapsed"] = t_cal.elapsed
     with Timer() as t_net:
-        scale = ob.scale_for_budget(2, art["Q"], 0.5, 10_000_000)
-        nets = ob.build_nets(2, art["Q"], 0.5, resolution_scale=scale,
-                             max_cells=10_000_000)
+        nets = ob.build_nets(2, art["Q"], 0.5, max_cells=10_000_000)
         art["nets"] = nets
         art["net_report"] = ob.verify_hitting_net(
             art["calibration"].pattern, Fraction(1, art["Q"]), 2, "auto", nets,

@@ -330,6 +330,18 @@ def test_no_copy_full_set_above_et_bound():
     assert rep.route_mismatches == 0
 
 
+def test_no_copy_refuses_copies_its_precision_cannot_decide():
+    # p = 3 on Q = 16,777,259: |F| ~ 4e21 leaves longdouble no fractional
+    # bits, so the margins are noise and must not be reported as violations
+    q = bertrand_prime(8, 3)
+    pat = thin_pattern(8, q, seed=0)
+    with pytest.raises(BudgetError) as err:
+        no_copy_check(AnnulusSpec(2, 3, 0.7), pat, Fraction(1, q),
+                      [1, 2, 3, 4], 1000)
+    msg = str(err.value)
+    assert "max |F|" in msg and "bound" in msg and "w = 0.15" in msg
+
+
 def test_no_copy_epsilon_consistency_check():
     q = 101
     pat = thin_pattern(20, q, seed=1)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from obstructions.cli import main
+from obstructions.cli import _build_parser, main
 from obstructions.patterns import block_rows
 
 
@@ -72,28 +73,33 @@ def test_verify_sampled_pass_and_fail(tmp_path):
     assert payload["reports"]["hitting"]["worst_coeffs"]  # witness present
 
 
-def test_verify_net_over_budget_exit_2(tmp_path, capsys):
+def test_verify_net_cells_bound_the_scan(tmp_path):
+    # at degree 3 the k^1 grid clamps to one point; the k^2 grid must still
+    # stay within --net-cells, and the nets block reports the grid scanned
     pat = tmp_path / "pat.json"
-    run(["construct", "--mode", "thinned", "--n", "16", "--Q", "1048583",
-         "--seed", "0", "--pattern-out", str(pat)], tmp_path)
-    code = main(["verify", "--pattern", str(pat), "--method", "net",
-                 "--epsilon", "0.5", "--budget", "1000"])
-    assert code == 2
-    assert "budget" in capsys.readouterr().err
+    run(["construct", "--mode", "thinned", "--n", "6", "--p", "3", "--Q", "101",
+         "--seed", "1", "--pattern-out", str(pat)], tmp_path)
+    code, payload = run(["verify", "--pattern", str(pat), "--method", "net",
+                         "--epsilon", "auto", "--net-cells", "1000"], tmp_path)
+    assert code in (0, 1)
+    nets, hitting = payload["reports"]["nets"], payload["reports"]["hitting"]
+    assert nets["total_cells"] == hitting["tested"] <= 1000
+    assert payload["config"]["net_cells"] == 1000
 
 
 def test_verify_net_budget_error_names_the_flags_that_help(tmp_path, capsys):
-    # lowering the budget cannot help, so the advice must not suggest it
+    # Q near 2^50 leaves the kernel 11 fixed-point bits: the default budget
+    # asks for a finer step than that, and only a lower --net-cells helps
     pat = tmp_path / "pat.json"
-    run(["construct", "--mode", "thinned", "--n", "16", "--Q", "1048583",
+    run(["construct", "--mode", "thinned", "--n", "16", "--Q", str((1 << 50) + 1),
          "--seed", "0", "--pattern-out", str(pat)], tmp_path)
     capsys.readouterr()
     code = main(["verify", "--pattern", str(pat), "--method", "net",
-                 "--epsilon", "0.5", "--budget", "10"])
+                 "--epsilon", "0.5"])
     err = capsys.readouterr().err
     assert code == 2
-    assert "Raise --budget" in err
-    assert "lower --net-cells or --resolution-scale" in err
+    assert "lower --net-cells" in err
+    assert "--budget" not in err and "--resolution-scale" not in err
 
 
 def test_scan_counters_in_meta(tmp_path):
@@ -125,6 +131,20 @@ def test_verify_net_threads_deterministic(tmp_path):
     p1["config"].pop("threads")
     p2["config"].pop("threads")
     assert payload_without_meta(p1) == payload_without_meta(p2)
+
+
+def test_nocopy_precision_guard_exits_2(tmp_path, capsys):
+    # the n = 8, p = 3 pattern on Q = 16,777,259: extended precision cannot
+    # decide its copies, which is a budget error, not a mathematical failure
+    pat = tmp_path / "pat.json"
+    run(["construct", "--mode", "thinned", "--n", "8", "--p", "3",
+         "--pattern-out", str(pat)], tmp_path)
+    assert json.loads(pat.read_text())["Q"] == 16_777_259
+    capsys.readouterr()
+    code = main(["nocopy", "--pattern", str(pat), "--epsilon", "0.7",
+                 "--j-list", "1,2,3,4", "--samples", "1000"])
+    assert code == 2
+    assert "undecided" in capsys.readouterr().err
 
 
 def test_density_subcommand(tmp_path):
@@ -202,9 +222,11 @@ def test_render_svg(tmp_path):
 
 
 def test_render_rejects_other_exponents(tmp_path, capsys):
+    # render draws the circular annuli (d = p = 2) only and takes no exponent
     code = main(["render", "--p", "3", "--epsilon", "0.3", "--R", "6",
                  "--out", str(tmp_path / "f.svg")])
     assert code == 2
+    assert "unrecognized arguments: --p 3" in capsys.readouterr().err
 
 
 def test_construct_calibrate_needs_thinned(tmp_path, capsys):
@@ -370,9 +392,7 @@ FUZZ_FLAGS = {
         "--epsilon": ["auto", "0.5", "0.95"],
         "--samples": ["1", "50"],
         "--seed": ["0", "2"],
-        "--resolution-scale": ["1", "0.5"],
         "--net-cells": ["1", "1000"],
-        "--budget": ["1000", "100000"],
     },
     "density": {
         "--d": ["1", "2", "3"],
@@ -401,8 +421,6 @@ FUZZ_FLAGS = {
         "--grid": ["2", "10"],
     },
     "render": {
-        "--d": ["2", "3"],
-        "--p": ["2", "3"],
         "--epsilon": ["0.25", "1"],
         "--R": ["1", "6"],
         "--out": ["@svg"],
@@ -410,8 +428,21 @@ FUZZ_FLAGS = {
 }
 ALWAYS = {"--mode", "--n", "--pattern-out", "--pattern", "--method", "--d",
           "--p", "--epsilon", "--R", "--samples", "--out", "--A", "--N"}
-SWITCHES = {"construct": ["--calibrate"], "discrepancy": ["--exact", "--estimate"]}
+SWITCHES = {"construct": ["--calibrate"], "discrepancy": ["--estimate"]}
 BAD = ["", "x", "-1", "0", "1.5", "1/0", "0/5", "a,", ",", "nan", "inf"]
+
+
+def test_fuzz_table_covers_every_parser_flag():
+    # a flag left in the table after the parser dropped it only exercises
+    # argparse's unknown-flag exit, which the fuzz test accepts as exit 2
+    subparsers = next(a for a in _build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert sorted(subparsers.choices) == sorted(FUZZ_FLAGS)
+    for sub, parser in subparsers.choices.items():
+        flags = {opt for action in parser._actions for opt in action.option_strings
+                 if opt.startswith("--") and opt != "--help"}
+        assert flags == {*FUZZ_FLAGS[sub], *SWITCHES.get(sub, []),
+                         "--output", "--threads"}, sub
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import sys
@@ -171,9 +172,13 @@ def test_pattern_gap_known_square_case():
 
 def test_build_nets_formula():
     nets = build_nets(2, 100, 0.1)
-    assert nets.meshes == (0.1 / (100 * 2 * 100),)
-    assert nets.sizes == (200_000,)
-    assert nets.full_resolution
+    # the recipe mesh 0.1 / (100 * 2 * 100), realised as the dyadic step below it
+    assert nets.scale_bits == 62 - (100).bit_length()
+    assert nets.steps == (int(0.1 / (100 * 2 * 100) * 2 ** nets.scale_bits),)
+    assert nets.meshes == (nets.steps[0] / 2 ** nets.scale_bits,)
+    assert 0.1 / 20_000 - 2 ** -nets.scale_bits < nets.meshes[0] <= 0.1 / 20_000
+    assert nets.sizes == (-(-2 ** nets.scale_bits // nets.steps[0]),) == (200_001,)
+    assert nets.to_dict()["full_resolution"]
 
 
 def test_build_nets_degree_one_is_empty():
@@ -195,26 +200,68 @@ def test_build_nets_transfer_slack_at_scale_one():
 
 
 def test_build_nets_budget_error_names_term():
+    # Q = 2^50 leaves the kernel 11 fixed-point bits, too few for 10^7 points
     with pytest.raises(BudgetError, match="k\\^1"):
-        build_nets(2, 10 ** 6, 0.01, max_cells=10 ** 6)
+        build_nets(2, 1 << 50, 0.01, max_cells=10 ** 7)
 
 
 def test_build_nets_budget_error_names_the_flags_that_help():
-    # one grid over budget, then every grid within it but their product over
-    for degree, universe, eps, budget in ((2, 10 ** 6, 0.01, 10 ** 6),
-                                          (3, 11, 0.5, 10 ** 5)):
+    # the only refusal left is a step below the kernel's resolution, which a
+    # smaller cell budget fixes
+    for degree, universe, budget in ((2, 1 << 50, 10 ** 7), (3, 1 << 40, 10 ** 7)):
         with pytest.raises(BudgetError) as err:
-            build_nets(degree, universe, eps, max_cells=budget)
-        assert "Raise --budget" in str(err.value)
-        assert "lower --net-cells or --resolution-scale" in str(err.value)
+            build_nets(degree, universe, 0.5, max_cells=budget)
+        assert "lower --net-cells" in str(err.value)
+        assert "--budget" not in str(err.value)
+        assert "--resolution-scale" not in str(err.value)
+    with pytest.raises(ValueError, match="--net-cells"):
+        build_nets(2, 101, 0.5, max_cells=0)
 
 
 def test_scale_for_budget():
     q = 1048583
     scale = scale_for_budget(2, q, 0.5, 10 ** 7)
-    nets = build_nets(2, q, 0.5, resolution_scale=scale, max_cells=10 ** 7)
+    nets = build_nets(2, q, 0.5, max_cells=10 ** 7)
+    assert nets.resolution_scale == scale
     assert nets.total_cells <= 10 ** 7
     assert scale_for_budget(2, 16, 0.5, 10 ** 7) == 1.0
+    # at Q = 16,777,259 the k^1 grid clamps to one point, so the k^2 grid
+    # gets the whole budget
+    q3 = bertrand_prime(8, 3)
+    scale = scale_for_budget(3, q3, 0.5, 1000)
+    assert 300 * q3 / 0.5 * scale < 1
+    assert 300 * q3 ** 2 / 0.5 * scale == pytest.approx(999)
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4])
+def test_build_nets_never_exceeds_the_budget(degree):
+    # a grid that clamps to one point must not hand its share of the budget
+    # to the others; small nets are scanned, and the scan tests exactly the
+    # reported cells
+    budgets = [1, 2, 3, 5, 7, 10, 30, 100, 999, 1000, 4096, 10 ** 5,
+               10 ** 6, 10 ** 7]
+    for universe in (2, 11, 101, 1048583, bertrand_prime(8, 3)):
+        pat = thin_pattern(2, universe, seed=universe)
+        for eps in (0.05, 0.5, 0.95):
+            for budget in budgets:
+                nets = build_nets(degree, universe, eps, max_cells=budget)
+                assert nets.total_cells <= budget, (universe, eps, budget, nets)
+                assert nets.sizes == tuple(
+                    -(-2 ** nets.scale_bits // w) for w in nets.steps)
+                if budget <= 1000:
+                    rep = verify_hitting_net(pat, Fraction(1, universe), degree,
+                                             "auto", nets)
+                    assert rep.tested == nets.total_cells
+
+
+def test_net_spec_must_match_the_kernel():
+    pat = thin_pattern(6, 101, seed=0)
+    nets = build_nets(2, 101, 0.5, max_cells=1000)
+    for wrong in (dataclasses.replace(nets, scale_bits=nets.scale_bits - 1),
+                  build_nets(3, 101, 0.5, max_cells=1000),
+                  build_nets(2, 103, 0.5, max_cells=1000)):
+        with pytest.raises(ValueError, match="does not match"):
+            verify_hitting_net(pat, Fraction(1, 101), 2, 0.5, wrong)
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +296,7 @@ def test_net_kernel_matches_fraction_oracle():
     for degree in (2, 3):
         universe = int(rng.integers(17, 64))
         pat = thin_pattern(6, universe, seed=int(rng.integers(100)))
-        scale = scale_for_budget(degree, universe, 0.9, 50_000)
-        nets = build_nets(degree, universe, 0.9, resolution_scale=scale,
-                          max_cells=100_000)
+        nets = build_nets(degree, universe, 0.9, max_cells=50_000)
         kernel_rep = verify_hitting_net(pat, Fraction(1, universe), degree, "auto", nets)
         num_s = kernel_rep.worst_coeffs_exact
         coeffs = [Fraction(num, 1 << s) for num, s in num_s]
@@ -287,8 +332,7 @@ def test_net_too_coarse_cannot_certify():
     # auto epsilon clamps to 1 and the run honestly fails
     q = bertrand_prime(16, 2)
     pat = thin_pattern(16, q, seed=0)
-    scale = scale_for_budget(2, q, 0.5, 1000)
-    nets = build_nets(2, q, 0.5, resolution_scale=scale, max_cells=2000)
+    nets = build_nets(2, q, 0.5, max_cells=1000)
     rep = verify_hitting_net(pat, Fraction(1, q), 2, "auto", nets)
     assert rep.epsilon == 1.0 and rep.epsilon_guaranteed == 1.0
     assert not rep.passed
