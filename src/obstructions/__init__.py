@@ -10,7 +10,6 @@ from .torus import (
     exact_discrepancy,
     grid_discrepancy,
     max_circular_gap,
-    unit_phase,
     weyl_sum,
 )
 from .patterns import (

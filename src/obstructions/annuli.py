@@ -498,9 +498,7 @@ def no_copy_check(spec: AnnulusSpec, pattern: Pattern, leading: Fraction,
     p, d = spec.exponent, spec.dimension
     w = spec.band_halfwidth
     ks = np.asarray(pattern.indices, dtype=float)
-    lead_poly = PolySeqSpec(p, leading)
-    lead_vals = (np.array(lead_poly._lead_residues(pattern.indices), dtype=float)
-                 / lead_poly.leading.denominator)
+    lead_vals = PolySeqSpec(p, leading).values(pattern.indices)
 
     children = np.random.SeedSequence(seed).spawn(len(j_list))
     per_scale = []

@@ -25,7 +25,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .torus import BudgetError, exact_discrepancy, grid_discrepancy
+from .torus import BudgetError, exact_discrepancy
 from .patterns import (
     NET_CELL_BUDGET,
     Pattern,
@@ -294,29 +294,42 @@ def _cmd_nocopy(args) -> int:
 
 
 def _read_points_csv(path: str):
+    """First-column values; only line 1 may be a non-numeric header."""
     values = []
     with open(path) as fh:
-        for line in fh:
-            tok = line.strip().split(",")[0]
+        for number, line in enumerate(fh, start=1):
+            tok = line.strip().split(",")[0].strip()
             if not tok:
                 continue
             try:
-                values.append(float(tok))
+                value = float(tok)
             except ValueError:
-                continue  # header line
+                if number == 1:
+                    continue  # header line
+                value = math.nan  # refused below, like a non-finite value
+            if not math.isfinite(value):
+                raise ValueError(f"--points {path}: line {number}: {tok!r} is "
+                                 "not a finite number")
+            values.append(value)
     return values
 
 
-def _parse_coefficient(token: str):
-    """num/den tokens parse as Fractions, decimal tokens as floats."""
+# a decimal exponent e costs a 10^|e| numerator or denominator; the bound
+# keeps every coefficient within a few thousand bits
+_MAX_DECIMAL_EXPONENT = 1000
+
+
+def _parse_exact(flag: str, token: str) -> Fraction:
+    """The rational a token spells: an integer, num/den, or a decimal, which
+    is read as written (0.1 is 1/10, not the binary float nearest it)."""
+    _, e, exponent = token.lower().partition("e")
     try:
-        if "/" in token:
-            num, _, den = token.partition("/")
-            return Fraction(int(num), int(den))
-        return _finite_float(token)
+        if not e or abs(int(exponent)) <= _MAX_DECIMAL_EXPONENT:
+            return Fraction(token)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"--B: {token!r} is not a finite number or num/den "
-                         "with a nonzero den") from None
+        pass
+    raise ValueError(f"{flag}: {token!r} is not an integer, num/den with a nonzero "
+                     f"den, or a decimal with exponent within +-{_MAX_DECIMAL_EXPONENT}")
 
 
 def _cmd_discrepancy(args) -> int:
@@ -325,12 +338,8 @@ def _cmd_discrepancy(args) -> int:
         values = _read_points_csv(args.points)
         source = {"points": args.points}
     else:
-        num, _, den = args.A.partition("/")
-        try:
-            leading = Fraction(int(num), int(den or "1"))
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"--A: {args.A!r} is not num/den with a nonzero den") from None
-        lower = tuple(_parse_coefficient(tok)
+        leading = _parse_exact("--A", args.A)
+        lower = tuple(_parse_exact("--B", tok)
                       for tok in args.B.split(",")) if args.B else ()
         degree = len(lower) + 1
         spec = PolySeqSpec(degree, leading, lower)
@@ -340,19 +349,12 @@ def _cmd_discrepancy(args) -> int:
     if args.dump:
         _atomic_write(args.dump,
                       "\n".join(repr(float(v)) for v in values) + "\n")
-    if args.estimate:
-        est = grid_discrepancy(values, grid=args.grid)
-        reports = {"discrepancy_estimate": {"value": est, "grid": args.grid,
-                                            "kind": "lower-bound"}}
-        passed = True
-    else:
-        report = exact_discrepancy(values, et_cutoff=args.M)
-        passed = True
-        if report.et_bound is not None:
-            passed = report.et_bound >= report.exact_discrepancy - 1e-12
-        reports = {"discrepancy": report.to_dict()}
-    config = {"M": args.M, "dump": args.dump, "estimate": args.estimate,
-              "grid": args.grid, **source}
+    report = exact_discrepancy(values, et_cutoff=args.M)
+    passed = True
+    if report.et_bound is not None:
+        passed = report.et_bound >= report.exact_discrepancy - 1e-12
+    config = {"M": args.M, "dump": args.dump, **source}
+    reports = {"discrepancy": report.to_dict()}
     return _emit_report(args, "discrepancy", config, reports, passed, t0)
 
 
@@ -484,9 +486,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=None, help="sequence length")
     p.add_argument("--M", type=int, default=None, help="Erdos-Turan cutoff")
     p.add_argument("--dump", default=None, help="write the points as CSV")
-    p.add_argument("--estimate", action="store_true",
-                   help="grid lower-bound estimator (for N beyond the exact cap)")
-    p.add_argument("--grid", type=int, default=100)
     common(p)
     p.set_defaults(func=_cmd_discrepancy)
 

@@ -146,8 +146,10 @@ class PolySeqSpec:
 
     ``leading`` is the degree-p coefficient, an exact rational (a Fraction,
     or an int); ``lower`` holds the coefficients of k^1..k^{p-1} in
-    increasing degree. Exact mode (all lower coefficients Fractions) reduces
-    mod 1 in rational arithmetic, bit-exactly for any k.
+    increasing degree, each stored as the exact Fraction it equals (a finite
+    float is a dyadic rational, so the conversion loses nothing). Every
+    evaluation reads one integer table, ``residues``: values are exact until
+    their one final rounding.
     """
 
     degree: int
@@ -162,48 +164,48 @@ class PolySeqSpec:
                              f"or an int), got {type(self.leading).__name__}")
         lower = tuple(self.lower)
         if not lower and self.degree > 1:
-            lower = (Fraction(0),) * (self.degree - 1)
+            lower = (0,) * (self.degree - 1)
         if len(lower) != self.degree - 1:
             raise ValueError(f"expected {self.degree - 1} lower coefficients")
         if self.leading == 0:
             raise ValueError("leading coefficient must be nonzero")
+        try:
+            lower = tuple(Fraction(c) for c in lower)
+        except (OverflowError, ValueError):
+            raise ValueError(f"lower coefficients must be finite, got {lower}") from None
         object.__setattr__(self, "leading", Fraction(self.leading))
         object.__setattr__(self, "lower", lower)
 
-    @property
-    def is_exact(self) -> bool:
-        return all(isinstance(c, Fraction) for c in self.lower)
+    def residues(self, ks: Iterable[int]) -> tuple:
+        """(numerators, D) with x_k = numerators[j] / D exactly for k = ks[j].
 
-    def _lead_residues(self, ks: Iterable[int]) -> list:
-        """a * k^p mod b for leading a/b: the numerators of A k^p mod 1 over b."""
-        a, b = self.leading.numerator, self.leading.denominator
-        return [(a * pow(k, self.degree, b)) % b for k in ks]
+        D is the lcm of every coefficient's denominator, and each numerator
+        is sum_i num_i * (D / den_i) * (k^i mod D), reduced into [0, D).
+        """
+        coeffs = (*self.lower, self.leading)
+        D = math.lcm(*(c.denominator for c in coeffs))
+        terms = [(i, c.numerator * (D // c.denominator))
+                 for i, c in enumerate(coeffs, start=1) if c]
+        return [sum(a * pow(k, i, D) for i, a in terms) % D
+                for k in map(int, ks)], D
 
-    def value_at(self, k: int) -> Real:
-        """x_k mod 1; a Fraction in exact mode, else the float of ``values``."""
-        if self.is_exact:
-            acc = self.leading * k ** self.degree
-            for i, c in enumerate(self.lower, start=1):
-                acc += c * k ** i
-            return acc % 1
-        return float(self.values([k])[0])
+    def value_at(self, k: int) -> Fraction:
+        """x_k mod 1 as a Fraction, straight from the definition; tests hold
+        ``residues`` and the gap kernel to it."""
+        acc = self.leading * k ** self.degree
+        for i, c in enumerate(self.lower, start=1):
+            acc += c * k ** i
+        return acc % 1
 
     def values(self, ks: Iterable[int]) -> np.ndarray:
-        """Float values with the leading rational term reduced exactly first.
-
-        The k^p contribution is (a*k^p mod b)/b, computed in integer
-        arithmetic, so large k^p costs no precision.
-        """
-        ks = list(int(k) for k in ks)
-        acc = np.array(self._lead_residues(ks), dtype=float) / self.leading.denominator
-        for i, c in enumerate(self.lower, start=1):
-            term = np.array([(float(c) * k ** i) % 1.0 for k in ks], dtype=float)
-            acc = (acc + term) % 1.0
-        return acc
+        """Float values x_k: each exact N_k / D of ``residues`` rounded once
+        (int / int is correctly rounded), so equal to float(value_at(k))."""
+        nums, D = self.residues(ks)
+        return np.array([n / D for n in nums], dtype=float)
 
 
 def pattern_gap(pattern: Pattern, leading: Fraction, degree: int,
-                coeffs: Sequence[Real]) -> Real:
+                coeffs: Sequence[Real]) -> Fraction:
     """Max circular gap of {x_k : k in pattern} for one coefficient vector."""
     spec = PolySeqSpec(degree, leading, tuple(coeffs))
     return max_circular_gap([spec.value_at(k) for k in pattern.indices])
@@ -329,17 +331,14 @@ class _ExactKernel:
     """Per-pattern tables for exact gap evaluation over uint64 coefficients."""
 
     def __init__(self, pattern: Pattern, leading: Fraction, degree: int):
-        spec = PolySeqSpec(degree, leading)
-        b = spec.leading.denominator
+        ks = pattern.indices
+        lead, b = PolySeqSpec(degree, leading).residues(ks)
         self.s = _scale_bits(b)
         self.denominator = b << self.s
-        ks = pattern.indices
         self.n = len(ks)
         self.rows = block_rows(self.n)
         self.row_starts = np.arange(0, self.rows * self.n, self.n)
-        self.lead = np.array(
-            [r << self.s for r in spec._lead_residues(ks)], dtype=np.uint64
-        )
+        self.lead = np.array([r << self.s for r in lead], dtype=np.uint64)
         self.kpows = [
             np.array([pow(k, i, 1 << self.s) for k in ks], dtype=np.uint64)
             for i in range(1, degree)
@@ -624,18 +623,13 @@ def find_hitter(n: int, B: float, target: TorusInterval) -> int:
     needed = min(1.0, 10.0 / math.sqrt(n))
     if float(target.length) < needed - 1e-12:
         raise ValueError(f"target length {target.length} below {needed}")
-    m2 = m * m
-
-    def value(k: int) -> float:
-        return ((k * k % m2) / m2 + B * k) % 1.0
-
     admissible = [i for i in range(m)
                   if 1.0 / m <= (B + 2.0 * i / m) % 1.0 < 3.0 / m]
-    for i in admissible:
-        for l in range(m):
-            k = i * m + l
-            if target.contains(value(k)):
-                return k
+    walk = [i * m + l for i in admissible for l in range(m)]
+    spec = PolySeqSpec(2, Fraction(1, m * m), (B,))
+    for k, x in zip(walk, spec.values(walk)):
+        if target.contains(x):
+            return k
     raise RuntimeError(
         "block walk found no hitter; this contradicts the construction "
         f"(n={n}, B={B}, target start={target.start}, length={target.length})"

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -185,6 +186,39 @@ def test_discrepancy_points_file_roundtrip(tmp_path):
     assert payload["reports"]["discrepancy"]["exact_discrepancy"] == 0.5
 
 
+def test_discrepancy_lower_coefficients_are_exact(tmp_path):
+    # x_k = k^5/101 + k^4/3 mod 1: every point is a multiple of 1/303, so a
+    # count over the 303 grid arcs gives the discrepancy exactly
+    code, payload = run(["discrepancy", "--A", "1/101", "--B", "0,0,0,1/3",
+                         "--N", "20000"], tmp_path)
+    assert code == 0
+    n, grid = 20000, 303
+    hist = [0] * grid
+    for k in range(n):
+        hist[(3 * k ** 5 + 101 * k ** 4) % grid] += 1
+    # sup |count/N - length| is attained by closed arcs [a, a+L] or open
+    # arcs (a, a+L+1) between grid points; scaled by N * grid to stay in ints
+    best = 0
+    for a in range(grid):
+        inside = 0
+        for length in range(grid):
+            inside += hist[(a + length) % grid]
+            best = max(best, inside * grid - length * n,
+                       (length + 1) * n - (inside - hist[a]) * grid)
+    oracle = Fraction(best, n * grid)
+    # the float points are exact to one rounding, the float scan adds a few
+    reported = payload["reports"]["discrepancy"]["exact_discrepancy"]
+    assert abs(reported - oracle) < 1e-12
+    # a decimal token is the decimal it spells: 0.1 is 1/10
+    dumps = []
+    for token in ("0.1", "1/10"):
+        dump = tmp_path / f"points-{len(dumps)}.csv"
+        assert run(["discrepancy", "--A", "1/7", "--B", token, "--N", "3000",
+                    "--dump", str(dump)], tmp_path)[0] == 0
+        dumps.append(dump.read_text())
+    assert dumps[0] == dumps[1]
+
+
 def test_discrepancy_dump_reads_back(tmp_path):
     dump = tmp_path / "points.csv"
     code, generated = run(["discrepancy", "--A", "1/101", "--B", "0.25",
@@ -344,16 +378,24 @@ def _pattern_files(tmp_path):
       "--retries", "-3", "--pattern-out", "@out"], "--retries"),
     (["construct", "--mode", "thinned", "--n", "8", "--Q", "64", "--calibrate",
       "--samples", "0", "--pattern-out", "@out"], "--samples"),
+    (["discrepancy", "--A", "1/7", "--B", "1e-99999999", "--N", "5"], "--B"),
+    (["discrepancy", "--A", "nan", "--N", "5"], "--A"),
+    (["discrepancy", "--points", "@junkcsv"], "--points"),
+    (["discrepancy", "--points", "@nancsv"], "--points"),
 ], ids=["config-no-path", "A-zero-den", "B-zero-den", "pattern-no-indices",
         "density-zero-samples", "negative-threads", "net-cells-zero",
         "net-cells-negative", "epsilon-inf", "render-zero-R",
         "nocopy-zero-samples", "j-list-empty", "j-list-not-integer",
         "calibrate-zero-retries", "calibrate-negative-retries",
-        "calibrate-zero-samples"])
+        "calibrate-zero-samples", "B-huge-exponent", "A-nan", "points-junk-line",
+        "points-nan-line"])
 def test_bad_input_exits_2_naming_the_flag(tmp_path, capsys, monkeypatch, argv, flag):
     monkeypatch.delenv("OBSTRUCTIONS_THREADS", raising=False)
     files = {**_pattern_files(tmp_path), "svg": str(tmp_path / "f.svg"),
              "out": str(tmp_path / "out.json")}
+    for name, text in (("junkcsv", "x\n0.1\nfoo\n0.5\n"), ("nancsv", "0.1\nnan\n0.5\n")):
+        (tmp_path / f"{name}.csv").write_text(text)
+        files[name] = str(tmp_path / f"{name}.csv")
     capsys.readouterr()
     argv = [files[tok[1:]] if tok.startswith("@") else tok for tok in argv]
     assert main([argv[0], "-o", str(tmp_path / "r.json"), *argv[1:]]) == 2
@@ -418,7 +460,6 @@ FUZZ_FLAGS = {
         "--N": ["1", "5", "20"],
         "--M": ["1", "5"],
         "--dump": ["@dump"],
-        "--grid": ["2", "10"],
     },
     "render": {
         "--epsilon": ["0.25", "1"],
@@ -428,7 +469,7 @@ FUZZ_FLAGS = {
 }
 ALWAYS = {"--mode", "--n", "--pattern-out", "--pattern", "--method", "--d",
           "--p", "--epsilon", "--R", "--samples", "--out", "--A", "--N"}
-SWITCHES = {"construct": ["--calibrate"], "discrepancy": ["--estimate"]}
+SWITCHES = {"construct": ["--calibrate"]}
 BAD = ["", "x", "-1", "0", "1.5", "1/0", "0/5", "a,", ",", "nan", "inf"]
 
 

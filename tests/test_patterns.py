@@ -134,11 +134,22 @@ def test_polyseq_exact_values():
 
 
 def test_polyseq_values_match_value_at():
-    spec = PolySeqSpec(2, Fraction(1, 1009), (Fraction(3, 8),))
-    ks = [0, 5, 100, 1008, 5000]
-    fast = spec.values(ks)
-    slow = [float(spec.value_at(k)) for k in ks]
-    assert np.allclose(fast, slow, atol=1e-12)
+    # values rounds the exact residue once, so it must equal the rounded
+    # definition bit for bit, for float and Fraction lower coefficients alike
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        degree = int(rng.integers(1, 6))
+        leading = Fraction(int(rng.integers(-10**6, 10**6)) or 1,
+                           int(rng.integers(1, 10**6)))
+        lower = [float(rng.normal(0, 10.0 ** rng.integers(-6, 4)))
+                 if rng.random() < 0.5 else
+                 Fraction(int(rng.integers(-10**9, 10**9)), int(rng.integers(1, 10**9)))
+                 for _ in range(degree - 1)]
+        spec = PolySeqSpec(degree, leading, tuple(lower))
+        ks = [int(k) for k in rng.integers(-10**9, 10**9, size=8)] + [0, 1, -1, 99991]
+        assert list(spec.values(ks)) == [float(spec.value_at(k)) for k in ks]
+    spec = PolySeqSpec(5, Fraction(1, 101), (0, 0, 0, Fraction(1, 3)))
+    assert spec.values([99991])[0] == float(spec.value_at(99991))
 
 
 def test_polyseq_exact_vs_quad_precision():

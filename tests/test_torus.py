@@ -14,7 +14,6 @@ from obstructions import (
     exact_discrepancy,
     grid_discrepancy,
     max_circular_gap,
-    unit_phase,
     weyl_sum,
 )
 
@@ -150,11 +149,6 @@ def test_discrepancy_witness_attains_value():
         assert dev <= rep.exact_discrepancy + 1e-12
 
 
-def test_discrepancy_cap():
-    with pytest.raises(ValueError):
-        exact_discrepancy(np.zeros(11), cap=10)
-
-
 def test_grid_discrepancy_estimator_brackets_exact():
     rng = np.random.default_rng(12)
     for _ in range(20):
@@ -163,7 +157,6 @@ def test_grid_discrepancy_estimator_brackets_exact():
         est = grid_discrepancy(pts, grid=100)
         assert est <= exact + 1e-12
         assert exact - est <= 2.0 / 100 + 1e-12
-    # works beyond the exact routine's cap
     big = rng.random(2000)
     assert grid_discrepancy(big, grid=50) > 0
 
@@ -204,10 +197,19 @@ def test_weyl_sum_multiplier():
     assert abs(weyl_sum(f, 8, multiplier=3)) < 1e-12
 
 
-def test_unit_phase_folding():
-    assert unit_phase(Fraction(3, 4)) == unit_phase(Fraction(1, 4)).conjugate()
-    assert unit_phase(Fraction(1, 2)) == -1.0
-    assert unit_phase(0.75) == unit_phase(0.25).conjugate()
+def test_weyl_sum_cubic_within_its_rounding_bound():
+    # a 120-bit reference from the exact phases; weyl_sum promises
+    # n_terms * 2^-48, whatever the float64 path rounds
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.prec = 120
+    q = 1499
+    f = PolySeqSpec(3, Fraction(5, q), (Fraction(2, 7), 0.1))
+    for multiplier in (1, -3, 7):
+        phases = [multiplier * f.value_at(k) % 1 for k in range(q)]
+        exact = mpmath.fsum(mpmath.expjpi(2 * mpmath.mpf(t.numerator) / t.denominator)
+                            for t in phases)
+        got = weyl_sum(f, q, multiplier=multiplier)
+        assert abs(mpmath.mpc(got) - exact) <= q * 2.0 ** -48
 
 
 # ---------------------------------------------------------------------------
