@@ -58,8 +58,9 @@ class AnnulusSpec:
 
 
 def _dist_to_z(values: np.ndarray) -> np.ndarray:
-    frac = values % 1.0
-    return np.minimum(frac, 1.0 - frac)
+    """Exact distance of each float to Z (v - rint(v) never rounds), so
+    v and -v are at the same distance bit for bit."""
+    return np.abs(values - np.rint(values))
 
 
 def member(spec: AnnulusSpec, x: Sequence[float]) -> bool:
@@ -79,10 +80,12 @@ def members(spec: AnnulusSpec, points: np.ndarray) -> np.ndarray:
         return _dist_to_z(f) < w
     powers = pts ** p
     ok = np.ones(len(pts), dtype=bool)
-    for sigma in product((1.0, -1.0), repeat=spec.dimension):
+    # sigma and -sigma give negated sums at the same distance to Z, so
+    # sigma_1 = +1 covers all 2^d sign vectors
+    for rest in product((1.0, -1.0), repeat=spec.dimension - 1):
         if not ok.any():
             break
-        f = powers @ np.asarray(sigma)
+        f = powers @ np.asarray((1.0, *rest))
         ok &= _dist_to_z(f) < w
     return ok
 

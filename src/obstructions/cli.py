@@ -293,8 +293,9 @@ def _cmd_nocopy(args) -> int:
                         rep.passed, t0)
 
 
-def _read_points_csv(path: str):
-    """First-column values; only line 1 may be a non-numeric header."""
+def _read_points_csv(path: str) -> list:
+    """First-column values, each read by ``_parse_exact``; only line 1 may be
+    a non-numeric header."""
     values = []
     with open(path) as fh:
         for number, line in enumerate(fh, start=1):
@@ -302,15 +303,12 @@ def _read_points_csv(path: str):
             if not tok:
                 continue
             try:
-                value = float(tok)
+                values.append(_parse_exact(f"--points {path}: line {number}", tok))
             except ValueError:
-                if number == 1:
-                    continue  # header line
-                value = math.nan  # refused below, like a non-finite value
-            if not math.isfinite(value):
-                raise ValueError(f"--points {path}: line {number}: {tok!r} is "
-                                 "not a finite number")
-            values.append(value)
+                if number > 1:
+                    raise
+    if not values:
+        raise ValueError(f"--points {path}: no points")
     return values
 
 
@@ -334,21 +332,27 @@ def _parse_exact(flag: str, token: str) -> Fraction:
 
 def _cmd_discrepancy(args) -> int:
     t0 = time.perf_counter()
+    if args.M is not None and args.M < 1:
+        raise ValueError(f"--M must be a positive integer, got {args.M}")
     if args.points:
         values = _read_points_csv(args.points)
         source = {"points": args.points}
     else:
         leading = _parse_exact("--A", args.A)
+        if leading == 0:
+            raise ValueError("--A: the leading coefficient must be nonzero")
+        if args.N < 1:
+            raise ValueError(f"--N must be a positive integer, got {args.N}")
         lower = tuple(_parse_exact("--B", tok)
                       for tok in args.B.split(",")) if args.B else ()
         degree = len(lower) + 1
-        spec = PolySeqSpec(degree, leading, lower)
-        values = list(spec.values(range(args.N)))
+        nums, D = PolySeqSpec(degree, leading, lower).residues(range(args.N))
+        values = [Fraction(num, D) for num in nums]
         source = {"A": {"num": leading.numerator, "den": leading.denominator},
                   "B": [float(c) for c in lower], "N": args.N, "degree": degree}
     if args.dump:
-        _atomic_write(args.dump,
-                      "\n".join(repr(float(v)) for v in values) + "\n")
+        _atomic_write(args.dump, "".join(f"{v.numerator}/{v.denominator}\n"
+                                         for v in values))
     report = exact_discrepancy(values, et_cutoff=args.M)
     passed = True
     if report.et_bound is not None:
@@ -358,9 +362,9 @@ def _cmd_discrepancy(args) -> int:
     return _emit_report(args, "discrepancy", config, reports, passed, t0)
 
 
-def _render_svg(epsilon: float, R: float, size: int = 640):
+def _render_svg(spec: AnnulusSpec, R: float, size: int = 640):
     """Shaded annuli where dist(|x|^2, Z) < (1-eps)/2, drawn to scale."""
-    w = (1.0 - epsilon) / 2.0
+    w = spec.band_halfwidth
     half = R / 2.0
     px = size / R
     cx = cy = size / 2.0
@@ -400,7 +404,11 @@ def _cmd_render(args) -> int:
     t0 = time.perf_counter()
     if args.R <= 0:
         raise ValueError("--R must be positive")
-    svg, shells = _render_svg(args.epsilon, args.R)
+    try:
+        spec = AnnulusSpec(2, 2, args.epsilon)
+    except ValueError as exc:
+        raise ValueError(f"--epsilon: {exc}") from None
+    svg, shells = _render_svg(spec, args.R)
     _atomic_write(args.out, svg)
     config = {"epsilon": args.epsilon, "R": args.R, "out": args.out}
     return _emit_report(args, "render", config, {"shells_within_half_side": shells},

@@ -1,16 +1,19 @@
 """Arithmetic on the circle R/Z: gaps, exact interval discrepancy, Weyl sums.
 
-Functions take plain sequences of values, reduced into [0, 1). A set is
-exact when every value is a Fraction (fixed-point dyadics u/2^s are the
-common case); exact arithmetic is closed and bit-exact, float arithmetic is
-ordinary IEEE double. Every operation in this module is a pure function of
-its inputs.
+Functions take plain sequences of points: ints, floats, Fractions or numpy
+scalars. Each point is read as the exact rational it equals (a finite float
+is a dyadic rational) and reduced mod 1, so a point set becomes integer
+residues over one common denominator, and gaps and discrepancies are exact.
+A float result is an exact value rounded once, or an Erdos-Turan or grid
+estimate that rounds each point once. Every operation in this module is a
+pure function of its inputs.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -24,130 +27,119 @@ class BudgetError(ValueError):
     """An exact computation would exceed its configured enumeration budget."""
 
 
-def _mod1(value: Real) -> Real:
-    if isinstance(value, Fraction):
-        return value % 1
-    return float(value) % 1.0
+def _ratio(x) -> tuple:
+    """(numerator, denominator) of the rational x equals."""
+    try:
+        return x.as_integer_ratio()
+    except AttributeError:
+        return operator.index(x), 1  # numpy integers have no as_integer_ratio
+    except (OverflowError, ValueError):
+        raise ValueError(f"{x!r} is not a finite number") from None
+
+
+def _common_denominator(points) -> tuple:
+    """(numerators, D) with point k equal to numerators[k] / D mod 1, each
+    numerator in [0, D); D is the lcm of the points' denominators."""
+    ratios = [_ratio(x) for x in points]
+    if not ratios:
+        raise ValueError("empty point set")
+    dens = {den for _, den in ratios}
+    D = math.lcm(*dens)
+    scale = {den: D // den for den in dens}
+    return [num * scale[den] % D for num, den in ratios], D
+
+
+def _rounded(points) -> np.ndarray:
+    """Each point reduced mod 1 exactly, then rounded once to a float."""
+    nums, D = _common_denominator(points)
+    return np.array([num / D for num in nums])
+
+
+def _fraction_json(v: Fraction) -> dict:
+    return {"num": v.numerator, "den": v.denominator}
 
 
 @dataclass(frozen=True)
 class TorusInterval:
     """Arc [start, start+length) or [start, start+length] on R/Z.
 
-    Membership wraps around: x is inside iff (x - start) mod 1 < length
-    (half-open) or <= length (closed). Length 0 is allowed only for the
-    closed degenerate interval {start}, which shows up as a discrepancy
-    witness.
+    ``start`` (reduced mod 1) and ``length`` are stored as the exact
+    Fractions they equal. Membership wraps around: x is inside iff
+    (x - start) mod 1 < length (half-open) or <= length (closed), computed
+    exactly. Length 0 is allowed only for the closed degenerate interval
+    {start}, which shows up as a discrepancy witness.
     """
 
-    start: Real
-    length: Real
+    start: Fraction
+    length: Fraction
     closure: str = "half-open"  # or "closed"
 
     def __post_init__(self):
         if self.closure not in ("half-open", "closed"):
             raise ValueError(f"unknown closure {self.closure!r}")
+        object.__setattr__(self, "start", Fraction(*_ratio(self.start)) % 1)
+        object.__setattr__(self, "length", Fraction(*_ratio(self.length)))
         if not 0 <= self.length <= 1:
             raise ValueError(f"interval length {self.length} outside [0, 1]")
         if self.length == 0 and self.closure != "closed":
             raise ValueError("zero-length interval must be closed")
-        object.__setattr__(self, "start", _mod1(self.start))
 
-    def contains(self, x: Real) -> bool:
-        t = _mod1(x - self.start) if isinstance(x, Fraction) and isinstance(self.start, Fraction) \
-            else (float(x) - float(self.start)) % 1.0
-        if self.closure == "closed":
-            return t <= self.length or t == 0
-        return t < self.length
+    def contains(self, x) -> bool:
+        t = (Fraction(*_ratio(x)) - self.start) % 1
+        return t <= self.length if self.closure == "closed" else t < self.length
 
     def to_dict(self) -> dict:
         return {
-            "start": _number_json(self.start),
-            "length": _number_json(self.length),
+            "start": _fraction_json(self.start),
+            "length": _fraction_json(self.length),
             "closure": self.closure,
         }
 
 
-def _number_json(v: Real):
-    if isinstance(v, Fraction):
-        return {"num": v.numerator, "den": v.denominator}
-    return float(v)
-
-
-def _coerce(points) -> tuple[list, bool]:
-    """Normalize a point sequence; exact iff every entry is a Fraction."""
-    values = [_mod1(pt) for pt in points]
-    exact = all(isinstance(v, Fraction) for v in values)
-    if not exact:
-        values = [float(v) for v in values]
-    return values, exact
-
-
-def max_circular_gap(points) -> Real:
-    """Largest arc between consecutive points (with wrap-around).
+def max_circular_gap(points) -> Fraction:
+    """Largest arc between consecutive points (with wrap-around), exact.
 
     A point set meets every closed interval of length eps iff its max
     circular gap is <= eps. A single point (or fully coincident set) has
-    gap 1. Exact (Fraction) output when all inputs are exact.
+    gap 1.
     """
-    values, exact = _coerce(points)
-    if not values:
-        raise ValueError("empty point set")
-    period = Fraction(1) if exact else 1.0
-    row = np.sort(np.asarray(values, dtype=object if exact else float))
-    if len(row) == 1:
-        return period
-    gap = max(np.diff(row).max(), period - row[-1] + row[0])
-    return gap if exact else float(gap)
-
-
-def _count_in_interval(sorted_values, start, length, lo_closed: bool, hi_closed: bool) -> int:
-    """Exact point count in a wrapped interval with explicit endpoint closures."""
-    cnt = 0
-    for x in sorted_values:
-        t = _mod1(x - start)
-        if t == 0:
-            inside = lo_closed
-        elif t < length:
-            inside = True
-        elif t == length:
-            inside = hi_closed
-        else:
-            inside = False
-        if length == 0:
-            inside = (t == 0) and lo_closed and hi_closed
-        cnt += inside
-    return cnt
+    nums, D = _common_denominator(points)
+    ys = sorted(nums)
+    wrap = D - ys[-1] + ys[0]
+    return Fraction(max([wrap, *map(operator.sub, ys[1:], ys)]), D)
 
 
 @dataclass(frozen=True)
 class DiscrepancyReport:
-    """Exact sup over all circle intervals of |count/N - length|."""
+    """Exact sup over all circle intervals of |count/N - length|; the
+    witness is a closed interval that attains it."""
 
     n_points: int
-    exact_discrepancy: float
+    exact_value: Fraction
     witness_interval: TorusInterval
-    witness_flag: str = "attained"  # or "limit"
-    exact_value: Optional[Fraction] = None
     et_bound: Optional[float] = None
     et_cutoff: Optional[int] = None
+    witness_flag = "attained"  # not a field: every witness attains the value
 
     def __post_init__(self):
         n = self.n_points
-        if not (1.0 / (2 * n) - 1e-12 <= self.exact_discrepancy <= 1.0 + 1e-12):
+        if not Fraction(1, 2 * n) <= self.exact_value <= 1:
             raise ValueError(
-                f"discrepancy {self.exact_discrepancy} outside [1/(2N), 1] for N={n}"
+                f"discrepancy {self.exact_value} outside [1/(2N), 1] for N={n}"
             )
+
+    @property
+    def exact_discrepancy(self) -> float:
+        return float(self.exact_value)
 
     def to_dict(self) -> dict:
         d = {
             "n_points": self.n_points,
             "exact_discrepancy": self.exact_discrepancy,
+            "exact_value": _fraction_json(self.exact_value),
             "witness_interval": self.witness_interval.to_dict(),
             "witness_flag": self.witness_flag,
         }
-        if self.exact_value is not None:
-            d["exact_value"] = _number_json(self.exact_value)
         if self.et_bound is not None:
             d["et_bound"] = self.et_bound
             d["et_cutoff"] = self.et_cutoff
@@ -158,72 +150,40 @@ def exact_discrepancy(points, et_cutoff: Optional[int] = None) -> DiscrepancyRep
     """Exact interval discrepancy of points on the circle.
 
     The sup over all intervals is attained among intervals whose endpoints
-    sit at point positions: closed intervals maximize count-minus-length,
-    open intervals maximize length-minus-count. Over sorted points y_0..y_{N-1}
-    both families separate,
+    sit at point positions. Over sorted points y_0..y_{N-1}, closed
+    intervals [y_i, y_j] maximize count - length with
 
-        excess  = max_i (y_i - i/N) + max_j ((j+1)/N - y_j)
-        deficit = max_i (i/N - y_i) + max_j (y_j - (j-1)/N)
+        excess = max_i (y_i - i/N) + max_j ((j+1)/N - y_j),
 
-    because both pair objectives are N-periodic in the wrapped index, so the
+    because the pair objective is N-periodic in the wrapped index, so the
     scan is O(N log N) instead of enumerating the O(N^2) candidate pairs.
-    The witness interval attains the reported value (degenerate and
-    full-circle-minus-a-point witnesses included).
+    An open interval's length - count equals count - length of its closed
+    complement, so the excess is the discrepancy. The scan runs in integers
+    over N*D, with D the points' common denominator, and a direct recount
+    of the witness [y_i, y_j] cross-checks it (degenerate and wrapping
+    witnesses included).
     """
-    values, exact = _coerce(points)
-    if not values:
-        raise ValueError("empty point set")
-
-    n = len(values)
-    ys = sorted(values)
-    one = Fraction(1) if exact else 1.0
-
-    g_excess = [ys[i] - Fraction(i, n) if exact else ys[i] - i / n for i in range(n)]
-    f_excess = [Fraction(j + 1, n) - ys[j] if exact else (j + 1) / n - ys[j] for j in range(n)]
-    g_deficit = [Fraction(i, n) - ys[i] if exact else i / n - ys[i] for i in range(n)]
-    f_deficit = [ys[j] - Fraction(j - 1, n) if exact else ys[j] - (j - 1) / n for j in range(n)]
-
-    i1 = max(range(n), key=g_excess.__getitem__)
-    j1 = max(range(n), key=f_excess.__getitem__)
-    i2 = max(range(n), key=g_deficit.__getitem__)
-    j2 = max(range(n), key=f_deficit.__getitem__)
-    excess = g_excess[i1] + f_excess[j1]
-    deficit = g_deficit[i2] + f_deficit[j2]
-
-    if excess >= deficit:
-        # Closed interval [y_i, y_j]; a zero length means the degenerate
-        # one-point interval (it attains multiplicity/N exactly).
-        value = excess
-        length = _mod1(ys[j1] - ys[i1])
-        witness = TorusInterval(ys[i1], length, "closed")
-        flag = "attained"
-        rec = Fraction(_count_in_interval(ys, ys[i1], length, True, True), n) - length
-    else:
-        # Open interval (y_i, y_j); reported as the half-open interval with
-        # the same endpoints and flagged "limit" since the sup is approached
-        # by nudging the left endpoint into the gap.
-        value = deficit
-        length = _mod1(ys[j2] - ys[i2])
-        if length == 0:
-            length = one  # circle minus the start point
-        witness = TorusInterval(ys[i2], length, "half-open")
-        flag = "limit"
-        rec = length - Fraction(_count_in_interval(ys, ys[i2], length, False, False), n)
-
+    nums, D = _common_denominator(points)
+    n = len(nums)
+    ys = sorted(nums)
+    # y_i - i/N over N*D; the excess is max + (D - min)
+    a = [n * y - i * D for i, y in enumerate(ys)]
+    i, j = a.index(max(a)), a.index(min(a))
+    value = a[i] + D - a[j]
+    start, length = ys[i], (ys[j] - ys[i]) % D
+    count = sum((y - start) % D <= length for y in ys)
     # The recount can only confirm or beat the separable bound; keep the max.
-    if rec > value:
-        value = rec
+    value = max(value, count * D - n * length)
 
     report = DiscrepancyReport(
         n_points=n,
-        exact_discrepancy=float(value),
-        witness_interval=witness,
-        witness_flag=flag,
-        exact_value=value if exact else None,
+        exact_value=Fraction(value, n * D),
+        witness_interval=TorusInterval(Fraction(start, D), Fraction(length, D),
+                                       "closed"),
     )
     if et_cutoff is not None:
         report = dataclasses.replace(
-            report, et_bound=erdos_turan_bound(values, et_cutoff),
+            report, et_bound=erdos_turan_bound([y / D for y in nums], et_cutoff),
             et_cutoff=et_cutoff,
         )
     return report
@@ -239,10 +199,7 @@ def grid_discrepancy(points, grid: int = 100) -> float:
     """
     if grid < 2:
         raise ValueError("grid must be >= 2")
-    values, _ = _coerce(points)
-    if not values:
-        raise ValueError("empty point set")
-    pts = np.asarray([float(v) for v in values])
+    pts = _rounded(points)
     n = len(pts)
     starts = np.arange(grid) / grid
     lengths = (np.arange(grid) + 1.0) / grid
@@ -285,15 +242,12 @@ def erdos_turan_bound(points, cutoff: int) -> float:
 
         D_N <= 1/(M+1) + 3 * sum_{m=1..M} |S_m| / (m*N),
 
-    where S_m = sum_k e(m*x_k). Exact points are reduced mod 1 exactly
-    before the float exponentials are taken.
+    where S_m = sum_k e(m*x_k). Each point is reduced mod 1 exactly and
+    rounded once before the float exponentials are taken.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    values, _ = _coerce(points)
-    if not values:
-        raise ValueError("empty point set")
-    x = np.asarray([float(v) for v in values], dtype=float)
+    x = _rounded(points)
     n = len(x)
     total = 0.0
     block = max(1, (1 << 21) // max(n, 1))

@@ -1,6 +1,6 @@
 import math
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -60,6 +60,48 @@ def test_members_vectorized_consistency():
     pts = rng.normal(size=(200, 2)) * 4
     vec = members(spec, pts)
     assert all(vec[i] == member(spec, pts[i]) for i in range(len(pts)))
+
+
+def full_sign_loop_members(spec, pts):
+    """Odd-p membership over all 2^d sign vectors, each signed sum's distance
+    to Z taken exactly as |f - rint(f)|."""
+    powers = pts ** spec.exponent
+    ok = np.ones(len(pts), dtype=bool)
+    for sigma in product((1.0, -1.0), repeat=spec.dimension):
+        f = powers @ np.asarray(sigma)
+        ok &= np.abs(f - np.rint(f)) < spec.band_halfwidth
+    return ok
+
+
+def band_edge_points(spec, rng, count):
+    """Points with one signed power sum within a few ulps of m +- w, m in
+    {-1, 0}: |sum| < 1 keeps the fractional bits that rounding can lose."""
+    d, p, w = spec.dimension, spec.exponent, spec.band_halfwidth
+    rest = rng.uniform(-1, 1, size=(count, d - 1))
+    sigma = rng.choice((-1.0, 1.0), size=(count, d - 1))
+    edge = rng.integers(-1, 1, size=count) + rng.choice((-1.0, 1.0), size=count) * w
+    target = edge - (sigma * rest ** p).sum(axis=1)
+    x1 = np.sign(target) * np.abs(target) ** (1.0 / p)
+    x1 += rng.integers(-4, 5, size=count) * np.spacing(x1)
+    return np.column_stack([x1, rest])
+
+
+def test_members_odd_half_sign_loop_matches_full_loop():
+    rng = np.random.default_rng(8)
+    for d, p, eps in ((2, 3, 0.3), (3, 3, 0.7), (4, 3, 0.5), (4, 5, 0.1)):
+        spec = AnnulusSpec(d, p, eps)
+        edge = band_edge_points(spec, rng, 20_000)
+        for pts in (rng.normal(size=(5_000, d)) * 2, edge):
+            got = members(spec, pts)
+            assert (got == full_sign_loop_members(spec, pts)).all(), (d, p, eps)
+            assert 0 < got.sum() < len(pts)
+        # the edge points do sit on the edge: most have a signed sum within
+        # 2^-48 of it
+        near = np.zeros(len(edge), dtype=bool)
+        for sigma in product((1.0, -1.0), repeat=d):
+            f = edge ** p @ np.asarray(sigma)
+            near |= np.abs(np.abs(f - np.rint(f)) - spec.band_halfwidth) < 2.0 ** -48
+        assert near.mean() > 0.5
 
 
 def test_spec_validation():

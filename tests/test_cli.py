@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from obstructions.cli import _build_parser, main
 from obstructions.patterns import block_rows
+from obstructions.torus import exact_discrepancy
 
 
 def run(args, tmp_path, name="report.json"):
@@ -206,9 +207,9 @@ def test_discrepancy_lower_coefficients_are_exact(tmp_path):
             best = max(best, inside * grid - length * n,
                        (length + 1) * n - (inside - hist[a]) * grid)
     oracle = Fraction(best, n * grid)
-    # the float points are exact to one rounding, the float scan adds a few
-    reported = payload["reports"]["discrepancy"]["exact_discrepancy"]
-    assert abs(reported - oracle) < 1e-12
+    rep = payload["reports"]["discrepancy"]
+    assert Fraction(rep["exact_value"]["num"], rep["exact_value"]["den"]) == oracle
+    assert rep["exact_discrepancy"] == float(oracle)
     # a decimal token is the decimal it spells: 0.1 is 1/10
     dumps = []
     for token in ("0.1", "1/10"):
@@ -222,12 +223,27 @@ def test_discrepancy_lower_coefficients_are_exact(tmp_path):
 def test_discrepancy_dump_reads_back(tmp_path):
     dump = tmp_path / "points.csv"
     code, generated = run(["discrepancy", "--A", "1/101", "--B", "0.25",
-                           "--N", "20", "--dump", str(dump)], tmp_path)
+                           "--N", "20", "--M", "7", "--dump", str(dump)], tmp_path)
     assert code == 0
-    code, reread = run(["discrepancy", "--points", str(dump)], tmp_path)
+    lines = dump.read_text().splitlines()
+    assert lines[:3] == ["0/1", "105/404", "109/202"]  # k^2/101 + k/4 mod 1
+    code, reread = run(["discrepancy", "--points", str(dump), "--M", "7"], tmp_path)
     assert code == 0
-    assert (reread["reports"]["discrepancy"]["exact_discrepancy"]
-            == generated["reports"]["discrepancy"]["exact_discrepancy"])
+    assert reread["reports"] == generated["reports"]
+
+
+def test_discrepancy_points_tokens_are_exact(tmp_path):
+    # 0.1 in a points file is 1/10, as in --A and --B, not the binary float
+    csv = tmp_path / "pts.csv"
+    csv.write_text("x\n0.1\n7/20\n0.6\n")
+    code, payload = run(["discrepancy", "--points", str(csv)], tmp_path)
+    assert code == 0
+    rep = payload["reports"]["discrepancy"]
+    want = exact_discrepancy([Fraction(1, 10), Fraction(7, 20), Fraction(3, 5)])
+    assert Fraction(rep["exact_value"]["num"], rep["exact_value"]["den"]) \
+        == want.exact_value
+    assert rep["witness_interval"] == want.witness_interval.to_dict()
+    assert rep["witness_interval"]["start"] == {"num": 1, "den": 10}
 
 
 def test_density_exact_slice_p4_at_large_R(tmp_path):
@@ -382,18 +398,28 @@ def _pattern_files(tmp_path):
     (["discrepancy", "--A", "nan", "--N", "5"], "--A"),
     (["discrepancy", "--points", "@junkcsv"], "--points"),
     (["discrepancy", "--points", "@nancsv"], "--points"),
+    (["discrepancy", "--A", "0", "--N", "5"], "--A"),
+    (["discrepancy", "--A", "1/7", "--N", "-3"], "--N"),
+    (["discrepancy", "--A", "1/7", "--N", "5", "--M", "0"], "--M"),
+    (["discrepancy", "--points", "@emptycsv"], "--points"),
+    (["discrepancy", "--points", "@headercsv"], "--points"),
+    (["render", "--epsilon", "1.5", "--R", "6", "--out", "@svg"], "--epsilon"),
+    (["render", "--epsilon", "-3", "--R", "6", "--out", "@svg"], "--epsilon"),
 ], ids=["config-no-path", "A-zero-den", "B-zero-den", "pattern-no-indices",
         "density-zero-samples", "negative-threads", "net-cells-zero",
         "net-cells-negative", "epsilon-inf", "render-zero-R",
         "nocopy-zero-samples", "j-list-empty", "j-list-not-integer",
         "calibrate-zero-retries", "calibrate-negative-retries",
         "calibrate-zero-samples", "B-huge-exponent", "A-nan", "points-junk-line",
-        "points-nan-line"])
+        "points-nan-line", "A-zero", "N-negative", "M-zero", "points-empty",
+        "points-header-only", "render-epsilon-above-one",
+        "render-epsilon-negative"])
 def test_bad_input_exits_2_naming_the_flag(tmp_path, capsys, monkeypatch, argv, flag):
     monkeypatch.delenv("OBSTRUCTIONS_THREADS", raising=False)
     files = {**_pattern_files(tmp_path), "svg": str(tmp_path / "f.svg"),
              "out": str(tmp_path / "out.json")}
-    for name, text in (("junkcsv", "x\n0.1\nfoo\n0.5\n"), ("nancsv", "0.1\nnan\n0.5\n")):
+    for name, text in (("junkcsv", "x\n0.1\nfoo\n0.5\n"), ("nancsv", "0.1\nnan\n0.5\n"),
+                       ("emptycsv", ""), ("headercsv", "value\n\n")):
         (tmp_path / f"{name}.csv").write_text(text)
         files[name] = str(tmp_path / f"{name}.csv")
     capsys.readouterr()
@@ -462,7 +488,7 @@ FUZZ_FLAGS = {
         "--dump": ["@dump"],
     },
     "render": {
-        "--epsilon": ["0.25", "1"],
+        "--epsilon": ["0.25", "0.99"],
         "--R": ["1", "6"],
         "--out": ["@svg"],
     },

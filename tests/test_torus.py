@@ -57,6 +57,27 @@ def test_gap_examples():
         max_circular_gap([])
 
 
+def test_gap_of_floats_equals_gap_of_their_fractions():
+    # a float is the dyadic rational it equals: its gap is that set's exact
+    # gap, with no rounding in the differences or the wrap-around
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        n = int(rng.integers(1, 40))
+        values = list(rng.random(n) * 10.0 ** rng.integers(-6, 2, n)
+                      * rng.choice((-1, 1), n))
+        gap = max_circular_gap(values)
+        assert isinstance(gap, Fraction)
+        assert gap == max_circular_gap([Fraction(x) for x in values])
+
+
+def test_non_finite_points_are_refused():
+    for bad in (math.nan, math.inf, np.float64(-np.inf), np.float32(np.nan)):
+        with pytest.raises(ValueError):
+            max_circular_gap([0.25, bad])
+        with pytest.raises(ValueError):
+            exact_discrepancy([0.25, bad])
+
+
 def test_gap_is_one_iff_single_or_coincident():
     assert max_circular_gap([0.25, 0.25, 0.25]) == 1.0
     assert max_circular_gap([0.25, 0.26]) < 1.0
@@ -101,6 +122,57 @@ def grid_oracle(points, grid=100):
         counts = (rel < L).sum(axis=1)
         best = max(best, float(np.abs(counts / n - L).max()))
     return best
+
+
+def fraction_oracle(points):
+    """Sup of |count/N - length| over every arc whose endpoints are point
+    positions: count - length over closed arcs [a, b], length - count over
+    open arcs (a, b) (the circle minus a when b = a), all in Fractions."""
+    xs = [Fraction(x.item() if isinstance(x, np.generic) else x) % 1
+          for x in points]
+    n = len(xs)
+    best = Fraction(0)
+    for a in xs:
+        offsets = [(x - a) % 1 for x in xs]
+        for b in xs:
+            length = (b - a) % 1
+            closed = sum(t <= length for t in offsets)
+            best = max(best, Fraction(closed, n) - length)
+            length = length or Fraction(1)
+            opened = sum(0 < t < length for t in offsets)
+            best = max(best, length - Fraction(opened, n))
+    return best
+
+
+def mixed_points(rng, kind, n):
+    """n points of one kind, with duplicates and values outside [0, 1)."""
+    den = int(rng.integers(1, 40))
+    make = {
+        "float": lambda: float(rng.random() * 3 - 1),
+        "fraction": lambda: Fraction(int(rng.integers(-den, 2 * den)), den),
+        "int": lambda: int(rng.integers(-5, 5)),
+        "numpy": lambda: [np.float64(rng.random()), np.float32(rng.random()),
+                          np.int64(rng.integers(-3, 3))][int(rng.integers(3))],
+    }
+    kinds = list(make) if kind == "mixed" else [kind]
+    pts = [make[kinds[int(rng.integers(len(kinds)))]]() for _ in range(n)]
+    for _ in range(int(rng.integers(0, n // 2 + 1))):
+        pts[int(rng.integers(n))] = pts[int(rng.integers(n))]
+    return pts
+
+
+def test_exact_value_matches_fraction_oracle():
+    rng = np.random.default_rng(17)
+    for kind in ("float", "fraction", "int", "numpy", "mixed"):
+        for _ in range(8):
+            pts = mixed_points(rng, kind, int(rng.integers(1, 31)))
+            rep = exact_discrepancy(pts)
+            assert rep.exact_value == fraction_oracle(pts), (kind, pts)
+            assert rep.exact_discrepancy == float(rep.exact_value)
+            # the closed witness attains the value exactly
+            iv = rep.witness_interval
+            inside = sum(iv.contains(x) for x in pts)
+            assert Fraction(inside, len(pts)) - iv.length == rep.exact_value
 
 
 def test_discrepancy_examples():
@@ -163,7 +235,10 @@ def test_grid_discrepancy_estimator_brackets_exact():
 
 def test_discrepancy_report_validation():
     with pytest.raises(ValueError):
-        DiscrepancyReport(4, 0.01, TorusInterval(0.0, 0.5))
+        DiscrepancyReport(4, Fraction(1, 100), TorusInterval(0.0, 0.5))
+    with pytest.raises(ValueError):
+        DiscrepancyReport(4, Fraction(101, 100), TorusInterval(0.0, 0.5))
+    DiscrepancyReport(4, Fraction(1, 8), TorusInterval(0.0, 0.5))
 
 
 # ---------------------------------------------------------------------------
