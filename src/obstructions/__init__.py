@@ -34,7 +34,6 @@ from .annuli import (
     AnnulusSpec,
     DensityReport,
     NoCopyReport,
-    Placement,
     ReductionCertificate,
     density,
     member,
@@ -46,7 +45,6 @@ from .annuli import (
 )
 from .lpgeom import (
     ClarksonResult,
-    Configuration,
     CoordSumBand,
     CopyCheckReport,
     LineCopy,
@@ -58,5 +56,4 @@ from .lpgeom import (
     lp_norm,
     recover_line,
     sign_axis_deduction,
-    triangle_defect,
 )

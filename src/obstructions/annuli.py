@@ -292,7 +292,7 @@ def density(spec: AnnulusSpec, R: float, method: str = "monte-carlo",
 
 
 # ---------------------------------------------------------------------------
-# Placements and the binomial reduction
+# Dilated copies and the binomial reduction
 
 
 def sample_lp_sphere(rng: np.random.Generator, count: int, d: int, p: float) -> np.ndarray:
@@ -311,35 +311,11 @@ def sample_lp_sphere(rng: np.random.Generator, count: int, d: int, p: float) -> 
     return w / norms[:, None]
 
 
-@dataclass(frozen=True)
-class Placement:
-    """A candidate dilated copy: base point, unit direction, scale index."""
-
-    x: tuple
-    v: tuple
-    scale_index: int
-    scale: float
-
-    def __post_init__(self):
-        if self.scale_index < 1:
-            raise ValueError("scale index must be >= 1")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
-        object.__setattr__(self, "x", tuple(float(c) for c in self.x))
-        object.__setattr__(self, "v", tuple(float(c) for c in self.v))
-
-    @classmethod
-    def at(cls, x, v, j: int, leading: float, exponent: int) -> "Placement":
-        """Placement at scale r_j = (leading + j)^(1/p), with v renormalized."""
-        if float(leading) + j <= 0:
-            raise ValueError("need leading + j > 0")
-        v = np.asarray(v, dtype=float)
-        norm = float((np.abs(v) ** exponent).sum() ** (1.0 / exponent))
-        if abs(norm - 1.0) > 1e-6:
-            raise ValueError(f"direction norm {norm} too far from 1")
-        v = v / norm
-        r = (float(leading) + j) ** (1.0 / exponent)
-        return cls(tuple(np.asarray(x, dtype=float)), tuple(v), j, r)
+def _scale(leading: Fraction, j: int, p: int) -> float:
+    """The dilation scale r_j = (leading + j)^(1/p) of scale index j."""
+    if float(leading) + j <= 0:
+        raise ValueError(f"scale index {j} leaves leading + j <= 0")
+    return (float(leading) + j) ** (1.0 / p)
 
 
 @dataclass(frozen=True)
@@ -388,25 +364,26 @@ def reduction_coefficients(x: np.ndarray, v: np.ndarray, r: float,
     return coeffs, leading, signs
 
 
-def reduce_to_polynomial(spec: AnnulusSpec, pattern: Pattern,
-                         placement: Placement, leading: Fraction):
+def reduce_to_polynomial(spec: AnnulusSpec, pattern: Pattern, x, v, j: int,
+                         leading: Fraction):
     """Polynomial whose values mod 1 reproduce the set's defining function
-    along the copy {x + r k v : k in pattern}, after dropping the constant
-    term and the integer multiple of k^p.
+    along the copy {x + r_j k v : k in pattern}, r_j = (leading + j)^(1/p),
+    after dropping the constant term and the integer multiple of k^p.
 
     Returns (PolySeqSpec, ReductionCertificate); the certificate records the
-    leading-coefficient identity r^p |v|_p^p = leading + j and a direct
+    leading-coefficient identity r_j^p |v|_p^p = leading + j and a direct
     evaluation residual over sample indices.
     """
     p = spec.exponent
-    x = np.asarray(placement.x, dtype=float)
-    v = np.asarray(placement.v, dtype=float)
+    r = _scale(leading, j, p)
+    x = np.asarray(x, dtype=float)
+    v = np.asarray(v, dtype=float)
     norm = float((np.abs(v) ** p).sum() ** (1.0 / p))
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"direction is not l^p-unit: norm residual {norm - 1.0}")
-    coeffs, lead_val, sgn = reduction_coefficients(x, v, placement.scale, p)
+    coeffs, lead_val, sgn = reduction_coefficients(x, v, r, p)
     coeffs, signs = tuple(float(c) for c in coeffs), tuple(int(s) for s in sgn)
-    target = float(leading) + placement.scale_index
+    target = float(leading) + j
 
     ks = list(pattern.indices)
     if len(ks) > 64:
@@ -414,7 +391,7 @@ def reduce_to_polynomial(spec: AnnulusSpec, pattern: Pattern,
         ks = ks[::step] + [pattern.indices[-1]]
     worst = 0.0
     for k in ks:
-        y = x + placement.scale * k * v
+        y = x + r * k * v
         direct = float((sgn * y ** p).sum())
         horner = lead_val
         for l in range(p - 1, -1, -1):
@@ -507,9 +484,7 @@ def no_copy_check(spec: AnnulusSpec, pattern: Pattern, leading: Fraction,
     per_scale = []
     mismatches = 0
     for j, child in zip(j_list, children):
-        if float(leading) + j <= 0:
-            raise ValueError(f"scale index {j} leaves leading + j <= 0")
-        r = (float(leading) + j) ** (1.0 / p)
+        r = _scale(leading, j, p)
         rng = np.random.default_rng(child)
         L = _BOX_SCALE * r
         xs = (rng.random((placements_per_scale, d)) - 0.5) * 2 * L

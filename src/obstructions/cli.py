@@ -15,6 +15,7 @@ the report), 2 usage or budget error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import math
@@ -140,8 +141,21 @@ def _finite_float(token: str) -> float:
     return value
 
 
+def _annulus_spec(*sources) -> AnnulusSpec:
+    """AnnulusSpec(d, p, epsilon) from three (source, value) pairs; a refused
+    value is reported with the flag or pattern-file key it came from."""
+    try:
+        return AnnulusSpec(*(value for _, value in sources))
+    except ValueError as exc:
+        # AnnulusSpec's messages open with the name of the refused field
+        fields = [f.name for f in dataclasses.fields(AnnulusSpec)]
+        source = sources[fields.index(str(exc).split()[0])][0]
+        raise ValueError(f"{source}: {exc}") from None
+
+
 def _apply_config_file(parser: argparse.ArgumentParser, argv):
-    """Plain key=value config files mirroring the long flags."""
+    """Plain config files mirroring the long flags: a ``key = value`` line
+    sets a flag, a bare ``key`` line turns a switch on."""
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
@@ -155,8 +169,10 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, value = line.partition("=")
-            extra += [f"--{key.strip()}", value.strip()]
+            key, eq, value = line.partition("=")
+            extra.append(f"--{key.strip()}")
+            if eq:
+                extra.append(value.strip())
     # command-line flags win: config-derived flags go first
     return rest[:1] + extra + rest[1:]
 
@@ -262,7 +278,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_density(args) -> int:
     t0 = time.perf_counter()
-    spec = AnnulusSpec(args.d, args.p, args.epsilon)
+    spec = _annulus_spec(("--d", args.d), ("--p", args.p), ("--epsilon", args.epsilon))
+    if args.R < 1:
+        raise ValueError(f"--R must be >= 1, got {args.R}")
     rep = density(spec, args.R, method=args.method, seed=args.seed,
                   samples=args.samples)
     config = {"d": args.d, "p": args.p, "epsilon": args.epsilon, "R": args.R,
@@ -275,10 +293,13 @@ def _cmd_density(args) -> int:
 def _cmd_nocopy(args) -> int:
     t0 = time.perf_counter()
     pattern, degree, leading, eps_file = _read_pattern_file(args.pattern)
-    epsilon = args.epsilon if args.epsilon is not None else eps_file
+    eps_source, epsilon = "--epsilon", args.epsilon
+    if epsilon is None:
+        eps_source, epsilon = f"--pattern {args.pattern}: 'epsilon_verified'", eps_file
     if epsilon is None:
         raise ValueError("no epsilon given and none recorded in the pattern file")
-    spec = AnnulusSpec(args.d, degree, float(epsilon))
+    spec = _annulus_spec(("--d", args.d), (f"--pattern {args.pattern}: 'p'", degree),
+                         (eps_source, float(epsilon)))
     try:
         j_list = [int(tok) for tok in args.j_list.split(",")]
     except ValueError:
@@ -286,7 +307,7 @@ def _cmd_nocopy(args) -> int:
                          "list of integers") from None
     rep = no_copy_check(spec, pattern, leading, j_list, args.samples,
                         seed=args.seed, pattern_epsilon=eps_file)
-    config = {"pattern": args.pattern, "d": args.d, "epsilon": float(epsilon),
+    config = {"pattern": args.pattern, "d": args.d, "epsilon": spec.epsilon,
               "j_list": j_list, "samples": args.samples, "seed": args.seed}
     return _emit_report(args, "nocopy", config,
                         {"spec": spec.to_dict(), "nocopy": rep.to_dict()},
@@ -404,10 +425,7 @@ def _cmd_render(args) -> int:
     t0 = time.perf_counter()
     if args.R <= 0:
         raise ValueError("--R must be positive")
-    try:
-        spec = AnnulusSpec(2, 2, args.epsilon)
-    except ValueError as exc:
-        raise ValueError(f"--epsilon: {exc}") from None
+    spec = _annulus_spec(("d", 2), ("p", 2), ("--epsilon", args.epsilon))
     svg, shells = _render_svg(spec, args.R)
     _atomic_write(args.out, svg)
     config = {"epsilon": args.epsilon, "R": args.R, "out": args.out}

@@ -10,12 +10,18 @@ the deductions here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from .torus import max_circular_gap
+
 EQUALITY_TOL = 1e-12
 SUPPORT_TOL = 1e-9
+UNIT_TOL = 1e-9            # sign_axis_deduction: unit norms and diameters
+DISTANCE_TOL = 1e-9        # recover_line: pairwise distances, relative
+RECONSTRUCTION_TOL = 1e-8  # recover_line: reconstruction residual, relative
 
 
 def lp_norm(x, p: float) -> float:
@@ -27,13 +33,6 @@ def lp_norm(x, p: float) -> float:
     if top == 0.0:
         return 0.0
     return top * float(((v / top) ** p).sum() ** (1.0 / p))
-
-
-def triangle_defect(u, w, p: float) -> float:
-    """|u|_p + |w|_p - |u+w|_p; zero exactly for parallel same-direction pairs."""
-    u = np.asarray(u, dtype=float)
-    w = np.asarray(w, dtype=float)
-    return lp_norm(u, p) + lp_norm(w, p) - lp_norm(u + w, p)
 
 
 @dataclass(frozen=True)
@@ -50,7 +49,7 @@ class ClarksonResult:
                 "disjoint_support": self.disjoint_support}
 
 
-def clarkson_check(x, y, p: float, tol: float = EQUALITY_TOL) -> ClarksonResult:
+def clarkson_check(x, y, p: float) -> ClarksonResult:
     """Check |x+y|_p^p + |x-y|_p^p against 2(|x|_p^p + |y|_p^p).
 
     The sum dominates for p > 2 and is dominated for 1 < p < 2, with
@@ -65,31 +64,11 @@ def clarkson_check(x, y, p: float, tol: float = EQUALITY_TOL) -> ClarksonResult:
     yv = np.asarray(y, dtype=float)
     lhs = float((np.abs(xv + yv) ** p).sum() + (np.abs(xv - yv) ** p).sum())
     rhs = 2.0 * float((np.abs(xv) ** p).sum() + (np.abs(yv) ** p).sum())
-    slack = tol * (1.0 + abs(rhs))
+    slack = EQUALITY_TOL * (1.0 + abs(rhs))
     equality = abs(lhs - rhs) <= slack
     direction = lhs >= rhs - slack if p > 2 else lhs <= rhs + slack
     disjoint = not bool(((xv != 0) & (yv != 0)).any())
     return ClarksonResult(direction, equality, lhs, rhs, disjoint)
-
-
-@dataclass(frozen=True)
-class Configuration:
-    """A finite labelled point configuration."""
-
-    points: tuple
-    labels: tuple = ()
-
-    def __post_init__(self):
-        pts = tuple(tuple(float(c) for c in pt) for pt in self.points)
-        if len(set(pts)) != len(pts):
-            raise ValueError("configuration points must be pairwise distinct")
-        object.__setattr__(self, "points", pts)
-        if not self.labels:
-            object.__setattr__(self, "labels", tuple(str(i) for i in range(len(pts))))
-
-    @property
-    def n(self) -> int:
-        return len(self.points)
 
 
 @dataclass(frozen=True)
@@ -106,9 +85,8 @@ class LineCopy:
         return np.asarray(self.x) + self.r * t * np.asarray(self.v)
 
 
-def recover_line(points: Mapping[float, Sequence[float]], p: float, r: float,
-                 distance_tol: float = 1e-9,
-                 reconstruction_tol: float = 1e-8) -> LineCopy:
+def recover_line(points: Mapping[float, Sequence[float]], p: float,
+                 r: float) -> LineCopy:
     """Recover (x, v) from a scaled l^p-isometric copy of a set on the line.
 
     Input maps parameters t to points y_t with |y_s - y_t|_p = r|s - t|.
@@ -139,10 +117,10 @@ def recover_line(points: Mapping[float, Sequence[float]], p: float, r: float,
             err = abs(lp_norm(ys[s] - ys[t], p) - r * abs(s - t))
             if err > worst[0]:
                 worst = (err, (s, t))
-    if worst[0] > distance_tol * scale:
+    if worst[0] > DISTANCE_TOL * scale:
         raise ValueError(
             f"distance precondition violated at pair {worst[1]}: "
-            f"residual {worst[0]:.3e} exceeds {distance_tol * scale:.3e}; "
+            f"residual {worst[0]:.3e} exceeds {DISTANCE_TOL * scale:.3e}; "
             "input is not a scaled copy of a collinear set"
         )
 
@@ -152,10 +130,10 @@ def recover_line(points: Mapping[float, Sequence[float]], p: float, r: float,
     if abs(vnorm - 1.0) > 1e-9:
         raise ValueError(f"recovered direction norm {vnorm} is not 1")
     recon = max(lp_norm(ys[t] - (x + r * t * v), p) for t in params)
-    if recon > reconstruction_tol * scale:
+    if recon > RECONSTRUCTION_TOL * scale:
         raise ValueError(
             f"reconstruction residual {recon:.3e} exceeds "
-            f"{reconstruction_tol * scale:.3e}; input is near-degenerate"
+            f"{RECONSTRUCTION_TOL * scale:.3e}; input is near-degenerate"
         )
     return LineCopy(tuple(float(c) for c in x), tuple(float(c) for c in v),
                     r, tuple(params))
@@ -192,50 +170,38 @@ class CoordSumBand:
 def cross_configuration(d: int, n: int):
     """The n-point cross: {k e_1 : k = -1..n-2d} plus +-e_2..+-e_d.
 
-    Returns (Configuration, CoordSumBand) with epsilon = 1/(n - 2d + 2).
-    The axis progression has n - 2d + 2 points, the off-axis unit pairs
-    contribute 2(d - 1), totalling exactly n.
+    Returns (points, CoordSumBand) with epsilon = 1/(n - 2d + 2): points is
+    a tuple of n distinct d-tuples, as the axis progression has n - 2d + 2
+    points and the off-axis unit pairs contribute 2(d - 1).
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     if n < 2 * d + 1:
         raise ValueError(f"need n >= 2d + 1 = {2 * d + 1}")
     eps = 1.0 / (n - 2 * d + 2)
-    pts, labels = [], []
+    pts = []
     for k in range(-1, n - 2 * d + 1):
         e = [0.0] * d
         e[0] = float(k)
         pts.append(tuple(e))
-        labels.append(f"{k}*e1")
     for i in range(2, d + 1):
         for sign in (1.0, -1.0):
             e = [0.0] * d
             e[i - 1] = sign
             pts.append(tuple(e))
-            labels.append(f"{'+' if sign > 0 else '-'}e{i}")
-    config = Configuration(tuple(pts), tuple(labels))
-    assert config.n == n
-    return config, CoordSumBand(d, eps)
+    return tuple(pts), CoordSumBand(d, eps)
 
 
 def equally_spaced_obstruction(count: int) -> bool:
-    """No half-open interval of length 1 - 1/count holds all of {k/count}.
+    """No half-open arc of length 1 - 1/count holds all of {k/count}.
 
-    Exact integer check. The point count inside [a, a + (count-1)/count) is
-    ceil((a + L) * count) - ceil(a * count); the count is piecewise constant
-    in the offset a with breakpoints only at multiples of 1/(count), so the
-    offsets j/(2*count) cover every case. Working in half-units keeps all
-    arithmetic integral.
+    A set fits in a half-open arc of length L iff one of its circular gaps
+    exceeds 1 - L, so this is one exact max_circular_gap against 1/count.
     """
     if count < 2:
         raise ValueError("count must be >= 2")
-    c = count
-    for j in range(2 * c):
-        lo = (j + 1) // 2                    # ceil(j/2)
-        hi = (j + 2 * (c - 1) + 1) // 2      # ceil((j + 2(c-1))/2)
-        if hi - lo >= c:
-            return False
-    return True
+    gap = max_circular_gap([Fraction(k, count) for k in range(count)])
+    return gap <= Fraction(1, count)
 
 
 @dataclass(frozen=True)
@@ -262,16 +228,15 @@ class SignAxisResult:
         return d
 
 
-def _support(x: np.ndarray, tol: float) -> set:
-    return set(np.nonzero(np.abs(x) > tol)[0].tolist())
+def _support(x: np.ndarray) -> set:
+    return set(np.nonzero(np.abs(x) > SUPPORT_TOL)[0].tolist())
 
 
-def sign_axis_deduction(u, v_list, p: float, v_minus_list=None,
-                        tol: float = 1e-9) -> SignAxisResult:
+def sign_axis_deduction(u, v_list, p: float, v_minus_list=None) -> SignAxisResult:
     """Deduce that u is a signed standard basis vector.
 
     Hypotheses, checked in order with the first failure reported:
-      1. all inputs are l^p-unit (within tol);
+      1. all inputs are l^p-unit (within UNIT_TOL);
       2. if the antipodes v_i^- are supplied, |v_i^+ - v_i^-|_p = 2, which
          by strict convexity forces v_i^- = -v_i^+;
       3. |v_i - u|_p^p + |v_i + u|_p^p = 4 (Clarkson equality), forcing
@@ -294,7 +259,7 @@ def sign_axis_deduction(u, v_list, p: float, v_minus_list=None,
     for name, vec in vectors:
         res = abs(lp_norm(vec, p) - 1.0)
         residuals[f"unit:{name}"] = res
-        if res > tol:
+        if res > UNIT_TOL:
             return SignAxisResult("failed", failed_hypothesis="unit-norm",
                                   witness={"vector": name, "residual": res},
                                   residuals=residuals)
@@ -305,7 +270,7 @@ def sign_axis_deduction(u, v_list, p: float, v_minus_list=None,
             diam = abs(lp_norm(vp - vm, p) - 2.0)
             anti = lp_norm(vp + vm, p)
             residuals[f"antipodal:v{i+2}"] = anti
-            if diam > tol:
+            if diam > UNIT_TOL:
                 return SignAxisResult("failed", failed_hypothesis="diameter",
                                       witness={"pair": f"v{i+2}", "residual": diam},
                                       residuals=residuals)
@@ -325,7 +290,7 @@ def sign_axis_deduction(u, v_list, p: float, v_minus_list=None,
             return SignAxisResult("failed", failed_hypothesis="clarkson-equality",
                                   witness={"pair": (name_a, name_b), "lhs": lhs},
                                   residuals=residuals)
-        if _support(a, SUPPORT_TOL) & _support(b, SUPPORT_TOL):
+        if _support(a) & _support(b):
             return SignAxisResult("failed", failed_hypothesis="support-disjoint",
                                   witness={"pair": (name_a, name_b)},
                                   residuals=residuals)
@@ -333,7 +298,7 @@ def sign_axis_deduction(u, v_list, p: float, v_minus_list=None,
     if len(vs) != d - 1:
         return SignAxisResult("incomplete", residuals=residuals)
 
-    supports = [_support(vec, SUPPORT_TOL) for _, vec in vectors]
+    supports = [_support(vec) for _, vec in vectors]
     for name_vec, sup in zip(vectors, supports):
         if len(sup) != 1:
             return SignAxisResult("failed", failed_hypothesis="singleton-support",
@@ -379,7 +344,7 @@ def copy_sampler_check(d: int, n: int, j: int, placements: int,
     expected; epsilon=0 documents the sharpness (the set becomes everything
     and every placement fits).
     """
-    config, band = cross_configuration(d, n)
+    _, band = cross_configuration(d, n)
     eps = band.epsilon if epsilon is None else float(epsilon)
     r = j + eps
     ks = np.arange(-1, n - 2 * d + 1, dtype=float)

@@ -220,14 +220,10 @@ class NetSpec:
     """The integer grids net verification scans: grid i (the k^i coefficient)
     holds t * steps[i-1] / 2^scale_bits for t < sizes[i-1], so every
     coefficient in [0, 1) lies within meshes[i-1] above a grid point.
-    resolution_scale 1 is the recipe mesh epsilon / (100 * p * Q^i) (then
-    sum_i mesh_i * Q^i <= epsilon/100); smaller scales fit a cell budget.
     """
 
     degree: int
     universe: int
-    epsilon: float
-    resolution_scale: float
     scale_bits: int
     steps: tuple
 
@@ -247,12 +243,9 @@ class NetSpec:
         return {
             "degree": self.degree,
             "universe": self.universe,
-            "epsilon": self.epsilon,
-            "resolution_scale": self.resolution_scale,
             "meshes": list(self.meshes),
             "sizes": list(self.sizes),
             "total_cells": self.total_cells,
-            "full_resolution": self.resolution_scale == 1.0,
         }
 
 
@@ -282,14 +275,14 @@ def build_nets(degree: int, universe: int, epsilon: float,
                     f"kernel's resolution 2^-{s} for Q = {universe}; lower --net-cells"
                 )
             steps.append(step)
-        nets = NetSpec(degree, universe, epsilon, scale, s, tuple(steps))
+        nets = NetSpec(degree, universe, s, tuple(steps))
         if nets.total_cells <= max_cells:
             return nets
         scale *= 0.999
 
 
 def scale_for_budget(degree: int, universe: int, epsilon: float, max_cells: int) -> float:
-    """Largest resolution_scale (capped at 1) whose net fits in max_cells:
+    """Largest mesh scale (capped at 1) whose net fits in max_cells:
     grid i has about c_i * scale points, c_i = 100 * p * Q^i / epsilon, and at
     least one, so the grids that would shrink below one point drop out of
     prod_i c_i * scale = max_cells (less 0.1% per grid)."""

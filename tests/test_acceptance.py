@@ -414,8 +414,8 @@ def test_criterion_12_cross_suite():
     with Timer() as t:
         for d in range(1, 5):
             for n in range(2 * d + 1, 41):
-                config, band = ob.cross_configuration(d, n)
-                assert config.n == n
+                points, band = ob.cross_configuration(d, n)
+                assert len(set(points)) == len(points) == n
         for count in range(2, 1025):
             assert ob.equally_spaced_obstruction(count), count
         for d in (1, 2):

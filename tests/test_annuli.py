@@ -9,7 +9,6 @@ from obstructions import (
     AnnulusSpec,
     BudgetError,
     Pattern,
-    Placement,
     bertrand_prime,
     density,
     erdos_turan_bound,
@@ -277,21 +276,26 @@ def test_lp_sphere_unit_norms():
         assert np.allclose(norms, 1.0, atol=1e-12)
 
 
-def test_placement_renormalizes_or_rejects():
-    pl = Placement.at([0.0, 0.0], [0.6 + 1e-9, 0.8], 1, 0.5, 2)
-    assert (np.abs(np.array(pl.v)) ** 2).sum() == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        Placement.at([0.0, 0.0], [1.0, 1.0], 1, 0.5, 2)
-    with pytest.raises(ValueError):
-        Placement.at([0.0], [1.0], 1, -3.0, 2)
+def test_reduction_and_no_copy_share_the_scale_refusal():
+    # leading + j <= 0 has no real p-th root: both callers of the one scale
+    # rule refuse it with the same message
+    spec = AnnulusSpec(2, 2, 0.2)
+    pat = Pattern((0, 1))
+    for leading, j in ((Fraction(-3), 1), (Fraction(-1), 1), (Fraction(1, 2), -1)):
+        with pytest.raises(ValueError) as reduce_err:
+            reduce_to_polynomial(spec, pat, (0.0, 0.0), (1.0, 0.0), j, leading)
+        with pytest.raises(ValueError) as nocopy_err:
+            no_copy_check(spec, pat, leading, [j], 1)
+        assert str(reduce_err.value) == str(nocopy_err.value)
+        assert str(reduce_err.value) == f"scale index {j} leaves leading + j <= 0"
 
 
 def test_reduction_axis_direction_kills_cross_terms():
     pat = Pattern(tuple(range(5)))
     for p in (2, 4):
         spec = AnnulusSpec(3, p, 0.2)
-        pl = Placement.at([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], 2, 0.25, p)
-        poly, cert = reduce_to_polynomial(spec, pat, pl, Fraction(1, 4))
+        poly, cert = reduce_to_polynomial(spec, pat, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0),
+                                          2, Fraction(1, 4))
         assert all(abs(c) < 1e-12 for c in poly.lower)
         assert cert.leading_value == pytest.approx(2.25)
         assert cert.leading_residual < 1e-12
@@ -301,8 +305,8 @@ def test_reduction_orthogonal_example():
     # |x + 2k e_2|^2 with x = e_1: 1 + 4k^2 (orthogonal axes, no linear term)
     spec = AnnulusSpec(2, 2, 0.2)
     pat = Pattern((0, 1, 2, 3))
-    pl = Placement(x=(1.0, 0.0), v=(0.0, 1.0), scale_index=2, scale=2.0)
-    poly, cert = reduce_to_polynomial(spec, pat, pl, Fraction(2))
+    # r_2 = (2 + 2)^(1/2) = 2
+    poly, cert = reduce_to_polynomial(spec, pat, (1.0, 0.0), (0.0, 1.0), 2, Fraction(2))
     assert poly.lower[0] == pytest.approx(0.0)
     assert cert.leading_value == pytest.approx(4.0)
     assert cert.constant_term == pytest.approx(1.0)
@@ -312,8 +316,8 @@ def test_reduction_orthogonal_example():
 def test_reduction_known_coefficients():
     spec = AnnulusSpec(2, 2, 0.2)
     pat = Pattern((0, 1, 2, 3))
-    pl = Placement(x=(1.0, 1.0), v=(0.6, 0.8), scale_index=24, scale=5.0)
-    poly, cert = reduce_to_polynomial(spec, pat, pl, Fraction(1))
+    # r_24 = (1 + 24)^(1/2) = 5
+    poly, cert = reduce_to_polynomial(spec, pat, (1.0, 1.0), (0.6, 0.8), 24, Fraction(1))
     assert poly.lower[0] == pytest.approx(14.0)
     assert cert.leading_value == pytest.approx(25.0)
     assert cert.constant_term == pytest.approx(2.0)
@@ -332,17 +336,16 @@ def test_reduction_identity_random_even_and_odd():
             x = rng.normal(size=3) * 5
             v = sample_lp_sphere(rng, 1, 3, p)[0]
             r = float(rng.uniform(0.5, 8))
-            pl = Placement(x=tuple(x), v=tuple(v), scale_index=1, scale=r)
-            poly, cert = reduce_to_polynomial(spec, pat, pl, Fraction(1))
+            # r_1 = (leading + 1)^(1/p) is r up to rounding
+            poly, cert = reduce_to_polynomial(spec, pat, x, v, 1, Fraction(r ** p) - 1)
             assert cert.norm_residual < 1e-9
             assert cert.identity_residual < 1e-9
 
 
 def test_reduction_rejects_non_unit_direction():
     spec = AnnulusSpec(2, 2, 0.2)
-    pl = Placement(x=(0.0, 0.0), v=(1.0, 1.0), scale_index=1, scale=1.0)
     with pytest.raises(ValueError, match="unit"):
-        reduce_to_polynomial(spec, Pattern((0, 1)), pl, Fraction(1))
+        reduce_to_polynomial(spec, Pattern((0, 1)), (0.0, 0.0), (1.0, 1.0), 1, Fraction(1))
 
 
 # ---------------------------------------------------------------------------

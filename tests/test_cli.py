@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 from fractions import Fraction
 
 import pytest
@@ -307,6 +308,19 @@ def test_config_file_mirrors_flags(tmp_path):
     assert payload["config"]["samples"] == 20000
 
 
+def test_config_file_bare_key_sets_a_switch(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# switches have no value\ncalibrate\nretries = 2\n")
+    base = ["construct", "--mode", "thinned", "--n", "8", "--Q", "64",
+            "--samples", "50", "--pattern-out", str(tmp_path / "pat.json")]
+    code, flags = run([*base, "--calibrate", "--retries", "2"], tmp_path, "flags.json")
+    assert flags["config"]["calibrate"] and "calibration" in flags["reports"]
+    code_cfg, from_cfg = run([base[0], "--config", str(cfg), *base[1:]], tmp_path,
+                             "cfg.json")
+    assert code_cfg == code
+    assert payload_without_meta(from_cfg) == payload_without_meta(flags)
+
+
 def test_threads_env_variable(tmp_path, monkeypatch):
     monkeypatch.setenv("OBSTRUCTIONS_THREADS", "2")
     pat = tmp_path / "pat.json"
@@ -405,6 +419,18 @@ def _pattern_files(tmp_path):
     (["discrepancy", "--points", "@headercsv"], "--points"),
     (["render", "--epsilon", "1.5", "--R", "6", "--out", "@svg"], "--epsilon"),
     (["render", "--epsilon", "-3", "--R", "6", "--out", "@svg"], "--epsilon"),
+    (["density", "--d", "0", "--p", "2", "--epsilon", "0.1", "--R", "10"], "--d:"),
+    (["density", "--d", "2", "--p", "1", "--epsilon", "0.1", "--R", "10"], "--p:"),
+    (["density", "--d", "2", "--p", "2", "--epsilon", "1.5", "--R", "10"],
+     "--epsilon:"),
+    (["density", "--d", "2", "--p", "2", "--epsilon", "-0.1", "--R", "10"],
+     "--epsilon:"),
+    (["density", "--d", "2", "--p", "2", "--epsilon", "0.1", "--R", "0.5"], "--R"),
+    (["nocopy", "--pattern", "@pat2", "--d", "0", "--epsilon", "0.99"], "--d:"),
+    (["nocopy", "--pattern", "@pat2", "--epsilon", "1.5"], "--epsilon:"),
+    (["nocopy", "--pattern", "@patp1", "--epsilon", "0.99"], "--pattern @patp1: 'p'"),
+    (["nocopy", "--pattern", "@pateps"],
+     "--pattern @pateps: 'epsilon_verified'"),
 ], ids=["config-no-path", "A-zero-den", "B-zero-den", "pattern-no-indices",
         "density-zero-samples", "negative-threads", "net-cells-zero",
         "net-cells-negative", "epsilon-inf", "render-zero-R",
@@ -413,7 +439,10 @@ def _pattern_files(tmp_path):
         "calibrate-zero-samples", "B-huge-exponent", "A-nan", "points-junk-line",
         "points-nan-line", "A-zero", "N-negative", "M-zero", "points-empty",
         "points-header-only", "render-epsilon-above-one",
-        "render-epsilon-negative"])
+        "render-epsilon-negative", "density-d-zero", "density-p-one",
+        "density-epsilon-above-one", "density-epsilon-negative", "density-R-below-one",
+        "nocopy-d-zero", "nocopy-epsilon-above-one", "nocopy-pattern-p-one",
+        "nocopy-pattern-epsilon-above-one"])
 def test_bad_input_exits_2_naming_the_flag(tmp_path, capsys, monkeypatch, argv, flag):
     monkeypatch.delenv("OBSTRUCTIONS_THREADS", raising=False)
     files = {**_pattern_files(tmp_path), "svg": str(tmp_path / "f.svg"),
@@ -422,8 +451,14 @@ def test_bad_input_exits_2_naming_the_flag(tmp_path, capsys, monkeypatch, argv, 
                        ("emptycsv", ""), ("headercsv", "value\n\n")):
         (tmp_path / f"{name}.csv").write_text(text)
         files[name] = str(tmp_path / f"{name}.csv")
+    for name, key, value in (("patp1", "p", 1), ("pateps", "epsilon_verified", 1.5)):
+        doc = json.loads((tmp_path / "pat2.json").read_text())
+        doc[key] = value
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        files[name] = str(tmp_path / f"{name}.json")
     capsys.readouterr()
     argv = [files[tok[1:]] if tok.startswith("@") else tok for tok in argv]
+    flag = re.sub(r"@(\w+)", lambda m: files[m.group(1)], flag)
     assert main([argv[0], "-o", str(tmp_path / "r.json"), *argv[1:]]) == 2
     assert flag in capsys.readouterr().err
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obstructions import (
-    Configuration,
     clarkson_check,
     copy_sampler_check,
     cross_configuration,
@@ -15,7 +14,6 @@ from obstructions import (
     recover_line,
     sample_lp_sphere,
     sign_axis_deduction,
-    triangle_defect,
 )
 
 
@@ -35,13 +33,16 @@ def test_lp_norm_overflow_safe():
 
 
 def test_triangle_strict_convexity():
+    def defect(u, w, p):  # |u|_p + |w|_p - |u+w|_p
+        return lp_norm(u, p) + lp_norm(w, p) - lp_norm(u + w, p)
+
     rng = np.random.default_rng(1)
     for p in (1.5, 2, 3, 7):
         u = rng.normal(size=4)
-        assert triangle_defect(u, 2.5 * u, p) == pytest.approx(0.0, abs=1e-12)
+        assert defect(u, 2.5 * u, p) == pytest.approx(0.0, abs=1e-12)
         w = rng.normal(size=4)
         if lp_norm(np.cross(u[:3], w[:3]), 2) > 1e-6:  # generically non-parallel
-            assert triangle_defect(u, w, p) > 0
+            assert defect(u, w, p) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -134,24 +135,25 @@ def test_recover_line_round_trips(p, d):
 
 
 def test_cross_configuration_example_d2_n8():
-    config, band = cross_configuration(2, 8)
+    points, band = cross_configuration(2, 8)
     expected = {(-1.0, 0.0), (0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0),
                 (4.0, 0.0), (0.0, 1.0), (0.0, -1.0)}
-    assert set(config.points) == expected
+    assert len(points) == 8 and set(points) == expected
     assert band.epsilon == pytest.approx(1 / 6)
 
 
 def test_cross_configuration_d1():
-    config, band = cross_configuration(1, 3)
-    assert set(config.points) == {(-1.0,), (0.0,), (1.0,)}
+    points, band = cross_configuration(1, 3)
+    assert len(points) == 3 and set(points) == {(-1.0,), (0.0,), (1.0,)}
     assert band.epsilon == pytest.approx(1 / 3)
 
 
 def test_cross_configuration_cardinality_sweep():
     for d in range(1, 5):
         for n in range(2 * d + 1, 41):
-            config, band = cross_configuration(d, n)
-            assert config.n == n
+            points, band = cross_configuration(d, n)
+            assert len(set(points)) == len(points) == n
+            assert all(len(pt) == d for pt in points)
             assert band.scale(3) == pytest.approx(3 + band.epsilon)
     with pytest.raises(ValueError):
         cross_configuration(2, 4)
@@ -265,19 +267,10 @@ def test_copy_check_report_dict():
     assert d["pass"] and d["placements"] == 100
 
 
-# ---------------------------------------------------------------------------
-# configuration plumbing
-
-
-def test_configuration_rejects_duplicates():
-    with pytest.raises(ValueError):
-        Configuration(((0.0, 0.0), (0.0, 0.0)))
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=25))
 def test_cross_configuration_counts(d, extra):
     n = 2 * d + 1 + extra
-    config, band = cross_configuration(d, n)
-    assert config.n == n
+    points, band = cross_configuration(d, n)
+    assert len(set(points)) == len(points) == n
     assert band.epsilon == pytest.approx(1.0 / (n - 2 * d + 2))

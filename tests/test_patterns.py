@@ -189,7 +189,9 @@ def test_build_nets_formula():
     assert nets.meshes == (nets.steps[0] / 2 ** nets.scale_bits,)
     assert 0.1 / 20_000 - 2 ** -nets.scale_bits < nets.meshes[0] <= 0.1 / 20_000
     assert nets.sizes == (-(-2 ** nets.scale_bits // nets.steps[0]),) == (200_001,)
-    assert nets.to_dict()["full_resolution"]
+    # the payload is the scanned grid and nothing else
+    assert set(nets.to_dict()) == {"degree", "universe", "meshes", "sizes",
+                                   "total_cells"}
 
 
 def test_build_nets_degree_one_is_empty():
@@ -233,7 +235,8 @@ def test_scale_for_budget():
     q = 1048583
     scale = scale_for_budget(2, q, 0.5, 10 ** 7)
     nets = build_nets(2, q, 0.5, max_cells=10 ** 7)
-    assert nets.resolution_scale == scale
+    # the net realises the recipe mesh coarsened by exactly that scale
+    assert nets.steps == (int(0.5 / (100 * 2 * q) / scale * 2 ** nets.scale_bits),)
     assert nets.total_cells <= 10 ** 7
     assert scale_for_budget(2, 16, 0.5, 10 ** 7) == 1.0
     # at Q = 16,777,259 the k^1 grid clamps to one point, so the k^2 grid
