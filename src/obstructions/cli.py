@@ -134,6 +134,17 @@ def _threads(args) -> int:
     return threads
 
 
+def _epsilon(args, eps_file):
+    """(source, value) of epsilon: --epsilon, else the pattern file's
+    'epsilon_verified'; refused when both are missing."""
+    if args.epsilon is not None:
+        return "--epsilon", args.epsilon
+    key = f"--pattern {args.pattern}: 'epsilon_verified'"
+    if eps_file is None:
+        raise ValueError(f"--epsilon: not given, and {key} is null")
+    return key, eps_file
+
+
 def _finite_float(token: str) -> float:
     value = float(token)
     if not math.isfinite(value):
@@ -189,6 +200,7 @@ def _scan_counters(cells: int, n: int, seconds: float) -> dict:
 
 def _cmd_construct(args) -> int:
     t0 = time.perf_counter()
+    threads = _threads(args)
     if args.mode == "elementary":
         if args.calibrate:
             raise ValueError("--calibrate applies to thinned patterns only")
@@ -211,7 +223,7 @@ def _cmd_construct(args) -> int:
         cal = calibrate_sampled(
             pattern.n, degree, pattern.universe, seed=args.seed,
             n_samples=args.samples, retries=args.retries,
-            epsilon_target=args.target_epsilon, threads=args.threads,
+            epsilon_target=args.target_epsilon, threads=threads,
         )
         pattern = cal.pattern
         epsilon_verified = cal.epsilon_min
@@ -222,7 +234,7 @@ def _cmd_construct(args) -> int:
     elif args.epsilon is not None:
         rep = verify_hitting_sampled(
             pattern, leading, degree, args.epsilon,
-            n_samples=args.samples, seed=args.seed, threads=args.threads,
+            n_samples=args.samples, seed=args.seed, threads=threads,
         )
         reports["hitting"] = rep.to_dict()
         epsilon_verified = args.epsilon if rep.passed else None
@@ -244,11 +256,9 @@ def _cmd_construct(args) -> int:
 
 def _cmd_verify(args) -> int:
     t0 = time.perf_counter()
+    threads = _threads(args)
     pattern, degree, leading, eps_file = _read_pattern_file(args.pattern)
-    epsilon = args.epsilon if args.epsilon is not None else eps_file
-    if epsilon is None:
-        raise ValueError("no epsilon given and none recorded in the pattern file")
-    threads = args.threads
+    _, epsilon = _epsilon(args, eps_file)
     if args.method == "net":
         nets = build_nets(degree, pattern.universe,
                           float(epsilon) if epsilon != "auto" else 0.5,
@@ -293,11 +303,7 @@ def _cmd_density(args) -> int:
 def _cmd_nocopy(args) -> int:
     t0 = time.perf_counter()
     pattern, degree, leading, eps_file = _read_pattern_file(args.pattern)
-    eps_source, epsilon = "--epsilon", args.epsilon
-    if epsilon is None:
-        eps_source, epsilon = f"--pattern {args.pattern}: 'epsilon_verified'", eps_file
-    if epsilon is None:
-        raise ValueError("no epsilon given and none recorded in the pattern file")
+    eps_source, epsilon = _epsilon(args, eps_file)
     spec = _annulus_spec(("--d", args.d), (f"--pattern {args.pattern}: 'p'", degree),
                          (eps_source, float(epsilon)))
     try:
@@ -444,10 +450,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
+    def common(p, threads=False):
         p.add_argument("-o", "--output", help="write the JSON report here")
-        p.add_argument("--threads", type=int, default=None,
-                       help=f"worker threads (default ${THREADS_ENV} or 1)")
+        if threads:
+            p.add_argument("--threads", type=int, default=None,
+                           help=f"worker threads (default ${THREADS_ENV} or 1)")
 
     p = sub.add_parser("construct", help="build a pattern file")
     p.add_argument("--mode", choices=("thinned", "elementary"), required=True)
@@ -464,7 +471,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--retries", type=int, default=1)
     p.add_argument("--target-epsilon", type=_finite_float, default=None)
     p.add_argument("--pattern-out", required=True)
-    common(p)
+    common(p, threads=True)
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("verify", help="verify the hitting property")
@@ -476,7 +483,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--net-cells", type=int, default=NET_CELL_BUDGET,
                    help="net cell budget; the grids coarsen to fit it")
-    common(p)
+    common(p, threads=True)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("density", help="volume fraction of the obstruction set")
@@ -539,7 +546,6 @@ def main(argv=None) -> int:
             except ValueError:
                 parser.error(f"argument --epsilon: expected a finite number or "
                              f"'auto', got {args.epsilon!r}")
-        args.threads = _threads(args)
         return args.func(args)
     except SystemExit as exc:  # argparse usage errors and --help/--version
         return int(exc.code or 0)

@@ -19,7 +19,8 @@ from .torus import max_circular_gap
 
 EQUALITY_TOL = 1e-12
 SUPPORT_TOL = 1e-9
-UNIT_TOL = 1e-9            # sign_axis_deduction: unit norms and diameters
+UNIT_TOL = 1e-9            # unit norms and diameters; recover_line's direction
+RESIDUAL_TOL = 1e-6        # sign_axis_deduction: antipodal and Clarkson residuals
 DISTANCE_TOL = 1e-9        # recover_line: pairwise distances, relative
 RECONSTRUCTION_TOL = 1e-8  # recover_line: reconstruction residual, relative
 
@@ -127,7 +128,7 @@ def recover_line(points: Mapping[float, Sequence[float]], p: float,
     v = (ys[b] - ys[a]) / span
     x = ys[a] - r * a * v
     vnorm = lp_norm(v, p)
-    if abs(vnorm - 1.0) > 1e-9:
+    if abs(vnorm - 1.0) > UNIT_TOL:
         raise ValueError(f"recovered direction norm {vnorm} is not 1")
     recon = max(lp_norm(ys[t] - (x + r * t * v), p) for t in params)
     if recon > RECONSTRUCTION_TOL * scale:
@@ -274,7 +275,7 @@ def sign_axis_deduction(u, v_list, p: float, v_minus_list=None) -> SignAxisResul
                 return SignAxisResult("failed", failed_hypothesis="diameter",
                                       witness={"pair": f"v{i+2}", "residual": diam},
                                       residuals=residuals)
-            if anti > 1e-6:
+            if anti > RESIDUAL_TOL:
                 return SignAxisResult("failed", failed_hypothesis="antipodal",
                                       witness={"pair": f"v{i+2}", "residual": anti},
                                       residuals=residuals)
@@ -286,7 +287,7 @@ def sign_axis_deduction(u, v_list, p: float, v_minus_list=None) -> SignAxisResul
         lhs = float((np.abs(a - b) ** p).sum() + (np.abs(a + b) ** p).sum())
         res = abs(lhs - 4.0)
         residuals[f"clarkson:{name_a},{name_b}"] = res
-        if res > 1e-6:
+        if res > RESIDUAL_TOL:
             return SignAxisResult("failed", failed_hypothesis="clarkson-equality",
                                   witness={"pair": (name_a, name_b), "lhs": lhs},
                                   residuals=residuals)

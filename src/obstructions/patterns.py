@@ -15,12 +15,11 @@ vectorized integer arithmetic with no rounding anywhere.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -427,6 +426,18 @@ def _rank(found):
     return gap, tuple(-x for x in coeffs)
 
 
+def _scan(pattern: Pattern, leading: Fraction, degree: int, blocks,
+          threads: int) -> dict:
+    """The one exact scan: builds the kernel for the pattern, scans the
+    coefficient blocks that ``blocks(kernel)`` yields, and returns the
+    witness as HittingReport fields."""
+    kernel = _ExactKernel(pattern, leading, degree)
+    best_gap, best_u, tested = _scan_blocks(kernel, blocks(kernel), threads)
+    return dict(tested=tested, worst_gap_exact=(best_gap, kernel.denominator),
+                worst_coeffs_exact=tuple((u, kernel.s) for u in best_u),
+                pattern_n=pattern.n, universe=pattern.universe, degree=degree)
+
+
 @dataclass(frozen=True)
 class HittingReport:
     """Outcome of a hitting verification run; pass iff worst gap <= epsilon
@@ -435,39 +446,37 @@ class HittingReport:
     mode: str                       # "net" or "sampled"
     epsilon: float
     passed: bool
-    worst_gap: float
     tested: int
-    worst_coeffs: tuple = ()
-    worst_gap_exact: Optional[tuple] = None      # (num, den)
-    worst_coeffs_exact: Optional[tuple] = None   # ((num, scale_bits), ...)
+    worst_gap_exact: tuple          # (num, den)
+    worst_coeffs_exact: tuple       # ((num, scale_bits), ...)
+    pattern_n: int
+    universe: int
+    degree: int
     slack: float = 0.0
     epsilon_guaranteed: Optional[float] = None
     seed: Optional[int] = None
-    pattern_n: Optional[int] = None
-    universe: Optional[int] = None
-    degree: Optional[int] = None
+
+    @property
+    def worst_gap(self) -> float:
+        """The exact worst gap, rounded once (int / int is correctly rounded)."""
+        num, den = self.worst_gap_exact
+        return num / den
+
+    @property
+    def worst_coeffs(self) -> tuple:
+        return tuple(u / (1 << s) for u, s in self.worst_coeffs_exact)
 
     def to_dict(self) -> dict:
-        d = {
-            "mode": self.mode,
-            "epsilon": self.epsilon,
-            "pass": self.passed,
-            "worst_gap": self.worst_gap,
-            "tested": self.tested,
-            "worst_coeffs": list(self.worst_coeffs),
-        }
-        if self.worst_gap_exact is not None:
-            d["worst_gap_exact"] = {"num": self.worst_gap_exact[0],
-                                    "den": self.worst_gap_exact[1]}
-        if self.worst_coeffs_exact is not None:
-            d["worst_coeffs_exact"] = [
-                {"num": num, "scale_bits": s} for num, s in self.worst_coeffs_exact
-            ]
-        for key in ("slack", "epsilon_guaranteed", "seed", "pattern_n",
-                    "universe", "degree"):
-            v = getattr(self, key)
-            if v is not None:
-                d[key] = v
+        """Every set field, ``passed`` as "pass", with the rounded witness
+        added and the exact pairs spelled out."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)
+             if getattr(self, f.name) is not None}
+        num, den = self.worst_gap_exact
+        d.update({"pass": d.pop("passed"), "worst_gap": self.worst_gap,
+                  "worst_coeffs": list(self.worst_coeffs),
+                  "worst_gap_exact": {"num": num, "den": den},
+                  "worst_coeffs_exact": [{"num": u, "scale_bits": s}
+                                         for u, s in self.worst_coeffs_exact]})
         return d
 
 
@@ -490,67 +499,45 @@ def verify_hitting_net(pattern: Pattern, leading: Fraction, degree: int,
     if pattern.universe == 0 or leading != Fraction(1, pattern.universe):
         raise ValueError("net verification expects leading = 1/universe "
                          "with the pattern confined to {0..universe-1}")
-    kernel = _ExactKernel(pattern, leading, degree)
-    if (nets.degree, nets.universe, nets.scale_bits) != (degree, pattern.universe, kernel.s):
+    # the kernel's denominator is b = universe, so its fixed-point bits are these
+    s = _scale_bits(pattern.universe)
+    if (nets.degree, nets.universe, nets.scale_bits) != (degree, pattern.universe, s):
         raise ValueError("net spec does not match the pattern")
-    s = kernel.s
-    dims = degree - 1
-    ws, counts = nets.steps, nets.sizes
+    dims, ws, sizes, cells = degree - 1, nets.steps, nets.sizes, nets.total_cells
 
     slack = 2 * sum(Fraction(w, 1 << s) * pattern.universe ** (i + 1)
                     for i, w in enumerate(ws))
 
-    def blocks():
-        if dims == 0:
-            yield np.zeros((1, 0), dtype=np.uint64)
-            return
-        inner = int(np.argmax(counts))
-        outer_dims = [d for d in range(dims) if d != inner]
-        step = np.uint64(ws[inner])
+    def blocks(kernel):
+        # cell c is a mixed-radix number over sizes, the last grid fastest;
+        # each digit t_i gives the coefficient t_i * ws[i]
+        for lo in range(0, cells, kernel.rows):
+            c = np.arange(lo, min(lo + kernel.rows, cells), dtype=np.uint64)
+            u = np.empty((len(c), dims), dtype=np.uint64)
+            for d in range(dims - 1, 0, -1):
+                c, t = np.divmod(c, np.uint64(sizes[d]))
+                np.multiply(t, np.uint64(ws[d]), out=u[:, d])
+            if dims:
+                np.multiply(c, np.uint64(ws[0]), out=u[:, 0])
+            yield u
 
-        def emit(prefix):
-            for lo in range(0, counts[inner], kernel.rows):
-                hi = min(lo + kernel.rows, counts[inner])
-                u = np.empty((hi - lo, dims), dtype=np.uint64)
-                np.multiply(np.arange(lo, hi, dtype=np.uint64), step, out=u[:, inner])
-                for d, t in zip(outer_dims, prefix):
-                    u[:, d] = np.uint64(t * ws[d])
-                yield u
-
-        if not outer_dims:
-            yield from emit(())
-        else:
-            for prefix in itertools.product(*(range(counts[d]) for d in outer_dims)):
-                yield from emit(prefix)
-
-    best_gap, best_u, tested = _scan_blocks(kernel, blocks(), threads)
-    gap_frac = Fraction(best_gap, kernel.denominator)
+    found = _scan(pattern, leading, degree, blocks, threads)
+    gap = Fraction(*found["worst_gap_exact"])
     # lengths above 1 are meaningless on the circle; a clamped guarantee of
     # 1 means the net was too coarse to certify anything
-    guaranteed = min(gap_frac + slack, Fraction(1))
+    guaranteed = min(gap + slack, Fraction(1))
 
     if epsilon == "auto":
-        eps_frac = min((gap_frac + slack) * Fraction(10, 9), Fraction(1))
-        epsilon_val = float(eps_frac)
+        eps = min(guaranteed * Fraction(10, 9), Fraction(1))
     else:
-        epsilon_val = float(epsilon)
-        eps_frac = Fraction(epsilon_val)
-    passed = gap_frac <= Fraction(9, 10) * eps_frac - slack
-
+        eps = Fraction(float(epsilon))
     return HittingReport(
         mode="net",
-        epsilon=epsilon_val,
-        passed=bool(passed),
-        worst_gap=float(gap_frac),
-        tested=tested,
-        worst_coeffs=tuple(u / (1 << s) for u in best_u),
-        worst_gap_exact=(best_gap, kernel.denominator),
-        worst_coeffs_exact=tuple((u, s) for u in best_u),
+        epsilon=float(eps),
+        passed=gap <= Fraction(9, 10) * eps - slack,
         slack=float(slack),
         epsilon_guaranteed=float(guaranteed),
-        pattern_n=pattern.n,
-        universe=pattern.universe,
-        degree=degree,
+        **found,
     )
 
 
@@ -565,34 +552,20 @@ def verify_hitting_sampled(pattern: Pattern, leading: Fraction, degree: int,
     """
     if n_samples < 1:
         raise ValueError(f"samples (--samples) must be >= 1, got {n_samples}")
-    dims = degree - 1
     rng = np.random.default_rng(seed)
 
-    kernel = _ExactKernel(pattern, leading, degree)
-    s = kernel.s
+    def blocks(kernel):
+        for lo in range(0, n_samples, kernel.rows):
+            yield rng.integers(0, 1 << kernel.s, dtype=np.uint64,
+                               size=(min(kernel.rows, n_samples - lo), degree - 1))
 
-    def blocks():
-        remaining = n_samples
-        while remaining > 0:
-            take = min(kernel.rows, remaining)
-            yield rng.integers(0, 1 << s, size=(take, dims), dtype=np.uint64)
-            remaining -= take
-
-    best_gap, best_u, tested = _scan_blocks(kernel, blocks(), threads)
-    gap_frac = Fraction(best_gap, kernel.denominator)
+    found = _scan(pattern, leading, degree, blocks, threads)
     return HittingReport(
         mode="sampled",
         epsilon=float(epsilon),
-        passed=bool(gap_frac <= Fraction(float(epsilon))),
-        worst_gap=float(gap_frac),
-        tested=tested,
-        worst_coeffs=tuple(u / (1 << s) for u in best_u),
-        worst_gap_exact=(best_gap, kernel.denominator),
-        worst_coeffs_exact=tuple((u, s) for u in best_u),
+        passed=Fraction(*found["worst_gap_exact"]) <= Fraction(float(epsilon)),
         seed=seed,
-        pattern_n=pattern.n,
-        universe=pattern.universe,
-        degree=degree,
+        **found,
     )
 
 
@@ -638,18 +611,32 @@ def _sample_seed(pattern_seed: int) -> int:
     return (pattern_seed * 0x9E3779B97F4A7C15 + 0x5EED) % (1 << 63)
 
 
+def _reaches(report: HittingReport, target: Optional[float]) -> bool:
+    """Whether a target is set and the exact worst gap is at most it."""
+    return target is not None and Fraction(*report.worst_gap_exact) <= Fraction(target)
+
+
 @dataclass(frozen=True)
 class CalibrationResult:
     """Smallest epsilon passing sampled verification, with the retry log."""
 
-    achieved: bool
     target: Optional[float]
-    epsilon_min: float
     pattern: Pattern
     pattern_seed: int
-    n_samples: int
     attempts: tuple  # of (seed, worst_gap)
-    report: HittingReport
+    report: HittingReport  # the best attempt's
+
+    @property
+    def achieved(self) -> bool:
+        return self.target is None or _reaches(self.report, self.target)
+
+    @property
+    def epsilon_min(self) -> float:
+        return self.report.worst_gap
+
+    @property
+    def n_samples(self) -> int:
+        return self.report.tested
 
     def to_dict(self) -> dict:
         return {
@@ -678,34 +665,22 @@ def calibrate_sampled(n: int, degree: int, universe: int, seed: int = 0,
     if retries < 1:
         raise ValueError(f"retries (--retries) must be >= 1, got {retries}")
     leading = Fraction(1, universe)
-    target = None if epsilon_target is None else Fraction(epsilon_target)
-
-    def reaches(report: HittingReport) -> bool:
-        return Fraction(*report.worst_gap_exact) <= target
-
-    attempts = []
-    best = None
-    for t in range(retries):
-        pattern_seed = seed + t
+    tried = []
+    for pattern_seed in range(seed, seed + retries):
         pattern = thin_pattern(n, universe, pattern_seed)
         report = verify_hitting_sampled(
             pattern, leading, degree, epsilon=1.0, n_samples=n_samples,
             seed=_sample_seed(pattern_seed), threads=threads,
         )
-        attempts.append((pattern_seed, report.worst_gap))
-        if best is None or report.worst_gap < best[1].worst_gap:
-            best = (pattern, report, pattern_seed)
-        if target is not None and reaches(report):
+        tried.append((pattern_seed, pattern, report))
+        if _reaches(report, epsilon_target):
             break
-    pattern, report, pattern_seed = best
-    achieved = target is None or reaches(report)
+    # min keeps the first of equal worst gaps
+    pattern_seed, pattern, report = min(tried, key=lambda a: a[2].worst_gap)
     return CalibrationResult(
-        achieved=achieved,
         target=epsilon_target,
-        epsilon_min=report.worst_gap,
         pattern=pattern,
         pattern_seed=pattern_seed,
-        n_samples=n_samples,
-        attempts=tuple(attempts),
+        attempts=tuple((a[0], a[2].worst_gap) for a in tried),
         report=report,
     )

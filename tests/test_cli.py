@@ -2,12 +2,16 @@ import argparse
 import json
 import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import obstructions
 from obstructions.cli import _build_parser, main
 from obstructions.patterns import block_rows
 from obstructions.torus import exact_discrepancy
@@ -355,6 +359,27 @@ def test_every_subcommand_rerun_identical(tmp_path):
         assert payload_without_meta(p1) == payload_without_meta(p2), name
 
 
+def test_module_entry_point_keeps_the_exit_codes(tmp_path):
+    # the real entry point in a fresh interpreter: exit codes reach the
+    # process, and a usage error prints no traceback
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(obstructions.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    env.pop("OBSTRUCTIONS_THREADS", None)
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "obstructions.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    done = cli("construct", "--mode", "thinned", "--n", "4", "--Q", "11",
+               "--pattern-out", str(tmp_path / "p.json"))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["subcommand"] == "construct"
+    done = cli("construct", "--mode", "thinned", "--n", "x",
+               "--pattern-out", str(tmp_path / "q.json"))
+    assert done.returncode == 2
+    assert "--n" in done.stderr and "Traceback" not in done.stderr
+
+
 # ---------------------------------------------------------------------------
 # exit-code contract: 0 pass, 1 mathematical failure, 2 usage or budget error
 
@@ -431,6 +456,12 @@ def _pattern_files(tmp_path):
     (["nocopy", "--pattern", "@patp1", "--epsilon", "0.99"], "--pattern @patp1: 'p'"),
     (["nocopy", "--pattern", "@pateps"],
      "--pattern @pateps: 'epsilon_verified'"),
+    (["verify", "--pattern", "@patnull", "--method", "sampled", "--samples", "10"],
+     "--epsilon: not given, and --pattern @patnull: 'epsilon_verified' is null"),
+    (["verify", "--pattern", "@patnull", "--method", "net", "--net-cells", "10"],
+     "--epsilon: not given, and --pattern @patnull: 'epsilon_verified' is null"),
+    (["nocopy", "--pattern", "@patnull", "--samples", "10"],
+     "--epsilon: not given, and --pattern @patnull: 'epsilon_verified' is null"),
 ], ids=["config-no-path", "A-zero-den", "B-zero-den", "pattern-no-indices",
         "density-zero-samples", "negative-threads", "net-cells-zero",
         "net-cells-negative", "epsilon-inf", "render-zero-R",
@@ -442,7 +473,8 @@ def _pattern_files(tmp_path):
         "render-epsilon-negative", "density-d-zero", "density-p-one",
         "density-epsilon-above-one", "density-epsilon-negative", "density-R-below-one",
         "nocopy-d-zero", "nocopy-epsilon-above-one", "nocopy-pattern-p-one",
-        "nocopy-pattern-epsilon-above-one"])
+        "nocopy-pattern-epsilon-above-one", "verify-sampled-no-epsilon",
+        "verify-net-no-epsilon", "nocopy-no-epsilon"])
 def test_bad_input_exits_2_naming_the_flag(tmp_path, capsys, monkeypatch, argv, flag):
     monkeypatch.delenv("OBSTRUCTIONS_THREADS", raising=False)
     files = {**_pattern_files(tmp_path), "svg": str(tmp_path / "f.svg"),
@@ -451,7 +483,8 @@ def test_bad_input_exits_2_naming_the_flag(tmp_path, capsys, monkeypatch, argv, 
                        ("emptycsv", ""), ("headercsv", "value\n\n")):
         (tmp_path / f"{name}.csv").write_text(text)
         files[name] = str(tmp_path / f"{name}.csv")
-    for name, key, value in (("patp1", "p", 1), ("pateps", "epsilon_verified", 1.5)):
+    for name, key, value in (("patp1", "p", 1), ("pateps", "epsilon_verified", 1.5),
+                             ("patnull", "epsilon_verified", None)):
         doc = json.loads((tmp_path / "pat2.json").read_text())
         doc[key] = value
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
@@ -464,11 +497,17 @@ def test_bad_input_exits_2_naming_the_flag(tmp_path, capsys, monkeypatch, argv, 
 
 
 def test_bad_threads_env_exits_2(tmp_path, capsys, monkeypatch):
+    # only the subcommands that run a gap scan read the variable
+    files = _pattern_files(tmp_path)
     monkeypatch.setenv("OBSTRUCTIONS_THREADS", "-1")
-    code = main(["density", "--d", "1", "--p", "2", "--epsilon", "0.2",
-                 "--R", "5", "--samples", "10", "-o", str(tmp_path / "r.json")])
+    capsys.readouterr()
+    code = main(["verify", "--pattern", files["pat2"], "--method", "sampled",
+                 "--samples", "10", "-o", str(tmp_path / "r.json")])
     assert code == 2
     assert "OBSTRUCTIONS_THREADS" in capsys.readouterr().err
+    code = main(["density", "--d", "1", "--p", "2", "--epsilon", "0.2",
+                 "--R", "5", "--samples", "10", "-o", str(tmp_path / "d.json")])
+    assert code == 0
 
 
 # Valid flag values per subcommand, small so that every run is short. "@name"
@@ -531,6 +570,7 @@ FUZZ_FLAGS = {
 ALWAYS = {"--mode", "--n", "--pattern-out", "--pattern", "--method", "--d",
           "--p", "--epsilon", "--R", "--samples", "--out", "--A", "--N"}
 SWITCHES = {"construct": ["--calibrate"]}
+THREADED = {"construct", "verify"}  # the subcommands that run a gap scan
 BAD = ["", "x", "-1", "0", "1.5", "1/0", "0/5", "a,", ",", "nan", "inf"]
 
 
@@ -543,8 +583,8 @@ def test_fuzz_table_covers_every_parser_flag():
     for sub, parser in subparsers.choices.items():
         flags = {opt for action in parser._actions for opt in action.option_strings
                  if opt.startswith("--") and opt != "--help"}
-        assert flags == {*FUZZ_FLAGS[sub], *SWITCHES.get(sub, []),
-                         "--output", "--threads"}, sub
+        assert flags == {*FUZZ_FLAGS[sub], *SWITCHES.get(sub, []), "--output",
+                         *(["--threads"] if sub in THREADED else [])}, sub
 
 
 @st.composite
@@ -560,7 +600,7 @@ def cli_argv(draw):
         pairs.remove(draw(st.sampled_from(pairs)))
     argv = [sub] + [tok for pair in pairs for tok in pair]
     argv += [s for s in SWITCHES.get(sub, []) if draw(st.booleans())]
-    if draw(st.booleans()):
+    if sub in THREADED and draw(st.booleans()):
         argv += ["--threads", str(draw(st.integers(-2, 4)))]
     if mutation in ("config", "bogus"):
         argv.append("--config" if mutation == "config" else "--bogus")

@@ -12,6 +12,7 @@ from obstructions import patterns
 from obstructions import (
     AnnulusSpec,
     BudgetError,
+    NetSpec,
     Pattern,
     PolySeqSpec,
     TorusInterval,
@@ -316,6 +317,49 @@ def test_net_kernel_matches_fraction_oracle():
         coeffs = [Fraction(num, 1 << s) for num, s in num_s]
         oracle = pattern_gap(pat, Fraction(1, universe), degree, coeffs)
         assert Fraction(*kernel_rep.worst_gap_exact) == oracle
+
+
+@pytest.mark.parametrize("degree, universe, sizes", [(3, 13, (13, 17)),
+                                                     (4, 11, (5, 6, 7))])
+def test_net_scans_every_cell_against_fraction_oracle(monkeypatch, degree,
+                                                      universe, sizes):
+    # the gap at every grid point (t_1 w_1, ...) / 2^s in Fractions; the scan
+    # must visit each point once and return their max, ties to the smallest
+    # tuple, with 7-row blocks that cut across the rows of every grid
+    pat = thin_pattern(5, universe, seed=2)
+    leading = Fraction(1, universe)
+    s = patterns._scale_bits(universe)
+    nets = NetSpec(degree, universe, s, tuple(-(-(1 << s) // m) for m in sizes))
+    assert nets.sizes == sizes
+    gaps = {}
+    for ts in itertools.product(*map(range, sizes)):
+        us = tuple(t * w for t, w in zip(ts, nets.steps))
+        gaps[us] = pattern_gap(pat, leading, degree, [Fraction(u, 1 << s) for u in us])
+    worst = max(gaps.values())
+    witness = min(us for us, g in gaps.items() if g == worst)
+    assert witness != (0,) * (degree - 1)
+    monkeypatch.setattr(patterns, "_BLOCK_BYTES", 8 * pat.n * 7)
+    scan_blocks, scanned = patterns._scan_blocks, []
+
+    def recording(kernel, blocks, threads):
+        def tee():
+            for u in blocks:  # pulled under the scan's lock
+                scanned.extend(map(tuple, u.tolist()))
+                yield u
+        return scan_blocks(kernel, tee(), threads)
+
+    monkeypatch.setattr(patterns, "_scan_blocks", recording)
+    reports = []
+    for threads in (1, 3):
+        scanned.clear()
+        reports.append(verify_hitting_net(pat, leading, degree, 0.9, nets,
+                                          threads=threads))
+        assert sorted(scanned) == sorted(gaps)
+    assert reports[0].to_dict() == reports[1].to_dict()
+    rep = reports[0]
+    assert rep.tested == nets.total_cells == len(gaps)
+    assert Fraction(*rep.worst_gap_exact) == worst
+    assert rep.worst_coeffs_exact == tuple((u, s) for u in witness)
 
 
 def test_net_requires_exact_leading():
