@@ -3,9 +3,10 @@ densities, run no-copy checks, compute discrepancies, render the planar set.
 
 Reports are schema-stable JSON: a ``config`` echo of every resolved
 parameter, the module reports, a ``pass`` flag (conjunction of sub-report
-passes), and a volatile ``meta`` block (timestamp, wall clock, and for gap
-scans the ``counters`` cells, block_rows and cells_per_s) that is the only
-part allowed to differ between identical reruns. Rationals are
+passes), and a volatile ``meta`` block (timestamp, wall clock, and the
+``counters`` of a gap scan, cells, block_rows and cells_per_s, or of the
+Erdos-Turan sums, et_terms, et_s and et_terms_per_s) that is the only part
+allowed to differ between identical reruns. Rationals are
 serialized as {num, den} pairs. Output files are written atomically.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed (witness in
@@ -382,11 +383,16 @@ def _cmd_discrepancy(args) -> int:
                                          for v in values))
     report = exact_discrepancy(values, et_cutoff=args.M)
     passed = True
+    counters = None
     if report.et_bound is not None:
-        passed = report.et_bound >= report.exact_discrepancy - 1e-12
+        # the ET value is a proven upper bound, so this is a theorem
+        passed = Fraction(report.et_bound) >= report.exact_value
+        terms, seconds = report.n_points * report.et_cutoff, report.et_seconds
+        counters = {"et_terms": terms, "et_s": seconds,
+                    "et_terms_per_s": terms / seconds if seconds > 0 else None}
     config = {"M": args.M, "dump": args.dump, **source}
     reports = {"discrepancy": report.to_dict()}
-    return _emit_report(args, "discrepancy", config, reports, passed, t0)
+    return _emit_report(args, "discrepancy", config, reports, passed, t0, counters)
 
 
 def _render_svg(spec: AnnulusSpec, R: float, size: int = 640):

@@ -4,9 +4,10 @@ Functions take plain sequences of points: ints, floats, Fractions or numpy
 scalars. Each point is read as the exact rational it equals (a finite float
 is a dyadic rational) and reduced mod 1, so a point set becomes integer
 residues over one common denominator, and gaps and discrepancies are exact.
-A float result is an exact value rounded once, or an Erdos-Turan or grid
-estimate that rounds each point once. Every operation in this module is a
-pure function of its inputs.
+A float result is an exact value rounded once, a Weyl sum or Erdos-Turan
+bound with a stated rounding bound, or a grid estimate that rounds each
+point once. Every operation in this module is a pure function of its
+inputs; only a report's ``et_seconds`` timing differs between reruns.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from __future__ import annotations
 import dataclasses
 import math
 import operator
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -47,6 +49,18 @@ def _common_denominator(points) -> tuple:
     D = math.lcm(*dens)
     scale = {den: D // den for den in dens}
     return [num * scale[den] % D for num, den in ratios], D
+
+
+@dataclass(frozen=True)
+class _Residues:
+    """Points nums[k] / D mod 1, already over one common denominator, so a
+    consumer can skip ``_common_denominator``; len() counts the points."""
+
+    nums: list
+    D: int
+
+    def __len__(self) -> int:
+        return len(self.nums)
 
 
 def _rounded(points) -> np.ndarray:
@@ -119,6 +133,8 @@ class DiscrepancyReport:
     witness_interval: TorusInterval
     et_bound: Optional[float] = None
     et_cutoff: Optional[int] = None
+    # wall time of the Erdos-Turan sums: volatile, so not compared or emitted
+    et_seconds: Optional[float] = field(default=None, compare=False)
     witness_flag = "attained"  # not a field: every witness attains the value
 
     def __post_init__(self):
@@ -182,10 +198,10 @@ def exact_discrepancy(points, et_cutoff: Optional[int] = None) -> DiscrepancyRep
                                        "closed"),
     )
     if et_cutoff is not None:
-        report = dataclasses.replace(
-            report, et_bound=erdos_turan_bound([y / D for y in nums], et_cutoff),
-            et_cutoff=et_cutoff,
-        )
+        start = time.perf_counter()
+        bound = erdos_turan_bound(_Residues(nums, D), et_cutoff)
+        report = dataclasses.replace(report, et_bound=bound, et_cutoff=et_cutoff,
+                                     et_seconds=time.perf_counter() - start)
     return report
 
 
@@ -212,48 +228,96 @@ def grid_discrepancy(points, grid: int = 100) -> float:
     return best
 
 
+def _unit_phases(nums, D: int) -> tuple:
+    """cos and sin of 2*pi*r/D for residues r in [0, D), as float arrays.
+
+    Each r is folded to (-D/2, D/2] and rounded once to t = r/D; the parts
+    are cos and sin of 2*pi*|t|, the sine signed by t (and 0 at a half
+    turn), so a negated residue gives the conjugate bit for bit. With
+    u = 2^-53 and np.cos, np.sin within 4 ulp: t is within u/2 and the angle
+    within 3*pi*u < 10u of the exact ones, and the functions add 8u, so
+    each part is within 18u of the exact one.
+    """
+    t = np.array([(r - D if 2 * r > D else r) / D for r in nums])
+    angle = 2 * np.pi * np.abs(t)
+    sine = np.where(2 * np.abs(t) == 1, 0.0, np.sin(angle))
+    return np.cos(angle), np.copysign(sine, t)
+
+
 def weyl_sum(poly, n_terms: int, multiplier: int = 1) -> complex:
     """Sum of e(m*f(k)) for k = 0..n_terms-1, m = multiplier.
 
     ``poly`` is a ``PolySeqSpec``. The phases m * N_k mod D come exact from
-    its residue table and are folded to (-D/2, D/2], so negating every
-    coefficient conjugates the result bit for bit. Each folded phase r is
-    rounded once to t = r/D; the terms are cos and sin of 2*pi*|t|, the sine
-    signed by t (and 0 at a half turn), and math.fsum adds each part.
+    its residue table; ``_unit_phases`` turns them into terms, so negating
+    every coefficient conjugates the result bit for bit, and math.fsum adds
+    each part.
 
-    Rounding bound, with u = 2^-53 and np.cos, np.sin within 4 ulp: t is
-    within u/2 and the angle within 3*pi*u < 10u of the exact ones, and the
-    functions add 8u, so each part of a term is within 18u; fsum rounds each
-    part once (<= u per term). The result is therefore within
-    sqrt(2) * 19u * n_terms < n_terms * 2^-48 of the exact sum.
+    Rounding bound, with u = 2^-53: each part of a term is within 18u
+    (``_unit_phases``); fsum rounds each part once (<= u per term). The
+    result is therefore within sqrt(2) * 19u * n_terms < n_terms * 2^-48 of
+    the exact sum.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
     nums, D = poly.residues(range(n_terms))
-    folded = [(multiplier * n) % D for n in nums]
-    t = np.array([(r - D if 2 * r > D else r) / D for r in folded])
-    angle = 2 * np.pi * np.abs(t)
-    sine = np.where(2 * np.abs(t) == 1, 0.0, np.sin(angle))
-    return complex(math.fsum(np.cos(angle)), math.fsum(np.copysign(sine, t)))
+    cos, sin = _unit_phases([(multiplier * n) % D for n in nums], D)
+    return complex(math.fsum(cos), math.fsum(sin))
 
 
 def erdos_turan_bound(points, cutoff: int) -> float:
-    """Explicit Erdos-Turan discrepancy bound with constants (1, 3):
+    """Explicit Erdos-Turan discrepancy bound with constants (1, 3),
 
-        D_N <= 1/(M+1) + 3 * sum_{m=1..M} |S_m| / (m*N),
+        ET = 1/(M+1) + 3 * sum_{m=1..M} |S_m| / (m*N),   S_m = sum_k e(m*x_k),
 
-    where S_m = sum_k e(m*x_k). Each point is reduced mod 1 exactly and
-    rounded once before the float exponentials are taken.
+    plus a rounding term rho = 3 * M * 2^-46, so that the result R is a
+    rigorous upper bound: ET <= R <= ET + 2*rho, for 1 <= M <= 2^40.
+
+    Each point is read as an exact residue and z_k = e(x_k) is taken once
+    (``_unit_phases``). The powers z^m come by multiplication: a table
+    Z = [z^1 .. z^B] (np.cumprod, B*N about 2^16) times a running
+    W = z^(bB) gives the B sums of block b in one pass, then W *= z^B.
+
+    Rounding, with u = 2^-53 and zeta_k = e(x_k) exact:
+      1. Each part of z_k is within 18u (``_unit_phases``), so
+         z_k = zeta_k (1 + a_k) with |a_k| <= 18 sqrt(2) u < 25.5u.
+      2. numpy multiplies complex numbers by the schoolbook formula, with or
+         without a fused multiply-add, so a product ab rounds to ab (1 + e)
+         with |e| <= 2 sqrt(2) (1 + u/2) u < 2.9u. The entry used for m,
+         Z[j] * W, is m factors z_k after m - 1 rounded products (products
+         with the initial W = 1 are exact), so it is zeta_k^m (1 + t) with
+         |t| <= (1 + 25.5u)^m (1 + 2.9u)^m - 1 < 28.5mu for m <= 2^40.
+      3. numpy sums a contiguous row pairwise, so each term passes through
+         at most 20 + log2(N) < 54 additions (N < 2^34: the table alone
+         would need 256 GiB). Each part of the sum is then within 54.01u
+         times the sum of its parts' magnitudes, and by Minkowski's
+         inequality the computed S_m is within N (28.5mu + 54.2u) of S_m.
+      4. |S| (hypot, 1 ulp), the int-to-float m*N and the division add at
+         most 4.01u relative. As |S_m| <= N, each term is within
+         28.5u + 58.3u/m of |S_m| / (mN), and the M terms together within
+         28.5uM + 58.3u H_M, where H_M = sum 1/m <= M.
+      5. fsum rounds once (1.01u H_M) and the product by 3 adds 3.03u H_M.
+         The rounded 1/(M+1) and the two final additions add at most
+         u (1.55 + 6.08 H_M).
+    The sum R - rho is therefore within 85.5uM + 187.1u H_M + 1.6u <= 274.2uM
+    of ET, which is below rho = 384uM: R >= ET, and R - ET <= 2 rho.
     """
-    if cutoff < 1:
-        raise ValueError("cutoff must be >= 1")
-    x = _rounded(points)
-    n = len(x)
-    total = 0.0
-    block = max(1, (1 << 21) // max(n, 1))
-    for lo in range(1, cutoff + 1, block):
-        ms = np.arange(lo, min(lo + block, cutoff + 1), dtype=float)
-        phases = np.outer(ms, x) % 1.0
-        s = np.exp(2j * np.pi * phases).sum(axis=1)
-        total += float((np.abs(s) / (ms * n)).sum())
-    return 1.0 / (cutoff + 1) + 3.0 * total
+    if not 1 <= cutoff <= 1 << 40:
+        raise ValueError("cutoff must be in [1, 2^40]")
+    if isinstance(points, _Residues):
+        nums, D = points.nums, points.D
+    else:
+        nums, D = _common_denominator(points)
+    n = len(nums)
+    cos, sin = _unit_phases(nums, D)
+    z = cos + 1j * sin
+    block = min(cutoff, max(1, (1 << 16) // n))
+    table = np.cumprod(np.broadcast_to(z, (block, n)), axis=0)
+    w = np.ones(n, dtype=complex)
+    terms = []
+    for lo in range(0, cutoff, block):
+        k = min(block, cutoff - lo)
+        s = (table[:k] * w).sum(axis=1)
+        terms.append(np.abs(s) / (np.arange(lo + 1, lo + k + 1) * n))
+        w *= table[-1]
+    total = math.fsum(np.concatenate(terms))
+    return 1.0 / (cutoff + 1) + 3.0 * total + 3 * cutoff * 2.0 ** -46

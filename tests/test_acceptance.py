@@ -89,10 +89,10 @@ def test_criterion_02_erdos_turan_domination():
             spec = ob.PolySeqSpec(2, Fraction(num, den), (b,))
             for n_pts in (64, 256, 1024):
                 pts = spec.values(range(n_pts))
-                d = ob.exact_discrepancy(pts).exact_discrepancy
+                d = ob.exact_discrepancy(pts).exact_value
                 bound = ob.erdos_turan_bound(pts, n_pts)
-                assert bound >= d - 1e-12, (num, den, float(b), n_pts, d, bound)
-                min_margin = min(min_margin, bound - d)
+                assert Fraction(bound) >= d, (num, den, float(b), n_pts, d, bound)
+                min_margin = min(min_margin, bound - float(d))
                 checked += 1
     report(2, "Erdos-Turan domination", "PASS", t.elapsed, limit,
            f"{checked} sequences, min slack {min_margin:.4f}")

@@ -184,6 +184,18 @@ def test_discrepancy_generated_sequence(tmp_path):
     assert len(dump.read_text().splitlines()) == 101
 
 
+def test_discrepancy_et_counters_in_meta(tmp_path):
+    code, payload = run(["discrepancy", "--A", "1/101", "--B", "3/8",
+                         "--N", "64", "--M", "32"], tmp_path)
+    assert code == 0 and payload["pass"]
+    counters = payload["meta"]["counters"]
+    assert counters["et_terms"] == 64 * 32
+    assert counters["et_s"] > 0 and counters["et_terms_per_s"] > 0
+    code, payload = run(["discrepancy", "--A", "1/101", "--N", "64"], tmp_path,
+                        "no-et.json")
+    assert code == 0 and "counters" not in payload["meta"]
+
+
 def test_discrepancy_points_file_roundtrip(tmp_path):
     csv = tmp_path / "pts.csv"
     csv.write_text("value\n0.0\n0.5\n")

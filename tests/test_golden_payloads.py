@@ -4,8 +4,8 @@ Each case runs in a fresh working directory with relative file names, so the
 config echoes do not depend on where the suite runs. The stored payloads in
 ``tests/golden/`` have the volatile ``meta`` block removed. Keys, ints,
 strings, booleans and {num, den} pairs must match exactly; floats match to a
-relative tolerance of 1e-12, because ``np.exp`` in the Erdos-Turan sum may
-round differently on another CPU.
+relative tolerance of 1e-12, because ``np.cos`` and ``np.sin`` in the
+Erdos-Turan sum may round differently on another CPU.
 """
 
 import json

@@ -558,8 +558,7 @@ def test_sampled_gap_below_et_bound_of_same_points():
         b = Fraction(int(rng.integers(0, 1 << 40)), 1 << 40)
         spec = PolySeqSpec(2, Fraction(1, q), (b,))
         pts = [spec.value_at(k) for k in range(q)]
-        gap = float(max_circular_gap(pts))
-        assert gap <= erdos_turan_bound(pts, q) + 1e-12
+        assert max_circular_gap(pts) <= Fraction(erdos_turan_bound(pts, q))
 
 
 # ---------------------------------------------------------------------------

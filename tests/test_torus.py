@@ -311,14 +311,109 @@ def test_et_dominates_exact_discrepancy_quadratic():
 @given(st.lists(st.floats(min_value=0, max_value=0.999999), min_size=2, max_size=60),
        st.integers(min_value=1, max_value=100))
 def test_et_dominates_everywhere(values, cutoff):
-    d = exact_discrepancy(values).exact_discrepancy
-    assert erdos_turan_bound(values, cutoff) >= d - 1e-9
+    d = exact_discrepancy(values).exact_value
+    assert Fraction(erdos_turan_bound(values, cutoff)) >= d
 
 
 def test_discrepancy_report_carries_et():
     pts = [((k * k) % 101) / 101 for k in range(40)]
     rep = exact_discrepancy(pts, et_cutoff=64)
     assert rep.et_bound is not None and rep.et_cutoff == 64
+    # the report hands the ET sums its residues; the result is the same float
+    assert rep.et_bound == erdos_turan_bound(pts, 64)
     assert rep.et_bound >= rep.exact_discrepancy
+    assert rep.et_seconds >= 0
     d = rep.to_dict()
     assert d["et_bound"] == rep.et_bound
+    assert "et_seconds" not in d
+    assert rep == exact_discrepancy(pts, et_cutoff=64)
+
+
+def test_et_refuses_cutoff_outside_its_rounding_bound():
+    for cutoff in (0, (1 << 40) + 1):
+        with pytest.raises(ValueError, match="cutoff"):
+            erdos_turan_bound([0.25], cutoff)
+
+
+def test_numpy_sums_complex_rows_pairwise():
+    # erdos_turan_bound's rounding term assumes numpy adds a contiguous row
+    # pairwise; added in row order, every 2^-53 after the leading 1 is lost
+    for rows, n in ((8192, 8), (64, 1024), (1, 70000)):
+        a = np.full((rows, n), 2.0 ** -53, dtype=complex)
+        a[:, 0] = 1
+        assert (a.sum(axis=1).real > 1).all(), (rows, n)
+
+
+def _et_reference(mpmath, points, cutoff):
+    """The Erdos-Turan value 1/(M+1) + 3 sum |S_m|/(mN) at 50 digits.
+
+    S_m depends only on m mod q, the points' common denominator, so the
+    class of r <= q is weighted by sum_{m = r mod q, m <= M} 1/m, which is
+    (psi(r/q + J + 1) - psi(r/q)) / q with J = (M - r) // q.
+    """
+    fracs = [Fraction(p) % 1 for p in points]
+    q = math.lcm(*(f.denominator for f in fracs))
+    mpf = mpmath.mpf
+    z = [mpmath.expjpi(2 * mpf(f.numerator) / f.denominator) for f in fracs]
+    w = [mpmath.mpc(1)] * len(z)
+    total = mpf(0)
+    for r in range(1, min(cutoff, q) + 1):
+        w = [a * b for a, b in zip(w, z)]
+        J = (cutoff - r) // q
+        weight = 1 / mpf(r) if J == 0 else (
+            mpmath.digamma(mpf(r) / q + J + 1) - mpmath.digamma(mpf(r) / q)) / q
+        total += abs(mpmath.fsum(w)) * weight
+    return 1 / mpf(cutoff + 1) + 3 * total / len(z)
+
+
+def _assert_et_within_stated_term(mpmath, got, exact, cutoff):
+    # R >= ET, and R - ET <= 2 rho with rho = 3 M 2^-46 the added term
+    rho = 3 * cutoff * 2.0 ** -46
+    diff = mpmath.mpf(got) - exact
+    assert 0 <= diff <= 2 * rho, (got, float(exact), float(diff), rho)
+
+
+@pytest.mark.parametrize("a,q,cutoff", [(1, 101, 100), (5, 211, 700),
+                                        (3, 1009, 1009), (7, 4099, 50)])
+def test_et_gauss_sequence_within_stated_term(a, q, cutoff):
+    # x_k = a k^2 / q for k < q, q an odd prime: |S_m| = sqrt(q) when q does
+    # not divide m, and S_m = q when it does
+    mpmath = pytest.importorskip("mpmath")
+    pts = [Fraction(a * k * k, q) for k in range(q)]
+    with mpmath.workdps(50):
+        multiples = mpmath.harmonic(cutoff // q) / q
+        exact = 1 / mpmath.mpf(cutoff + 1) + 3 * (
+            (mpmath.harmonic(cutoff) - multiples) / mpmath.sqrt(q) + multiples)
+        _assert_et_within_stated_term(mpmath, erdos_turan_bound(pts, cutoff),
+                                      exact, cutoff)
+
+
+def _rationals(seed, n, max_den):
+    rng = np.random.default_rng(seed)
+    dens = rng.integers(1, max_den + 1, size=n)
+    return [Fraction(int(rng.integers(0, d)), int(d)) for d in dens]
+
+
+def _multiples(seed, n, q):
+    return [Fraction(int(a), q)
+            for a in np.random.default_rng(seed).integers(0, q, size=n)]
+
+
+@pytest.mark.parametrize("points,cutoff", [
+    pytest.param(_rationals(1, 60, 40), 300, id="random-small-dens"),
+    pytest.param(_rationals(2, 30, 10 ** 9), 200, id="random-large-dens"),
+    pytest.param([float(x) for x in np.random.default_rng(3).random(25)], 120,
+                 id="random-floats"),
+    pytest.param(_multiples(4, 8, 1009), 200_000, id="tall-N8-M2e5"),
+    pytest.param(_multiples(5, 4096, 4099), 16, id="wide-N4096-M16"),
+    pytest.param(_rationals(6, 64, 12), 10, id="M-below-block"),
+    pytest.param(_multiples(7, 64, 97), 2500, id="M-not-block-multiple"),
+    pytest.param([Fraction(389, 1013)], 70_000, id="one-point"),
+    pytest.param([Fraction(0)], 70_000, id="one-point-at-0"),
+])
+def test_et_within_stated_term_of_50_digit_value(points, cutoff):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        exact = _et_reference(mpmath, points, cutoff)
+        _assert_et_within_stated_term(mpmath, erdos_turan_bound(points, cutoff),
+                                      exact, cutoff)
