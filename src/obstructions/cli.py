@@ -4,9 +4,9 @@ densities, run no-copy checks, compute discrepancies, render the planar set.
 Reports are schema-stable JSON: a ``config`` echo of every resolved
 parameter, the module reports, a ``pass`` flag (conjunction of sub-report
 passes), and a volatile ``meta`` block (timestamp, wall clock, and the
-``counters`` of a gap scan, cells, block_rows and cells_per_s, or of the
-Erdos-Turan sums, et_terms, et_s and et_terms_per_s) that is the only part
-allowed to differ between identical reruns. Rationals are
+``counters`` of a gap scan, cells, sorted_rows, block_rows and cells_per_s,
+or of the Erdos-Turan sums, et_terms, et_s and et_terms_per_s) that is the
+only part allowed to differ between identical reruns. Rationals are
 serialized as {num, den} pairs. Output files are written atomically.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed (witness in
@@ -27,7 +27,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .torus import BudgetError, exact_discrepancy
+from .torus import BudgetError, _Residues, exact_discrepancy
 from .patterns import (
     NET_CELL_BUDGET,
     Pattern,
@@ -189,9 +189,10 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv):
     return rest[:1] + extra + rest[1:]
 
 
-def _scan_counters(cells: int, n: int, seconds: float) -> dict:
-    """Volatile counters of an exact gap scan, for the report's meta block."""
-    return {"cells": cells, "block_rows": block_rows(n),
+def _scan_counters(cells: int, sorted_rows: int, n: int, seconds: float) -> dict:
+    """Volatile counters of an exact gap scan, for the report's meta block:
+    sorted_rows counts the cells whose exact gap was computed."""
+    return {"cells": cells, "sorted_rows": sorted_rows, "block_rows": block_rows(n),
             "cells_per_s": cells / seconds if seconds > 0 else None}
 
 
@@ -230,8 +231,8 @@ def _cmd_construct(args) -> int:
         epsilon_verified = cal.epsilon_min
         reports["calibration"] = cal.to_dict()
         passed = cal.achieved
-        counters = _scan_counters(len(cal.attempts) * cal.n_samples, pattern.n,
-                                  time.perf_counter() - t_scan)
+        counters = _scan_counters(len(cal.attempts) * cal.n_samples, cal.sorted_rows,
+                                  pattern.n, time.perf_counter() - t_scan)
     elif args.epsilon is not None:
         rep = verify_hitting_sampled(
             pattern, leading, degree, args.epsilon,
@@ -277,7 +278,8 @@ def _cmd_verify(args) -> int:
                                      n_samples=args.samples, seed=args.seed,
                                      threads=threads)
         reports = {"hitting": rep.to_dict()}
-    counters = _scan_counters(rep.tested, pattern.n, time.perf_counter() - t_scan)
+    counters = _scan_counters(rep.tested, rep.sorted_rows, pattern.n,
+                              time.perf_counter() - t_scan)
     config = {
         "pattern": args.pattern, "method": args.method, "epsilon": epsilon,
         "samples": args.samples, "seed": args.seed,
@@ -374,13 +376,13 @@ def _cmd_discrepancy(args) -> int:
         lower = tuple(_parse_exact("--B", tok)
                       for tok in args.B.split(",")) if args.B else ()
         degree = len(lower) + 1
-        nums, D = PolySeqSpec(degree, leading, lower).residues(range(args.N))
-        values = [Fraction(num, D) for num in nums]
+        values = _Residues(*PolySeqSpec(degree, leading, lower).residues(range(args.N)))
         source = {"A": {"num": leading.numerator, "den": leading.denominator},
                   "B": [float(c) for c in lower], "N": args.N, "degree": degree}
     if args.dump:
+        points = values if args.points else (Fraction(x, values.D) for x in values.nums)
         _atomic_write(args.dump, "".join(f"{v.numerator}/{v.denominator}\n"
-                                         for v in values))
+                                         for v in points))
     report = exact_discrepancy(values, et_cutoff=args.M)
     passed = True
     counters = None

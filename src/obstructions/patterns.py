@@ -15,11 +15,12 @@ vectorized integer arithmetic with no rounding anywhere.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -309,9 +310,13 @@ def _scale_bits(denominator: int) -> int:
     return s
 
 
-# one (rows, n) uint64 scratch buffer of the exact kernel is about this size,
-# small enough to stay in cache across the stages of a block
-_BLOCK_BYTES = 1 << 19
+# one (n, rows) uint64 scratch buffer of the exact kernel is about this size,
+# small enough that a block's buffers and the kernel's tiles stay in cache
+# across its stages
+_BLOCK_BYTES = 1 << 18
+
+# buckets per row of the gap bound; a row's occupancy fits in 16 bits
+_BUCKETS = 16
 
 
 def block_rows(n: int) -> int:
@@ -319,8 +324,51 @@ def block_rows(n: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * n))
 
 
+@functools.cache
+def _empty_runs() -> np.ndarray:
+    """Longest circular run of zero bits of every 16-bit mask, as a read-only
+    uint8 table of 2^16 entries, built on first use (a few ms)."""
+    run = np.arange(1 << _BUCKETS, dtype=np.uint32)
+    run ^= 0xFFFF  # the empty buckets
+    run *= 0x10001  # doubled, so a run that wraps is contiguous
+    table = np.zeros(1 << _BUCKETS, dtype=np.uint8)
+    for _ in range(_BUCKETS):
+        # after t rounds, a set bit of run starts more than t empty buckets
+        table += run != 0
+        run &= run >> 1
+    table.flags.writeable = False
+    return table
+
+
+def _gap_caps(vals: np.ndarray, D: int, scratch: np.ndarray) -> np.ndarray:
+    """Exact per-row upper bounds on the max circular gap of residues in [0, D).
+
+    vals has shape (n, rows), one column per row. Bucket j holds the points
+    in [j W, (j + 1) W) with W = ceil(D / 16), so buckets 0..15 cover [0, D)
+    (the last may reach past D). Let E be the longest circular run of empty
+    buckets of a row. If a point x lies in bucket i and the next point y in
+    bucket i + e + 1, with e <= E empty buckets between, then x >= i W and
+    y <= (i + e + 2) W - 1, so y - x <= (E + 2) W - 1. The wrap gap from the
+    last point to the first, D - x + y <= 16 W - x + y, is bounded the same
+    way with the run taken through bucket 15 to bucket 0. So every gap of
+    the row is at most (E + 2) W - 1, which this returns as uint64 (below
+    18 W < 2^64 for D < 2^63). scratch, shaped like vals, is overwritten.
+    """
+    width = -(-D // _BUCKETS)
+    np.floor_divide(vals, np.uint64(width), out=scratch)
+    np.left_shift(np.uint64(1), scratch, out=scratch)
+    occupied = np.bitwise_or.reduce(scratch, axis=0)
+    caps = np.arange(2, _BUCKETS + 3, dtype=np.uint64) * np.uint64(width) - np.uint64(1)
+    return caps[_empty_runs()[occupied]]
+
+
 class _ExactKernel:
-    """Per-pattern tables for exact gap evaluation over uint64 coefficients."""
+    """Per-pattern tables for exact gap evaluation over uint64 coefficients.
+
+    Residues are laid out point-major, one (n, rows) array per block, so every
+    elementwise stage runs along rows; the per-point constants are stored as
+    full (n, rows) tiles for the same reason.
+    """
 
     def __init__(self, pattern: Pattern, leading: Fraction, degree: int):
         ks = pattern.indices
@@ -330,54 +378,84 @@ class _ExactKernel:
         self.n = len(ks)
         self.rows = block_rows(self.n)
         self.row_starts = np.arange(0, self.rows * self.n, self.n)
-        self.lead = np.array([r << self.s for r in lead], dtype=np.uint64)
-        self.kpows = [
-            np.array([pow(k, i, 1 << self.s) for k in ks], dtype=np.uint64)
-            for i in range(1, degree)
-        ]
+
+        def tile(column):
+            column = np.array(column, dtype=np.uint64)[:, None]
+            return np.repeat(column, self.rows, axis=1)
+
+        self.lead = tile([r << self.s for r in lead])
+        self.kpows = [tile([pow(k, i, 1 << self.s) for k in ks])
+                      for i in range(1, degree)]
         self.mask = np.uint64((1 << self.s) - 1)
         self.b = np.uint64(b)
         self.big = np.uint64(self.denominator)
 
     def buffers(self):
-        """The two (rows, n) scratch arrays one thread reuses for every block."""
-        return (np.empty((self.rows, self.n), dtype=np.uint64),
-                np.empty((self.rows, self.n), dtype=np.uint64))
+        """The two (n, rows) scratch arrays one thread reuses for every block."""
+        return (np.empty((self.n, self.rows), dtype=np.uint64),
+                np.empty((self.n, self.rows), dtype=np.uint64))
 
-    def gaps(self, u: np.ndarray, buffers) -> np.ndarray:
-        """Exact gap numerators over D = b * 2^s for rows of coefficients u/2^s.
+    def residues(self, u: np.ndarray, buffers) -> np.ndarray:
+        """Exact numerators over D = b * 2^s, shape (n, rows), of the points
+        for rows of coefficients u/2^s; a view of the first buffer.
 
         u has shape (rows, degree-1), dtype uint64, with at most self.rows
-        rows; every stage writes into the two buffers. uint64 products and
-        sums wrap mod 2^64, and 2^s divides 2^64, so masking the sum to its
-        low s bits gives sum_i u_i k^i mod 2^s exactly. Then each value
-        v = lead + b * acc lies below D + D = 2D < 2^63 (D < 2^62 by the
-        choice of s), so one wrapping subtraction reduces it mod D: if
-        v < D, v - D wraps to at least 2^64 - D > 2^63 > v and min keeps v.
+        rows. uint64 products and sums wrap mod 2^64, and 2^s divides 2^64,
+        so masking the sum to its low s bits gives sum_i u_i k^i mod 2^s
+        exactly. Then each value v = lead + b * acc lies below D + D = 2D <
+        2^63 (D < 2^62 by the choice of s), so one wrapping subtraction
+        reduces it mod D: if v < D, v - D wraps to at least 2^64 - D > 2^63 > v
+        and min keeps v.
         """
         rows = u.shape[0]
-        vals, tmp = buffers[0][:rows], buffers[1][:rows]
+        vals, tmp = buffers[0][:, :rows], buffers[1][:, :rows]
         if not self.kpows:
             vals.fill(0)
-        for d, kp in enumerate(self.kpows):
-            np.multiply(u[:, d:d + 1], kp, out=tmp if d else vals)
+        for d, (kp, coeff) in enumerate(zip(self.kpows, np.ascontiguousarray(u.T))):
+            np.multiply(kp[:, :rows], coeff, out=tmp if d else vals)
             if d:
                 vals += tmp
         vals &= self.mask
         vals *= self.b
-        vals += self.lead
+        vals += self.lead[:, :rows]
         np.subtract(vals, self.big, out=tmp)
         np.minimum(vals, tmp, out=vals)
-        vals.sort(axis=1)
+        return vals
+
+    def gaps(self, u: np.ndarray, buffers) -> np.ndarray:
+        """Exact max-gap numerators over D of every row of u (see residues)."""
+        return self._sorted_gaps(self.residues(u, buffers), np.arange(u.shape[0]),
+                                 buffers)
+
+    def candidate_gaps(self, u: np.ndarray, buffers, floor: int):
+        """(rows, gaps): the exact max-gap numerators of the rows of u whose
+        ``_gap_caps`` bound is at least floor. Every other row's gap is below
+        floor, so a row whose gap reaches floor is never left out."""
+        vals = self.residues(u, buffers)
+        caps = _gap_caps(vals, self.denominator, buffers[1][:, :u.shape[0]])
+        keep = np.flatnonzero(caps >= floor)
+        return keep, self._sorted_gaps(vals, keep, buffers)
+
+    def _sorted_gaps(self, vals: np.ndarray, keep: np.ndarray, buffers) -> np.ndarray:
+        """Max circular gaps of the columns ``keep`` of vals, which is the
+        first buffer's view: gathered row-major into the second buffer,
+        sorted, and differenced into the first."""
+        k, n = len(keep), self.n
+        if not k:
+            return np.empty(0, dtype=np.uint64)
+        flat_rows = buffers[1].reshape(-1)[:k * n]
+        flat_diff = buffers[0].reshape(-1)[:k * n]
+        rows, diff = flat_rows.reshape(k, n), flat_diff.reshape(k, n)
+        np.take(vals, keep, axis=1, out=rows.T, mode="clip")
+        rows.sort(axis=1)
         # consecutive differences over the flat buffer (one long loop instead
         # of one per row); each row's last slot, which got the difference
         # across the row boundary, is then overwritten by the row's wrap
         # D - last + first (mod 2^64)
-        flat_vals, flat_tmp = vals.reshape(-1), tmp.reshape(-1)
-        np.subtract(flat_vals[1:], flat_vals[:-1], out=flat_tmp[:-1])
-        np.subtract(vals[:, 0], vals[:, -1], out=tmp[:, -1])
-        tmp[:, -1] += self.big
-        return np.maximum.reduceat(flat_tmp, self.row_starts[:rows])
+        np.subtract(flat_rows[1:], flat_rows[:-1], out=flat_diff[:-1])
+        np.subtract(rows[:, 0], rows[:, -1], out=diff[:, -1])
+        diff[:, -1] += self.big
+        return np.maximum.reduceat(flat_diff, self.row_starts[:k])
 
 
 def _scan_blocks(kernel: _ExactKernel, blocks, threads: int):
@@ -385,29 +463,36 @@ def _scan_blocks(kernel: _ExactKernel, blocks, threads: int):
 
     Each worker thread pulls the next block from the shared iterator, so at
     most ``threads`` blocks exist at once, and keeps its own scratch buffers
-    and its own best (gap, coefficient tuple). The global best is the max
-    gap with ties broken by the smallest coefficient tuple, whatever the
+    and its own best (gap, coefficient tuple). It sorts only the rows whose
+    exact bound (``_gap_caps``) reaches its best gap: every other row has a
+    smaller gap, and a row that ties is still sorted. The global best is the
+    max gap with ties broken by the smallest coefficient tuple, whatever the
     order in which blocks were scanned, so threaded and serial scans return
-    identical results.
+    identical results. Returns (gap, coefficients, rows tested, rows sorted);
+    only the last depends on the thread count.
     """
     blocks = iter(blocks)
     lock = threading.Lock()
 
     def worker():
         buffers = kernel.buffers()
-        best, tested = None, 0
+        best, tested, sorted_rows = None, 0, 0
         while True:
             with lock:
                 u = next(blocks, None)
             if u is None:
-                return best, tested
-            g = kernel.gaps(u, buffers)
-            top = np.flatnonzero(g == g.max())
+                return best, tested, sorted_rows
+            rows, g = kernel.candidate_gaps(u, buffers, 0 if best is None else best[0])
+            tested += u.shape[0]
+            sorted_rows += len(rows)
+            if not len(rows):
+                continue
+            gap = g.max()
+            top = rows[g == gap]
             if len(top) > 1 and u.shape[1]:
                 top = top[np.lexsort(u[top].T[::-1])]
-            found = (int(g[top[0]]), tuple(int(x) for x in u[top[0]]))
+            found = (int(gap), tuple(int(x) for x in u[top[0]]))
             best = found if best is None else max(best, found, key=_rank)
-            tested += u.shape[0]
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -415,9 +500,8 @@ def _scan_blocks(kernel: _ExactKernel, blocks, threads: int):
             results = [f.result() for f in futures]
     else:
         results = [worker()]
-    tested = sum(r[1] for r in results)
     best_gap, best_u = max((r[0] for r in results if r[0] is not None), key=_rank)
-    return best_gap, best_u, tested
+    return best_gap, best_u, sum(r[1] for r in results), sum(r[2] for r in results)
 
 
 def _rank(found):
@@ -432,10 +516,11 @@ def _scan(pattern: Pattern, leading: Fraction, degree: int, blocks,
     coefficient blocks that ``blocks(kernel)`` yields, and returns the
     witness as HittingReport fields."""
     kernel = _ExactKernel(pattern, leading, degree)
-    best_gap, best_u, tested = _scan_blocks(kernel, blocks(kernel), threads)
+    best_gap, best_u, tested, sorted_rows = _scan_blocks(kernel, blocks(kernel), threads)
     return dict(tested=tested, worst_gap_exact=(best_gap, kernel.denominator),
                 worst_coeffs_exact=tuple((u, kernel.s) for u in best_u),
-                pattern_n=pattern.n, universe=pattern.universe, degree=degree)
+                pattern_n=pattern.n, universe=pattern.universe, degree=degree,
+                sorted_rows=sorted_rows)
 
 
 @dataclass(frozen=True)
@@ -455,6 +540,9 @@ class HittingReport:
     slack: float = 0.0
     epsilon_guaranteed: Optional[float] = None
     seed: Optional[int] = None
+    # rows whose exact gap the scan computed; it depends on the thread
+    # count, so it is volatile: not compared or emitted
+    sorted_rows: Optional[int] = field(default=None, compare=False)
 
     @property
     def worst_gap(self) -> float:
@@ -467,10 +555,10 @@ class HittingReport:
         return tuple(u / (1 << s) for u, s in self.worst_coeffs_exact)
 
     def to_dict(self) -> dict:
-        """Every set field, ``passed`` as "pass", with the rounded witness
-        added and the exact pairs spelled out."""
+        """Every set field but the volatile ones, ``passed`` as "pass", with
+        the rounded witness added and the exact pairs spelled out."""
         d = {f.name: getattr(self, f.name) for f in fields(self)
-             if getattr(self, f.name) is not None}
+             if f.compare and getattr(self, f.name) is not None}
         num, den = self.worst_gap_exact
         d.update({"pass": d.pop("passed"), "worst_gap": self.worst_gap,
                   "worst_coeffs": list(self.worst_coeffs),
@@ -625,6 +713,8 @@ class CalibrationResult:
     pattern_seed: int
     attempts: tuple  # of (seed, worst_gap)
     report: HittingReport  # the best attempt's
+    # rows whose exact gap the scans computed, over every attempt: volatile
+    sorted_rows: int = field(default=0, compare=False)
 
     @property
     def achieved(self) -> bool:
@@ -675,12 +765,15 @@ def calibrate_sampled(n: int, degree: int, universe: int, seed: int = 0,
         tried.append((pattern_seed, pattern, report))
         if _reaches(report, epsilon_target):
             break
-    # min keeps the first of equal worst gaps
-    pattern_seed, pattern, report = min(tried, key=lambda a: a[2].worst_gap)
+    # ranked by the exact gap (distinct gaps may round to one float); min
+    # keeps the first of equal ones
+    pattern_seed, pattern, report = min(
+        tried, key=lambda a: Fraction(*a[2].worst_gap_exact))
     return CalibrationResult(
         target=epsilon_target,
         pattern=pattern,
         pattern_seed=pattern_seed,
         attempts=tuple((a[0], a[2].worst_gap) for a in tried),
         report=report,
+        sorted_rows=sum(a[2].sorted_rows for a in tried),
     )

@@ -41,7 +41,10 @@ def _ratio(x) -> tuple:
 
 def _common_denominator(points) -> tuple:
     """(numerators, D) with point k equal to numerators[k] / D mod 1, each
-    numerator in [0, D); D is the lcm of the points' denominators."""
+    numerator in [0, D); D is the lcm of the points' denominators, or the D
+    of a ``_Residues``, which is read as it stands."""
+    if isinstance(points, _Residues):
+        return points.nums, points.D
     ratios = [_ratio(x) for x in points]
     if not ratios:
         raise ValueError("empty point set")
@@ -53,8 +56,9 @@ def _common_denominator(points) -> tuple:
 
 @dataclass(frozen=True)
 class _Residues:
-    """Points nums[k] / D mod 1, already over one common denominator, so a
-    consumer can skip ``_common_denominator``; len() counts the points."""
+    """Points nums[k] / D mod 1, each numerator in [0, D), already over one
+    common denominator, which ``_common_denominator`` returns as they stand;
+    len() counts the points."""
 
     nums: list
     D: int
@@ -303,10 +307,7 @@ def erdos_turan_bound(points, cutoff: int) -> float:
     """
     if not 1 <= cutoff <= 1 << 40:
         raise ValueError("cutoff must be in [1, 2^40]")
-    if isinstance(points, _Residues):
-        nums, D = points.nums, points.D
-    else:
-        nums, D = _common_denominator(points)
+    nums, D = _common_denominator(points)
     n = len(nums)
     cos, sin = _unit_phases(nums, D)
     z = cos + 1j * sin

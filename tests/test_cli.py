@@ -121,8 +121,10 @@ def test_scan_counters_in_meta(tmp_path):
     for payload, cells in ((cal, 2 * 300), (net, net["reports"]["hitting"]["tested"])):
         counters = payload["meta"]["counters"]
         assert counters["cells"] == cells
+        assert 0 < counters["sorted_rows"] <= cells
         assert counters["block_rows"] == block_rows(12)
         assert counters["cells_per_s"] > 0
+    assert "sorted_rows" not in net["reports"]["hitting"]
 
 
 def test_verify_net_threads_deterministic(tmp_path):

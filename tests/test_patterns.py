@@ -460,13 +460,13 @@ def test_scan_keeps_few_blocks_in_flight():
     kernel = patterns._ExactKernel(pat, Fraction(1, universe), 2)
     lock = threading.Lock()
     count = {"yielded": 0, "finished": 0, "peak": 0}
-    gaps = kernel.gaps
+    candidate_gaps = kernel.candidate_gaps
 
-    def counting_gaps(u, buffers):
-        g = gaps(u, buffers)
+    def counting_gaps(u, buffers, floor):
+        found = candidate_gaps(u, buffers, floor)
         with lock:
             count["finished"] += 1
-        return g
+        return found
 
     def blocks():
         rng = np.random.default_rng(0)
@@ -477,7 +477,7 @@ def test_scan_keeps_few_blocks_in_flight():
             yield rng.integers(0, 1 << kernel.s, size=(50, 1), dtype=np.uint64)
 
     serial = patterns._scan_blocks(kernel, blocks(), 1)
-    kernel.gaps = counting_gaps
+    kernel.candidate_gaps = counting_gaps
     count.update(yielded=0, peak=0)
     # more threads than cores and frequent switches: a block lost or scanned
     # twice by racing workers would change the count of tested rows
@@ -487,9 +487,116 @@ def test_scan_keeps_few_blocks_in_flight():
         threaded = patterns._scan_blocks(kernel, blocks(), threads)
     finally:
         sys.setswitchinterval(interval)
-    assert threaded == serial and threaded[2] == 300 * 50
+    # the rows sorted (last) depend on how the blocks fell to the threads
+    assert threaded[:3] == serial[:3] and threaded[2] == 300 * 50
     assert count["finished"] == count["yielded"] == 300
     assert 1 <= count["peak"] <= 2 * threads
+
+
+def _bucket_oracle(row, D):
+    """(max gap numerator, E, W) of residues over D in Python integers: E is
+    the longest circular run of empty buckets of width W = ceil(D/16)."""
+    width = -(-D // 16)
+    gap = max_circular_gap([Fraction(x, D) for x in row]) * D
+    occupied = {x // width for x in row}
+    runs = [0]
+    for j in range(32):
+        runs.append(0 if j % 16 in occupied else runs[-1] + 1)
+    return gap, min(max(runs), 16), width
+
+
+def test_empty_runs_table_matches_brute_force():
+    table = patterns._empty_runs()
+    assert table is patterns._empty_runs() and not table.flags.writeable
+    for mask in range(1 << 16):
+        empty = format(mask, "016b").replace("0", "e").replace("1", "0")
+        want = min(16, max(map(len, (empty * 2).split("0"))))
+        assert table[mask] == want, mask
+
+
+@pytest.mark.parametrize("D", [1 << 20, 1_000_003, 16 * 1013, 67 << 55])
+def test_gap_caps_bound_every_gap(D):
+    # every row's exact gap is below (E + 2) W, the cap is (E + 2) W - 1, and
+    # the cap is attained; D = 1,000,003 is not a multiple of 16, so the
+    # last bucket reaches past D
+    W = -(-D // 16)
+    rng = np.random.default_rng(D % 1000)
+    rows = [
+        [3], [0], [D - 1],                                 # n = 1
+        [0, 9 * W - 1], [W - 1, W], [0, D - 1], [5, 5],    # n = 2
+        [W - 1, W, D - 1],
+        [0, 1, 2, W - 1],                                  # one bucket
+        [15 * W, D - 1], [15 * W + 1, D - 1, 15 * W],      # the last bucket
+        [j * W for j in range(16)],                        # every bucket
+        [j * W + W - 1 for j in range(0, 16, 3)],
+    ]
+    rows += [rng.integers(0, D, size=n).tolist()
+             for n in (1, 2, 3, 5, 8, 40) for _ in range(6)]
+    for n in sorted({len(r) for r in rows}):
+        same = [r for r in rows if len(r) == n]
+        vals = np.array(same, dtype=np.uint64).T.copy()
+        caps = patterns._gap_caps(vals, D, np.empty_like(vals))
+        for row, cap in zip(same, caps.tolist()):
+            gap, E, width = _bucket_oracle(row, D)
+            assert width == W and cap == (E + 2) * W - 1, row
+            assert gap < (E + 2) * W, row
+    gap, E, _ = _bucket_oracle([0, 9 * W - 1], D)
+    assert gap == (E + 2) * W - 1
+
+
+@pytest.mark.parametrize("degree, universe", [(2, 64), (3, 101)])
+def test_kernel_caps_bound_its_rows(degree, universe):
+    # the kernel's point-major residues and their caps, row by row, against
+    # the rational points
+    pat = thin_pattern(20, universe, seed=3)
+    leading = Fraction(1, universe)
+    kernel = patterns._ExactKernel(pat, leading, degree)
+    s, D = kernel.s, kernel.denominator
+    rng = np.random.default_rng(universe)
+    u = rng.integers(0, 1 << s, size=(300, degree - 1), dtype=np.uint64)
+    vals = kernel.residues(u, kernel.buffers())
+    caps = patterns._gap_caps(vals, D, np.empty_like(vals))
+    for coeffs, row, cap in zip(u.tolist(), vals.T.tolist(), caps.tolist()):
+        spec = PolySeqSpec(degree, leading, tuple(Fraction(x, 1 << s) for x in coeffs))
+        assert [Fraction(x, D) for x in row] == [spec.value_at(k) for k in pat.indices]
+        gap, E, W = _bucket_oracle(row, D)
+        assert gap <= cap == (E + 2) * W - 1
+
+
+def test_scan_prune_keeps_tied_rows():
+    # leading 1 and k in {0, 1, 2} at degree 3 put the points of a row at 0,
+    # p = u_1 + u_2 and q = 2 u_1 + 4 u_2 over D = 2^61. With p = 9W - 1 and
+    # q in [9W, 16W) the gap is 9W - 1 and equals the row's cap, so all
+    # these rows tie the best and must still be sorted; the smallest of
+    # them comes only after earlier blocks have set the best. Filler rows
+    # (p in bucket 5, q in bucket 10) have cap 7W - 1 and are pruned.
+    pat = Pattern((0, 1, 2))
+    kernel = patterns._ExactKernel(pat, 1, 3)
+    one = 1 << kernel.s
+    W = kernel.denominator // 16
+
+    def row(p, q):  # q even
+        u2 = (q - 2 * p) // 2 % (one // 2)
+        return (p - u2) % one, u2
+
+    rng = np.random.default_rng(11)
+    ties = sorted(row(9 * W - 1, 2 * int(h))
+                  for h in rng.integers(9 * W // 2, 8 * W, size=60))
+    filler = [row(5 * W + int(j), 10 * W + 2 * int(i))
+              for j, i in zip(rng.integers(0, W, size=200),
+                              rng.integers(0, W // 2, size=200))]
+    rest = ties[4:] + filler[13:]
+    rows = ties[1:4] + filler[:13] + [rest[i] for i in rng.permutation(len(rest))]
+    rows.insert(100, ties[0])
+    oracle = {r: pattern_gap(pat, 1, 3, [Fraction(x, one) for x in r]) for r in rows}
+    assert [r for r in rows if oracle[r] == Fraction(9 * W - 1, one)] == \
+        [r for r in rows if r in ties]
+    assert max(oracle.values()) == Fraction(9 * W - 1, one)
+    u = np.array(rows, dtype=np.uint64)
+    for threads in (1, 2):
+        found = patterns._scan_blocks(kernel, np.array_split(u, 16), threads)
+        assert found[:3] == (9 * W - 1, ties[0], len(rows))
+        assert len(ties) <= found[3] < len(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -662,6 +769,25 @@ def test_calibration_logs_attempts_and_stops_early():
                              epsilon_target=1e-9)
     assert not cal2.achieved and len(cal2.attempts) == 3
     assert cal2.epsilon_min == min(w for _, w in cal2.attempts)
+
+
+@pytest.mark.parametrize("gaps, best", [((((1 << 53) + 1, 1 << 54), (1, 2)), 1),
+                                        (((1, 2), (2, 4)), 0)])
+def test_calibration_ranks_attempts_by_exact_gap(monkeypatch, gaps, best):
+    # (2^53 + 1)/2^54 and 1/2 round to the same float 0.5: the exact gaps
+    # decide, and of truly equal gaps the first attempt wins
+    gaps = iter(gaps)
+    sampled = patterns.verify_hitting_sampled
+
+    def with_gap(*args, **kwargs):
+        return dataclasses.replace(sampled(*args, **kwargs), worst_gap_exact=next(gaps))
+
+    monkeypatch.setattr(patterns, "verify_hitting_sampled", with_gap)
+    cal = calibrate_sampled(8, 2, bertrand_prime(8, 2), seed=0, n_samples=50, retries=2)
+    assert [w for _, w in cal.attempts] == [0.5, 0.5]
+    assert cal.pattern_seed == best
+    assert cal.report.worst_gap_exact == (1, 2)
+    assert cal.pattern == thin_pattern(8, bertrand_prime(8, 2), best)
 
 
 def test_calibration_target_compares_exact_gap():

@@ -16,6 +16,7 @@ from obstructions import (
     max_circular_gap,
     weyl_sum,
 )
+from obstructions.torus import _Residues
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +328,18 @@ def test_discrepancy_report_carries_et():
     assert d["et_bound"] == rep.et_bound
     assert "et_seconds" not in d
     assert rep == exact_discrepancy(pts, et_cutoff=64)
+
+
+def test_exact_discrepancy_reads_residues_as_they_stand():
+    # residues over 20 whose reduced points share the denominator 10: the
+    # report equals the one of the reduced Fractions, ET value included
+    nums = [6 * k * k % 20 for k in range(9)]
+    fractions = [Fraction(x, 20) for x in nums]
+    assert math.lcm(*(f.denominator for f in fractions)) == 10
+    for cutoff in (None, 16):
+        rep = exact_discrepancy(_Residues(nums, 20), et_cutoff=cutoff)
+        assert rep == exact_discrepancy(fractions, et_cutoff=cutoff)
+        assert rep.to_dict() == exact_discrepancy(fractions, et_cutoff=cutoff).to_dict()
 
 
 def test_et_refuses_cutoff_outside_its_rounding_bound():
