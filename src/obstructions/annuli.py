@@ -237,6 +237,15 @@ def density(spec: AnnulusSpec, R: float, method: str = "monte-carlo",
     exact-slice (even p, d <= 2): integrates the exact one-variable measure
     over a midpoint grid in the remaining coordinates. monte-carlo: uniform
     samples with per-block child seeds, so block order never matters.
+
+    Monte Carlo precision guard: the computed F = |x|_p^p (or a signed power
+    sum) is within B = (p + d + 1) 2^-53 d (R/2)^p of the F of the uniform
+    point, to first order in 2^-53. Per coordinate, rounding (u - 1/2) R
+    costs up to p 2^-53 (R/2)^p and the power's one ulp up to 2 2^-53 (R/2)^p;
+    each of the d - 1 additions costs up to 2^-53 d (R/2)^p. Rounding moves
+    only the samples within B of a band edge, about a 4B share, as F mod 1
+    has two edges per unit. Once 4B reaches the sampling error
+    1/(2 sqrt(samples)), BudgetError is raised before any sample is drawn.
     """
     if R < 1:
         raise ValueError("R must be >= 1")
@@ -272,6 +281,14 @@ def density(spec: AnnulusSpec, R: float, method: str = "monte-carlo",
         raise ValueError(f"unknown method {method!r}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    p, d = spec.exponent, spec.dimension
+    rounding = ((p + d + 1) * d * 2.0 ** -53 * (R / 2.0) ** p
+                if p * math.log2(R / 2.0) <= 1000 else math.inf)  # (R/2)^p must stay a float
+    if 4 * rounding >= 0.5 / math.sqrt(samples):
+        raise BudgetError(f"Monte Carlo density at R={R}, p={p}: |x|_p^p rounds by "
+                          f"up to B = {rounding:.1e}, and the share 4B of samples it "
+                          f"can move across a band edge is not below the sampling "
+                          f"error {0.5 / math.sqrt(samples):.1e}; lower --R")
     ss = np.random.SeedSequence(seed)
     block = 1 << 18
     n_blocks = -(-samples // block)

@@ -43,8 +43,6 @@ from .patterns import (
 )
 from .annuli import AnnulusSpec, density, no_copy_check
 
-THREADS_ENV = "OBSTRUCTIONS_THREADS"
-
 
 def _atomic_write(path: str, data: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
@@ -101,20 +99,25 @@ _PATTERN_KEYS = {"indices": list, "Q": int, "provenance": str, "p": int,
                  "A_num": int, "A_den": int}
 
 
+def _json_is(value, kind) -> bool:
+    """isinstance for JSON values: true and false are not integers."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def _read_pattern_file(path: str):
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError(f"--pattern {path}: expected a JSON object")
     for key, kind in _PATTERN_KEYS.items():
-        if not isinstance(doc.get(key), kind):
+        if not _json_is(doc.get(key), kind):
             raise ValueError(f"--pattern {path}: {key!r} must be a JSON {kind.__name__}")
-    if not all(isinstance(k, int) for k in doc["indices"]):
-        raise ValueError(f"--pattern {path}: 'indices' must hold integers")
+    if not doc["indices"] or not all(_json_is(k, int) for k in doc["indices"]):
+        raise ValueError(f"--pattern {path}: 'indices' must be a non-empty list of integers")
     if doc["A_den"] == 0:
         raise ValueError(f"--pattern {path}: 'A_den' must be nonzero")
     eps = doc.get("epsilon_verified")
-    if eps is not None and not isinstance(eps, (int, float)):
+    if eps is not None and not _json_is(eps, (int, float)):
         raise ValueError(f"--pattern {path}: 'epsilon_verified' must be a number or null")
     pattern = Pattern(tuple(doc["indices"]), doc["Q"], doc["provenance"])
     leading = Fraction(doc["A_num"], doc["A_den"])
@@ -122,17 +125,9 @@ def _read_pattern_file(path: str):
 
 
 def _threads(args) -> int:
-    """--threads, else $OBSTRUCTIONS_THREADS, else 1; must be a positive integer."""
-    source, value = "--threads", args.threads
-    if value is None:
-        source, value = f"${THREADS_ENV}", os.environ.get(THREADS_ENV, "1")
-    try:
-        threads = int(value)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ValueError(f"{source} must be a positive integer, got {value!r}")
-    return threads
+    if args.threads < 1:
+        raise ValueError(f"--threads must be a positive integer, got {args.threads}")
+    return args.threads
 
 
 def _epsilon(args, eps_file):
@@ -163,30 +158,6 @@ def _annulus_spec(*sources) -> AnnulusSpec:
         fields = [f.name for f in dataclasses.fields(AnnulusSpec)]
         source = sources[fields.index(str(exc).split()[0])][0]
         raise ValueError(f"{source}: {exc}") from None
-
-
-def _apply_config_file(parser: argparse.ArgumentParser, argv):
-    """Plain config files mirroring the long flags: a ``key = value`` line
-    sets a flag, a bare ``key`` line turns a switch on."""
-    if "--config" not in argv:
-        return argv
-    i = argv.index("--config")
-    if i + 1 == len(argv):
-        parser.error("--config needs a file path")
-    path = argv[i + 1]
-    rest = argv[:i] + argv[i + 2:]
-    extra = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, eq, value = line.partition("=")
-            extra.append(f"--{key.strip()}")
-            if eq:
-                extra.append(value.strip())
-    # command-line flags win: config-derived flags go first
-    return rest[:1] + extra + rest[1:]
 
 
 def _scan_counters(cells: int, sorted_rows: int, n: int, seconds: float) -> dict:
@@ -397,10 +368,20 @@ def _cmd_discrepancy(args) -> int:
     return _emit_report(args, "discrepancy", config, reports, passed, t0, counters)
 
 
+# render draws one path per annulus: the SVG grows as R^2
+_RENDER_ANNULUS_BUDGET = 10_000
+
+
 def _render_svg(spec: AnnulusSpec, R: float, size: int = 640):
     """Shaded annuli where dist(|x|^2, Z) < (1-eps)/2, drawn to scale."""
     w = spec.band_halfwidth
     half = R / 2.0
+    # annulus m meets the square iff m - w <= 2 (R/2)^2, the squared
+    # distance to a corner: m = 0 .. floor(reach) are drawn
+    reach = 2.0 * half * half + w
+    if reach >= _RENDER_ANNULUS_BUDGET:
+        raise BudgetError(f"--R {R} draws about {reach:.3g} annuli, over the budget "
+                          f"{_RENDER_ANNULUS_BUDGET}; lower --R")
     px = size / R
     cx = cy = size / 2.0
 
@@ -418,8 +399,7 @@ def _render_svg(spec: AnnulusSpec, R: float, size: int = 640):
         f"{shells_inside} -->",
         f'<rect width="{size}" height="{size}" fill="white"/>',
     ]
-    m = 0
-    while math.sqrt(max(m - w, 0.0)) <= half * math.sqrt(2.0):
+    for m in range(math.floor(reach) + 1):
         inner = math.sqrt(max(m - w, 0.0))
         outer = math.sqrt(m + w)
         if m == 0:
@@ -429,7 +409,6 @@ def _render_svg(spec: AnnulusSpec, R: float, size: int = 640):
             parts.append(f'<path d="{circle_path(outer)} {circle_path(inner)}" '
                          f'fill="#c8c8c8" fill-rule="evenodd" '
                          f'stroke="#707070" stroke-width="0.6"/>')
-        m += 1
     parts.append(f'<circle cx="{cx}" cy="{cy}" r="2" fill="black"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n", shells_inside
@@ -461,8 +440,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, threads=False):
         p.add_argument("-o", "--output", help="write the JSON report here")
         if threads:
-            p.add_argument("--threads", type=int, default=None,
-                           help=f"worker threads (default ${THREADS_ENV} or 1)")
+            p.add_argument("--threads", type=int, default=1, help="worker threads")
 
     p = sub.add_parser("construct", help="build a pattern file")
     p.add_argument("--mode", choices=("thinned", "elementary"), required=True)
@@ -471,10 +449,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Q", type=int, default=None,
                    help="universe override (default: Bertrand prime)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epsilon", type=_finite_float, default=None,
-                   help="verify (sampled) at this epsilon and record it")
-    p.add_argument("--calibrate", action="store_true",
-                   help="search seeds for the smallest passing epsilon")
+    goal = p.add_mutually_exclusive_group()
+    goal.add_argument("--epsilon", type=_finite_float, default=None,
+                      help="verify (sampled) at this epsilon and record it")
+    goal.add_argument("--calibrate", action="store_true",
+                      help="search seeds for the smallest passing epsilon")
     p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--retries", type=int, default=1)
     p.add_argument("--target-epsilon", type=_finite_float, default=None)
@@ -540,10 +519,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     try:
-        argv = _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
         if args.subcommand == "discrepancy" and not args.points:
             if not (args.A and args.N):

@@ -23,7 +23,6 @@ from test_golden_payloads import CASES  # noqa: E402
 
 
 def regenerate() -> None:
-    os.environ.pop("OBSTRUCTIONS_THREADS", None)
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)

@@ -315,41 +315,6 @@ def test_verify_sampled_rejects_auto(tmp_path, capsys):
     assert "net mode" in capsys.readouterr().err
 
 
-def test_config_file_mirrors_flags(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("d = 2\np = 2\nepsilon = 0.2\nR = 50\nsamples = 20000\n")
-    out = tmp_path / "rep.json"
-    code = main(["density", "--config", str(cfg), "-o", str(out)])
-    assert code == 0
-    payload = json.loads(out.read_text())
-    assert payload["config"]["epsilon"] == 0.2
-    assert payload["config"]["samples"] == 20000
-
-
-def test_config_file_bare_key_sets_a_switch(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("# switches have no value\ncalibrate\nretries = 2\n")
-    base = ["construct", "--mode", "thinned", "--n", "8", "--Q", "64",
-            "--samples", "50", "--pattern-out", str(tmp_path / "pat.json")]
-    code, flags = run([*base, "--calibrate", "--retries", "2"], tmp_path, "flags.json")
-    assert flags["config"]["calibrate"] and "calibration" in flags["reports"]
-    code_cfg, from_cfg = run([base[0], "--config", str(cfg), *base[1:]], tmp_path,
-                             "cfg.json")
-    assert code_cfg == code
-    assert payload_without_meta(from_cfg) == payload_without_meta(flags)
-
-
-def test_threads_env_variable(tmp_path, monkeypatch):
-    monkeypatch.setenv("OBSTRUCTIONS_THREADS", "2")
-    pat = tmp_path / "pat.json"
-    run(["construct", "--mode", "thinned", "--n", "8", "--Q", "64",
-         "--seed", "1", "--pattern-out", str(pat)], tmp_path)
-    code, payload = run(["verify", "--pattern", str(pat), "--method", "sampled",
-                         "--epsilon", "0.99", "--samples", "200"], tmp_path)
-    assert code == 0
-    assert payload["config"]["threads"] == 2
-
-
 def test_every_subcommand_rerun_identical(tmp_path):
     pat = tmp_path / "pat.json"
     run(["construct", "--mode", "thinned", "--n", "10", "--Q", "101",
@@ -378,7 +343,6 @@ def test_module_entry_point_keeps_the_exit_codes(tmp_path):
     # process, and a usage error prints no traceback
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(Path(obstructions.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
-    env.pop("OBSTRUCTIONS_THREADS", None)
 
     def cli(*argv):
         return subprocess.run([sys.executable, "-m", "obstructions.cli", *argv],
@@ -409,6 +373,8 @@ def _pattern_files(tmp_path):
         assert main(argv) in (0, 1)
         files[name] = str(path)
     doc = json.loads((tmp_path / "pat2.json").read_text())
+    (tmp_path / "emptyidx.json").write_text(json.dumps({**doc, "indices": []}))
+    files["emptyidx"] = str(tmp_path / "emptyidx.json")
     doc.pop("indices")
     (tmp_path / "noidx.json").write_text(json.dumps(doc))
     files["noidx"] = str(tmp_path / "noidx.json")
@@ -419,7 +385,6 @@ def _pattern_files(tmp_path):
 
 
 @pytest.mark.parametrize("argv, flag", [
-    (["density", "--config"], "--config"),
     (["discrepancy", "--A", "1/0", "--N", "5"], "--A"),
     (["discrepancy", "--A", "1/7", "--B", "1/0", "--N", "5"], "--B"),
     (["verify", "--pattern", "@noidx", "--method", "sampled",
@@ -476,7 +441,31 @@ def _pattern_files(tmp_path):
      "--epsilon: not given, and --pattern @patnull: 'epsilon_verified' is null"),
     (["nocopy", "--pattern", "@patnull", "--samples", "10"],
      "--epsilon: not given, and --pattern @patnull: 'epsilon_verified' is null"),
-], ids=["config-no-path", "A-zero-den", "B-zero-den", "pattern-no-indices",
+    (["verify", "--pattern", "@emptyidx", "--method", "net", "--epsilon", "0.9",
+      "--net-cells", "10"], "--pattern @emptyidx: 'indices'"),
+    (["verify", "--pattern", "@emptyidx", "--method", "sampled", "--epsilon", "0.9",
+      "--samples", "10"], "--pattern @emptyidx: 'indices'"),
+    (["nocopy", "--pattern", "@emptyidx", "--epsilon", "0.99", "--samples", "10"],
+     "--pattern @emptyidx: 'indices'"),
+    (["verify", "--pattern", "@patpbool", "--method", "sampled", "--epsilon", "0.9",
+      "--samples", "10"], "--pattern @patpbool: 'p'"),
+    (["verify", "--pattern", "@patQbool", "--method", "sampled", "--epsilon", "0.9",
+      "--samples", "10"], "--pattern @patQbool: 'Q'"),
+    (["verify", "--pattern", "@patnumbool", "--method", "sampled", "--epsilon", "0.9",
+      "--samples", "10"], "--pattern @patnumbool: 'A_num'"),
+    (["verify", "--pattern", "@patdenbool", "--method", "sampled", "--epsilon", "0.9",
+      "--samples", "10"], "--pattern @patdenbool: 'A_den'"),
+    (["verify", "--pattern", "@patidxbool", "--method", "sampled", "--epsilon", "0.9",
+      "--samples", "10"], "--pattern @patidxbool: 'indices'"),
+    (["verify", "--pattern", "@patepsbool", "--method", "sampled", "--samples", "10"],
+     "--pattern @patepsbool: 'epsilon_verified'"),
+    (["construct", "--mode", "thinned", "--n", "8", "--Q", "64", "--calibrate",
+      "--epsilon", "0.01", "--pattern-out", "@out"],
+     "--epsilon: not allowed with argument --calibrate"),
+    (["density", "--d", "2", "--p", "2", "--epsilon", "0.1", "--R", "3e7",
+      "--samples", "200000", "--seed", "1"], "--R"),
+    (["render", "--epsilon", "0.3", "--R", "200", "--out", "@svg"], "--R"),
+], ids=["A-zero-den", "B-zero-den", "pattern-no-indices",
         "density-zero-samples", "negative-threads", "net-cells-zero",
         "net-cells-negative", "epsilon-inf", "render-zero-R",
         "nocopy-zero-samples", "j-list-empty", "j-list-not-integer",
@@ -488,9 +477,12 @@ def _pattern_files(tmp_path):
         "density-epsilon-above-one", "density-epsilon-negative", "density-R-below-one",
         "nocopy-d-zero", "nocopy-epsilon-above-one", "nocopy-pattern-p-one",
         "nocopy-pattern-epsilon-above-one", "verify-sampled-no-epsilon",
-        "verify-net-no-epsilon", "nocopy-no-epsilon"])
-def test_bad_input_exits_2_naming_the_flag(tmp_path, capsys, monkeypatch, argv, flag):
-    monkeypatch.delenv("OBSTRUCTIONS_THREADS", raising=False)
+        "verify-net-no-epsilon", "nocopy-no-epsilon", "verify-net-empty-indices",
+        "verify-sampled-empty-indices", "nocopy-empty-indices", "pattern-p-bool",
+        "pattern-Q-bool", "pattern-A-num-bool", "pattern-A-den-bool",
+        "pattern-index-bool", "pattern-epsilon-bool", "calibrate-with-epsilon",
+        "density-beyond-float-precision", "render-over-annulus-budget"])
+def test_bad_input_exits_2_naming_the_flag(tmp_path, capsys, argv, flag):
     files = {**_pattern_files(tmp_path), "svg": str(tmp_path / "f.svg"),
              "out": str(tmp_path / "out.json")}
     for name, text in (("junkcsv", "x\n0.1\nfoo\n0.5\n"), ("nancsv", "0.1\nnan\n0.5\n"),
@@ -498,7 +490,11 @@ def test_bad_input_exits_2_naming_the_flag(tmp_path, capsys, monkeypatch, argv, 
         (tmp_path / f"{name}.csv").write_text(text)
         files[name] = str(tmp_path / f"{name}.csv")
     for name, key, value in (("patp1", "p", 1), ("pateps", "epsilon_verified", 1.5),
-                             ("patnull", "epsilon_verified", None)):
+                             ("patnull", "epsilon_verified", None),
+                             ("patpbool", "p", True), ("patQbool", "Q", True),
+                             ("patnumbool", "A_num", True), ("patdenbool", "A_den", True),
+                             ("patidxbool", "indices", [0, True]),
+                             ("patepsbool", "epsilon_verified", True)):
         doc = json.loads((tmp_path / "pat2.json").read_text())
         doc[key] = value
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
@@ -510,25 +506,11 @@ def test_bad_input_exits_2_naming_the_flag(tmp_path, capsys, monkeypatch, argv, 
     assert flag in capsys.readouterr().err
 
 
-def test_bad_threads_env_exits_2(tmp_path, capsys, monkeypatch):
-    # only the subcommands that run a gap scan read the variable
-    files = _pattern_files(tmp_path)
-    monkeypatch.setenv("OBSTRUCTIONS_THREADS", "-1")
-    capsys.readouterr()
-    code = main(["verify", "--pattern", files["pat2"], "--method", "sampled",
-                 "--samples", "10", "-o", str(tmp_path / "r.json")])
-    assert code == 2
-    assert "OBSTRUCTIONS_THREADS" in capsys.readouterr().err
-    code = main(["density", "--d", "1", "--p", "2", "--epsilon", "0.2",
-                 "--R", "5", "--samples", "10", "-o", str(tmp_path / "d.json")])
-    assert code == 0
-
-
 # Valid flag values per subcommand, small so that every run is short. "@name"
 # tokens become paths under tmp_path. Required flags, --samples (whose
 # defaults are slow) and output paths are always passed; each example then
-# applies at most one mutation: a malformed value, a dropped flag, a bare
-# --config or an unknown flag.
+# applies at most one mutation: a malformed value, a dropped flag or an
+# unknown flag.
 FUZZ_FLAGS = {
     "construct": {
         "--mode": ["thinned", "elementary"],
@@ -543,7 +525,7 @@ FUZZ_FLAGS = {
         "--pattern-out": ["@out"],
     },
     "verify": {
-        "--pattern": ["@pat2", "@pat3", "@noidx", "@garbage", "@missing"],
+        "--pattern": ["@pat2", "@pat3", "@noidx", "@emptyidx", "@garbage", "@missing"],
         "--method": ["net", "sampled"],
         "--epsilon": ["auto", "0.5", "0.95"],
         "--samples": ["1", "50"],
@@ -560,7 +542,7 @@ FUZZ_FLAGS = {
         "--seed": ["0", "3"],
     },
     "nocopy": {
-        "--pattern": ["@pat2", "@pat3", "@noidx", "@garbage", "@missing"],
+        "--pattern": ["@pat2", "@pat3", "@noidx", "@emptyidx", "@garbage", "@missing"],
         "--d": ["1", "2"],
         "--epsilon": ["0.5", "0.95"],
         "--j-list": ["1", "1,2"],
@@ -607,7 +589,7 @@ def cli_argv(draw):
     pairs = [[flag, draw(st.sampled_from(values))]
              for flag, values in FUZZ_FLAGS[sub].items()
              if flag in ALWAYS or draw(st.booleans())]
-    mutation = draw(st.sampled_from(["none", "value", "drop", "config", "bogus"]))
+    mutation = draw(st.sampled_from(["none", "value", "drop", "bogus"]))
     if mutation == "value":
         draw(st.sampled_from(pairs))[1] = draw(st.sampled_from(BAD))
     elif mutation == "drop":
@@ -616,8 +598,8 @@ def cli_argv(draw):
     argv += [s for s in SWITCHES.get(sub, []) if draw(st.booleans())]
     if sub in THREADED and draw(st.booleans()):
         argv += ["--threads", str(draw(st.integers(-2, 4)))]
-    if mutation in ("config", "bogus"):
-        argv.append("--config" if mutation == "config" else "--bogus")
+    if mutation == "bogus":
+        argv.append("--bogus")
     return argv
 
 
@@ -638,6 +620,5 @@ def test_cli_fuzz_exits_0_1_or_2(fuzz_files, monkeypatch, argv):
     tmp_path, files = fuzz_files
     # a malformed value in an output flag becomes a relative path
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("OBSTRUCTIONS_THREADS", raising=False)
     argv = [files[tok[1:]] if tok.startswith("@") else tok for tok in argv]
     assert main([argv[0], "-o", str(tmp_path / "r.json"), *argv[1:]]) in (0, 1, 2)

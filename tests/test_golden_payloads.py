@@ -65,7 +65,6 @@ def assert_same(got, want, where="payload"):
 
 def test_cli_payloads_match_golden(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("OBSTRUCTIONS_THREADS", raising=False)
     for name, argv in CASES:
         out = tmp_path / f"{name}.out.json"
         assert main([*argv, "-o", out.name]) in (0, 1), name
