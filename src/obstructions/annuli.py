@@ -485,7 +485,7 @@ def no_copy_check(spec: AnnulusSpec, pattern: Pattern, leading: Fraction,
     copy raises BudgetError. A route mismatch is a polynomial margin of the
     other sign that its own bound decides.
     """
-    if pattern_epsilon is not None and pattern_epsilon > spec.epsilon + 1e-12:
+    if pattern_epsilon is not None and pattern_epsilon > spec.epsilon:
         raise ValueError(
             f"inconsistent epsilon: pattern verified at {pattern_epsilon}, "
             f"set built with {spec.epsilon}"

@@ -112,22 +112,24 @@ def _read_pattern_file(path: str):
     for key, kind in _PATTERN_KEYS.items():
         if not _json_is(doc.get(key), kind):
             raise ValueError(f"--pattern {path}: {key!r} must be a JSON {kind.__name__}")
-    if not doc["indices"] or not all(_json_is(k, int) for k in doc["indices"]):
-        raise ValueError(f"--pattern {path}: 'indices' must be a non-empty list of integers")
+    indices = doc["indices"]
+    if not indices or not all(_json_is(k, int) for k in indices) \
+            or len(set(indices)) < len(indices):
+        raise ValueError(f"--pattern {path}: 'indices' must be a non-empty list of "
+                         "distinct integers")
     if doc["A_den"] == 0:
         raise ValueError(f"--pattern {path}: 'A_den' must be nonzero")
+    if doc["p"] < 1:
+        raise ValueError(f"--pattern {path}: 'p' must be >= 1")
+    if doc["Q"] < 0 or doc["Q"] and not all(0 <= k < doc["Q"] for k in indices):
+        raise ValueError(f"--pattern {path}: 'Q' must be 0 (unconstrained indices) "
+                         "or above every index, with no index below 0")
     eps = doc.get("epsilon_verified")
     if eps is not None and not _json_is(eps, (int, float)):
         raise ValueError(f"--pattern {path}: 'epsilon_verified' must be a number or null")
-    pattern = Pattern(tuple(doc["indices"]), doc["Q"], doc["provenance"])
+    pattern = Pattern(tuple(indices), doc["Q"], doc["provenance"])
     leading = Fraction(doc["A_num"], doc["A_den"])
     return pattern, doc["p"], leading, eps
-
-
-def _threads(args) -> int:
-    if args.threads < 1:
-        raise ValueError(f"--threads must be a positive integer, got {args.threads}")
-    return args.threads
 
 
 def _epsilon(args, eps_file):
@@ -146,6 +148,39 @@ def _finite_float(token: str) -> float:
     if not math.isfinite(value):
         raise ValueError(token)
     return value
+
+
+def _at_least(low, kind=int, strict=False):
+    """An argparse type: a ``kind`` value >= low (> low when strict), refused
+    as "argument --X: must be >= low, got ..." otherwise."""
+    def parse(token: str):
+        value = kind(token)
+        if value < low or strict and value == low:
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {low}, got {token!r}")
+        return value
+    parse.__name__ = kind.__name__  # argparse's "invalid int value: 'x'"
+    return parse
+
+
+# hitting lengths (epsilon) and render's side R
+_positive = _at_least(0.0, _finite_float, strict=True)
+
+
+def _positive_or_auto(token: str):
+    try:
+        return token if token == "auto" else _positive(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number or 'auto', got {token!r}") from None
+
+
+def _int_list(token: str) -> list:
+    try:
+        return [int(tok) for tok in token.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{token!r} is not a comma-separated list of integers") from None
 
 
 def _annulus_spec(*sources) -> AnnulusSpec:
@@ -173,7 +208,6 @@ def _scan_counters(cells: int, sorted_rows: int, n: int, seconds: float) -> dict
 
 def _cmd_construct(args) -> int:
     t0 = time.perf_counter()
-    threads = _threads(args)
     if args.mode == "elementary":
         if args.calibrate:
             raise ValueError("--calibrate applies to thinned patterns only")
@@ -183,6 +217,8 @@ def _cmd_construct(args) -> int:
     else:
         degree = args.p
         universe = args.Q if args.Q else bertrand_prime(args.n, degree)
+        if universe < args.n:
+            raise ValueError(f"--Q: cannot thin to --n {args.n} indices out of {universe}")
         seed = args.seed
         pattern = thin_pattern(args.n, universe, seed)
         leading = Fraction(1, universe)
@@ -196,7 +232,7 @@ def _cmd_construct(args) -> int:
         cal = calibrate_sampled(
             pattern.n, degree, pattern.universe, seed=args.seed,
             n_samples=args.samples, retries=args.retries,
-            epsilon_target=args.target_epsilon, threads=threads,
+            epsilon_target=args.target_epsilon, threads=args.threads,
         )
         pattern = cal.pattern
         epsilon_verified = cal.epsilon_min
@@ -207,7 +243,7 @@ def _cmd_construct(args) -> int:
     elif args.epsilon is not None:
         rep = verify_hitting_sampled(
             pattern, leading, degree, args.epsilon,
-            n_samples=args.samples, seed=args.seed, threads=threads,
+            n_samples=args.samples, seed=args.seed, threads=args.threads,
         )
         reports["hitting"] = rep.to_dict()
         epsilon_verified = args.epsilon if rep.passed else None
@@ -229,16 +265,18 @@ def _cmd_construct(args) -> int:
 
 def _cmd_verify(args) -> int:
     t0 = time.perf_counter()
-    threads = _threads(args)
     pattern, degree, leading, eps_file = _read_pattern_file(args.pattern)
-    _, epsilon = _epsilon(args, eps_file)
+    eps_source, epsilon = _epsilon(args, eps_file)
     if args.method == "net":
+        if epsilon != "auto" and not 0 < epsilon < 1:
+            raise ValueError(f"{eps_source}: net mode needs epsilon in (0, 1), "
+                             f"got {epsilon}")
         nets = build_nets(degree, pattern.universe,
                           float(epsilon) if epsilon != "auto" else 0.5,
                           max_cells=args.net_cells)
         t_scan = time.perf_counter()
         rep = verify_hitting_net(pattern, leading, degree, epsilon, nets,
-                                 threads=threads)
+                                 threads=args.threads)
         reports = {"nets": nets.to_dict(), "hitting": rep.to_dict()}
     else:
         if epsilon == "auto":
@@ -247,7 +285,7 @@ def _cmd_verify(args) -> int:
         t_scan = time.perf_counter()
         rep = verify_hitting_sampled(pattern, leading, degree, float(epsilon),
                                      n_samples=args.samples, seed=args.seed,
-                                     threads=threads)
+                                     threads=args.threads)
         reports = {"hitting": rep.to_dict()}
     counters = _scan_counters(rep.tested, rep.sorted_rows, pattern.n,
                               time.perf_counter() - t_scan)
@@ -255,7 +293,7 @@ def _cmd_verify(args) -> int:
         "pattern": args.pattern, "method": args.method, "epsilon": epsilon,
         "samples": args.samples, "seed": args.seed,
         "net_cells": args.net_cells if args.method == "net" else None,
-        "threads": threads,
+        "threads": args.threads,
     }
     return _emit_report(args, "verify", config, reports, rep.passed, t0, counters)
 
@@ -263,8 +301,6 @@ def _cmd_verify(args) -> int:
 def _cmd_density(args) -> int:
     t0 = time.perf_counter()
     spec = _annulus_spec(("--d", args.d), ("--p", args.p), ("--epsilon", args.epsilon))
-    if args.R < 1:
-        raise ValueError(f"--R must be >= 1, got {args.R}")
     rep = density(spec, args.R, method=args.method, seed=args.seed,
                   samples=args.samples)
     config = {"d": args.d, "p": args.p, "epsilon": args.epsilon, "R": args.R,
@@ -280,15 +316,14 @@ def _cmd_nocopy(args) -> int:
     eps_source, epsilon = _epsilon(args, eps_file)
     spec = _annulus_spec(("--d", args.d), (f"--pattern {args.pattern}: 'p'", degree),
                          (eps_source, float(epsilon)))
-    try:
-        j_list = [int(tok) for tok in args.j_list.split(",")]
-    except ValueError:
-        raise ValueError(f"--j-list: {args.j_list!r} is not a comma-separated "
-                         "list of integers") from None
-    rep = no_copy_check(spec, pattern, leading, j_list, args.samples,
+    for j in args.j_list:
+        if float(leading) + j <= 0:
+            raise ValueError(f"--j-list: scale index {j} leaves leading + j <= 0, "
+                             f"with leading {leading} from --pattern {args.pattern}")
+    rep = no_copy_check(spec, pattern, leading, args.j_list, args.samples,
                         seed=args.seed, pattern_epsilon=eps_file)
     config = {"pattern": args.pattern, "d": args.d, "epsilon": spec.epsilon,
-              "j_list": j_list, "samples": args.samples, "seed": args.seed}
+              "j_list": args.j_list, "samples": args.samples, "seed": args.seed}
     return _emit_report(args, "nocopy", config,
                         {"spec": spec.to_dict(), "nocopy": rep.to_dict()},
                         rep.passed, t0)
@@ -333,17 +368,15 @@ def _parse_exact(flag: str, token: str) -> Fraction:
 
 def _cmd_discrepancy(args) -> int:
     t0 = time.perf_counter()
-    if args.M is not None and args.M < 1:
-        raise ValueError(f"--M must be a positive integer, got {args.M}")
     if args.points:
         values = _read_points_csv(args.points)
         source = {"points": args.points}
+    elif args.A is None or args.N is None:
+        raise ValueError("discrepancy needs --points or --A with --N")
     else:
         leading = _parse_exact("--A", args.A)
         if leading == 0:
             raise ValueError("--A: the leading coefficient must be nonzero")
-        if args.N < 1:
-            raise ValueError(f"--N must be a positive integer, got {args.N}")
         lower = tuple(_parse_exact("--B", tok)
                       for tok in args.B.split(",")) if args.B else ()
         degree = len(lower) + 1
@@ -416,8 +449,6 @@ def _render_svg(spec: AnnulusSpec, R: float, size: int = 640):
 
 def _cmd_render(args) -> int:
     t0 = time.perf_counter()
-    if args.R <= 0:
-        raise ValueError("--R must be positive")
     spec = _annulus_spec(("d", 2), ("p", 2), ("--epsilon", args.epsilon))
     svg, shells = _render_svg(spec, args.R)
     _atomic_write(args.out, svg)
@@ -440,23 +471,24 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, threads=False):
         p.add_argument("-o", "--output", help="write the JSON report here")
         if threads:
-            p.add_argument("--threads", type=int, default=1, help="worker threads")
+            p.add_argument("--threads", type=_at_least(1), default=1,
+                           help="worker threads")
 
     p = sub.add_parser("construct", help="build a pattern file")
     p.add_argument("--mode", choices=("thinned", "elementary"), required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=int, default=2, help="polynomial degree")
-    p.add_argument("--Q", type=int, default=None,
+    p.add_argument("--n", type=_at_least(1), required=True)
+    p.add_argument("--p", type=_at_least(1), default=2, help="polynomial degree")
+    p.add_argument("--Q", type=_at_least(0), default=None,
                    help="universe override (default: Bertrand prime)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     goal = p.add_mutually_exclusive_group()
-    goal.add_argument("--epsilon", type=_finite_float, default=None,
+    goal.add_argument("--epsilon", type=_positive, default=None,
                       help="verify (sampled) at this epsilon and record it")
     goal.add_argument("--calibrate", action="store_true",
                       help="search seeds for the smallest passing epsilon")
-    p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--retries", type=int, default=1)
-    p.add_argument("--target-epsilon", type=_finite_float, default=None)
+    p.add_argument("--samples", type=_at_least(1), default=10_000)
+    p.add_argument("--retries", type=_at_least(1), default=1)
+    p.add_argument("--target-epsilon", type=_positive, default=None)
     p.add_argument("--pattern-out", required=True)
     common(p, threads=True)
     p.set_defaults(func=_cmd_construct)
@@ -464,11 +496,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify the hitting property")
     p.add_argument("--pattern", required=True)
     p.add_argument("--method", choices=("net", "sampled"), required=True)
-    p.add_argument("--epsilon", default=None,
+    p.add_argument("--epsilon", type=_positive_or_auto, default=None,
                    help="float, or 'auto' (net mode) for the smallest passing")
-    p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--net-cells", type=int, default=NET_CELL_BUDGET,
+    p.add_argument("--samples", type=_at_least(1), default=10_000)
+    p.add_argument("--seed", type=_at_least(0), default=0)
+    p.add_argument("--net-cells", type=_at_least(1), default=NET_CELL_BUDGET,
                    help="net cell budget; the grids coarsen to fit it")
     common(p, threads=True)
     p.set_defaults(func=_cmd_verify)
@@ -477,11 +509,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--epsilon", type=_finite_float, required=True)
-    p.add_argument("--R", type=_finite_float, required=True)
+    p.add_argument("--R", type=_at_least(1.0, _finite_float), required=True)
     p.add_argument("--method", choices=("monte-carlo", "exact-slice"),
                    default="monte-carlo")
-    p.add_argument("--samples", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_at_least(1), default=1_000_000)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     common(p)
     p.set_defaults(func=_cmd_density)
 
@@ -490,10 +522,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--epsilon", type=_finite_float, default=None,
                    help="set epsilon (default: the pattern file's verified value)")
-    p.add_argument("--j-list", default="1,2,3,4,5")
-    p.add_argument("--samples", type=int, default=10_000,
+    p.add_argument("--j-list", type=_int_list, default="1,2,3,4,5")
+    p.add_argument("--samples", type=_at_least(1), default=10_000,
                    help="placements per scale index")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     common(p)
     p.set_defaults(func=_cmd_nocopy)
 
@@ -503,15 +535,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--B", default=None,
                    help="lower coefficients k^1.., comma separated; their "
                         "count sets the degree (e.g. --B 0 makes A quadratic)")
-    p.add_argument("--N", type=int, default=None, help="sequence length")
-    p.add_argument("--M", type=int, default=None, help="Erdos-Turan cutoff")
+    p.add_argument("--N", type=_at_least(1), default=None, help="sequence length")
+    p.add_argument("--M", type=_at_least(1), default=None, help="Erdos-Turan cutoff")
     p.add_argument("--dump", default=None, help="write the points as CSV")
     common(p)
     p.set_defaults(func=_cmd_discrepancy)
 
     p = sub.add_parser("render", help="SVG of the planar annular set (d = p = 2)")
     p.add_argument("--epsilon", type=_finite_float, required=True)
-    p.add_argument("--R", type=_finite_float, required=True)
+    p.add_argument("--R", type=_positive, required=True)
     p.add_argument("--out", required=True)
     common(p)
     p.set_defaults(func=_cmd_render)
@@ -522,15 +554,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.subcommand == "discrepancy" and not args.points:
-            if not (args.A and args.N):
-                parser.error("discrepancy needs --points or --A with --N")
-        if args.subcommand == "verify" and args.epsilon not in (None, "auto"):
-            try:
-                args.epsilon = _finite_float(args.epsilon)
-            except ValueError:
-                parser.error(f"argument --epsilon: expected a finite number or "
-                             f"'auto', got {args.epsilon!r}")
         return args.func(args)
     except SystemExit as exc:  # argparse usage errors and --help/--version
         return int(exc.code or 0)

@@ -396,6 +396,19 @@ def test_no_copy_epsilon_consistency_check():
                       pattern_epsilon=0.5)
 
 
+def test_no_copy_epsilon_compared_exactly():
+    # the no-copy argument needs the pattern's length at most the set's
+    # epsilon: one ulp above is refused, equality is not
+    q = 101
+    pat = thin_pattern(20, q, seed=1)
+    spec = AnnulusSpec(2, 2, 0.9)
+    with pytest.raises(ValueError, match="inconsistent"):
+        no_copy_check(spec, pat, Fraction(1, q), [1], 10, seed=0,
+                      pattern_epsilon=math.nextafter(0.9, 1.0))
+    assert no_copy_check(spec, pat, Fraction(1, q), [1], 10, seed=0,
+                         pattern_epsilon=0.9).passed
+
+
 def test_no_copy_axis_placement_leaves_set():
     # explicit direct-scan oracle for one axis placement
     q = bertrand_prime(16, 2)

@@ -465,6 +465,48 @@ def _pattern_files(tmp_path):
     (["density", "--d", "2", "--p", "2", "--epsilon", "0.1", "--R", "3e7",
       "--samples", "200000", "--seed", "1"], "--R"),
     (["render", "--epsilon", "0.3", "--R", "200", "--out", "@svg"], "--R"),
+    (["verify", "--pattern", "@pat2", "--method", "sampled", "--epsilon", "-0.5",
+      "--samples", "10"], "--epsilon"),
+    (["verify", "--pattern", "@pat2", "--method", "sampled", "--epsilon", "0",
+      "--samples", "10"], "--epsilon"),
+    (["construct", "--mode", "thinned", "--n", "8", "--Q", "64", "--epsilon", "-1",
+      "--samples", "10", "--pattern-out", "@out"], "--epsilon"),
+    (["construct", "--mode", "thinned", "--n", "8", "--Q", "64", "--calibrate",
+      "--target-epsilon", "-3", "--samples", "10", "--pattern-out", "@out"],
+     "--target-epsilon"),
+    (["verify", "--pattern", "@pat2", "--method", "net", "--epsilon", "1",
+      "--net-cells", "10"], "--epsilon"),
+    (["verify", "--pattern", "@pateps", "--method", "net", "--net-cells", "10"],
+     "--pattern @pateps: 'epsilon_verified'"),
+    (["construct", "--mode", "thinned", "--n", "8", "--Q", "64", "--p", "0",
+      "--pattern-out", "@out"], "--p"),
+    (["construct", "--mode", "thinned", "--n", "8", "--Q", "64", "--p", "-3",
+      "--pattern-out", "@out"], "--p"),
+    (["verify", "--pattern", "@patp0", "--method", "sampled", "--epsilon", "0.9",
+      "--samples", "10"], "--pattern @patp0: 'p'"),
+    (["verify", "--pattern", "@patQ1", "--method", "sampled", "--epsilon", "0.9",
+      "--samples", "10"], "--pattern @patQ1: 'Q'"),
+    (["verify", "--pattern", "@patQneg", "--method", "net", "--epsilon", "0.9",
+      "--net-cells", "10"], "--pattern @patQneg: 'Q'"),
+    (["verify", "--pattern", "@patidxdup", "--method", "sampled", "--epsilon", "0.9",
+      "--samples", "10"], "--pattern @patidxdup: 'indices'"),
+    (["nocopy", "--pattern", "@pat2", "--epsilon", "0.99", "--j-list", "-5",
+      "--samples", "10"], "--j-list"),
+    (["construct", "--mode", "thinned", "--n", "0", "--Q", "64",
+      "--pattern-out", "@out"], "--n"),
+    (["construct", "--mode", "thinned", "--n", "8", "--Q", "5",
+      "--pattern-out", "@out"], "--Q"),
+    (["verify", "--pattern", "@pat2", "--method", "sampled", "--epsilon", "0.9",
+      "--samples", "10", "--seed", "-1"], "--seed"),
+    (["density", "--d", "2", "--p", "2", "--epsilon", "0.1", "--R", "10",
+      "--samples", "10", "--seed", "-1"], "--seed"),
+    (["nocopy", "--pattern", "@pat2", "--epsilon", "0.99", "--samples", "10",
+      "--seed", "-1"], "--seed"),
+    (["construct", "--mode", "thinned", "--n", "8", "--Q", "64", "--epsilon", "0.9",
+      "--samples", "10", "--seed", "-1", "--pattern-out", "@out"], "--seed"),
+    (["construct", "--mode", "thinned", "--n", "8", "--Q", "64", "--seed", "-1",
+      "--pattern-out", "@out"], "--seed"),
+    (["discrepancy", "--points", "@okcsv", "--N", "-3"], "--N"),
 ], ids=["A-zero-den", "B-zero-den", "pattern-no-indices",
         "density-zero-samples", "negative-threads", "net-cells-zero",
         "net-cells-negative", "epsilon-inf", "render-zero-R",
@@ -481,12 +523,22 @@ def _pattern_files(tmp_path):
         "verify-sampled-empty-indices", "nocopy-empty-indices", "pattern-p-bool",
         "pattern-Q-bool", "pattern-A-num-bool", "pattern-A-den-bool",
         "pattern-index-bool", "pattern-epsilon-bool", "calibrate-with-epsilon",
-        "density-beyond-float-precision", "render-over-annulus-budget"])
+        "density-beyond-float-precision", "render-over-annulus-budget",
+        "verify-sampled-epsilon-negative", "verify-sampled-epsilon-zero",
+        "construct-epsilon-negative", "calibrate-target-epsilon-negative",
+        "verify-net-epsilon-one", "verify-net-pattern-epsilon-above-one",
+        "construct-p-zero", "construct-p-negative", "pattern-p-zero", "pattern-Q-one",
+        "pattern-Q-negative", "pattern-index-repeated", "j-list-negative",
+        "construct-n-zero", "construct-Q-below-n", "verify-negative-seed",
+        "density-negative-seed", "nocopy-negative-seed",
+        "construct-epsilon-negative-seed", "construct-negative-seed",
+        "points-with-negative-N"])
 def test_bad_input_exits_2_naming_the_flag(tmp_path, capsys, argv, flag):
     files = {**_pattern_files(tmp_path), "svg": str(tmp_path / "f.svg"),
              "out": str(tmp_path / "out.json")}
     for name, text in (("junkcsv", "x\n0.1\nfoo\n0.5\n"), ("nancsv", "0.1\nnan\n0.5\n"),
-                       ("emptycsv", ""), ("headercsv", "value\n\n")):
+                       ("emptycsv", ""), ("headercsv", "value\n\n"),
+                       ("okcsv", "0.1\n0.5\n")):
         (tmp_path / f"{name}.csv").write_text(text)
         files[name] = str(tmp_path / f"{name}.csv")
     for name, key, value in (("patp1", "p", 1), ("pateps", "epsilon_verified", 1.5),
@@ -494,7 +546,9 @@ def test_bad_input_exits_2_naming_the_flag(tmp_path, capsys, argv, flag):
                              ("patpbool", "p", True), ("patQbool", "Q", True),
                              ("patnumbool", "A_num", True), ("patdenbool", "A_den", True),
                              ("patidxbool", "indices", [0, True]),
-                             ("patepsbool", "epsilon_verified", True)):
+                             ("patepsbool", "epsilon_verified", True),
+                             ("patp0", "p", 0), ("patQ1", "Q", 1), ("patQneg", "Q", -5),
+                             ("patidxdup", "indices", [0, 3, 3])):
         doc = json.loads((tmp_path / "pat2.json").read_text())
         doc[key] = value
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
@@ -581,6 +635,18 @@ def test_fuzz_table_covers_every_parser_flag():
                  if opt.startswith("--") and opt != "--help"}
         assert flags == {*FUZZ_FLAGS[sub], *SWITCHES.get(sub, []), "--output",
                          *(["--threads"] if sub in THREADED else [])}, sub
+
+
+def test_every_numeric_flag_has_a_range_checking_type():
+    # a plain int or float type lets any value through to library code whose
+    # messages name no flag; --d and density's --p reach AnnulusSpec through
+    # _annulus_spec, which names the flag
+    subparsers = next(a for a in _build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    plain = {(sub, action.option_strings[-1])
+             for sub, parser in subparsers.choices.items()
+             for action in parser._actions if action.type in (int, float)}
+    assert plain - {("density", "--d"), ("density", "--p"), ("nocopy", "--d")} == set()
 
 
 @st.composite
