@@ -106,7 +106,10 @@ def _json_is(value, kind) -> bool:
 
 def _read_pattern_file(path: str):
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ValueError(f"--pattern {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"--pattern {path}: expected a JSON object")
     for key, kind in _PATTERN_KEYS.items():
@@ -125,8 +128,9 @@ def _read_pattern_file(path: str):
         raise ValueError(f"--pattern {path}: 'Q' must be 0 (unconstrained indices) "
                          "or above every index, with no index below 0")
     eps = doc.get("epsilon_verified")
-    if eps is not None and not _json_is(eps, (int, float)):
-        raise ValueError(f"--pattern {path}: 'epsilon_verified' must be a number or null")
+    if eps is not None and not (_json_is(eps, (int, float)) and 0 <= eps < math.inf):
+        raise ValueError(f"--pattern {path}: 'epsilon_verified' must be a finite "
+                         "number >= 0 or null")
     pattern = Pattern(tuple(indices), doc["Q"], doc["provenance"])
     leading = Fraction(doc["A_num"], doc["A_den"])
     return pattern, doc["p"], leading, eps
@@ -211,11 +215,16 @@ def _cmd_construct(args) -> int:
     if args.mode == "elementary":
         if args.calibrate:
             raise ValueError("--calibrate applies to thinned patterns only")
+        if args.n < 4:
+            raise ValueError(f"--n: an elementary pattern needs n >= 4, got {args.n}")
         pattern, leading = elementary_pattern(args.n)
         degree = 2
         seed = None
     else:
         degree = args.p
+        if not args.Q and args.n < 2:
+            raise ValueError(f"--n: the Bertrand prime universe needs n >= 2, got "
+                             f"{args.n}; give --Q for a smaller n")
         universe = args.Q if args.Q else bertrand_prime(args.n, degree)
         if universe < args.n:
             raise ValueError(f"--Q: cannot thin to --n {args.n} indices out of {universe}")
@@ -271,6 +280,13 @@ def _cmd_verify(args) -> int:
         if epsilon != "auto" and not 0 < epsilon < 1:
             raise ValueError(f"{eps_source}: net mode needs epsilon in (0, 1), "
                              f"got {epsilon}")
+        if pattern.universe < 2:
+            raise ValueError(f"--pattern {args.pattern}: 'Q' must be >= 2 for net "
+                             f"verification, got {pattern.universe}")
+        if leading != Fraction(1, pattern.universe):
+            raise ValueError(f"--pattern {args.pattern}: 'A_num'/'A_den' must be "
+                             f"1/'Q' = 1/{pattern.universe} for net verification, "
+                             f"got {leading}")
         nets = build_nets(degree, pattern.universe,
                           float(epsilon) if epsilon != "auto" else 0.5,
                           max_cells=args.net_cells)
@@ -282,6 +298,8 @@ def _cmd_verify(args) -> int:
         if epsilon == "auto":
             raise ValueError("epsilon 'auto' needs net mode; sampled runs "
                              "report the worst observed gap at a fixed epsilon")
+        if epsilon == 0:  # the flag's 0 is refused by the parser
+            raise ValueError(f"{eps_source}: a hitting length must be > 0, got 0")
         t_scan = time.perf_counter()
         rep = verify_hitting_sampled(pattern, leading, degree, float(epsilon),
                                      n_samples=args.samples, seed=args.seed,
@@ -316,6 +334,10 @@ def _cmd_nocopy(args) -> int:
     eps_source, epsilon = _epsilon(args, eps_file)
     spec = _annulus_spec(("--d", args.d), (f"--pattern {args.pattern}: 'p'", degree),
                          (eps_source, float(epsilon)))
+    if eps_file is not None and eps_file > spec.epsilon:
+        raise ValueError(f"--epsilon: {spec.epsilon} is below --pattern {args.pattern}: "
+                         f"'epsilon_verified' {eps_file}; the set needs an epsilon "
+                         "at least the pattern's verified hitting length")
     for j in args.j_list:
         if float(leading) + j <= 0:
             raise ValueError(f"--j-list: scale index {j} leaves leading + j <= 0, "
@@ -560,7 +582,7 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -377,7 +377,6 @@ class _ExactKernel:
         self.denominator = b << self.s
         self.n = len(ks)
         self.rows = block_rows(self.n)
-        self.row_starts = np.arange(0, self.rows * self.n, self.n)
 
         def tile(column):
             column = np.array(column, dtype=np.uint64)[:, None]
@@ -422,40 +421,22 @@ class _ExactKernel:
         np.minimum(vals, tmp, out=vals)
         return vals
 
-    def gaps(self, u: np.ndarray, buffers) -> np.ndarray:
-        """Exact max-gap numerators over D of every row of u (see residues)."""
-        return self._sorted_gaps(self.residues(u, buffers), np.arange(u.shape[0]),
-                                 buffers)
-
     def candidate_gaps(self, u: np.ndarray, buffers, floor: int):
-        """(rows, gaps): the exact max-gap numerators of the rows of u whose
-        ``_gap_caps`` bound is at least floor. Every other row's gap is below
-        floor, so a row whose gap reaches floor is never left out."""
+        """(rows, gaps): the exact max-gap numerators over D (see residues)
+        of the rows of u whose ``_gap_caps`` bound is at least floor. Every
+        other row's gap is below floor, so a row whose gap reaches floor is
+        never left out. The few rows kept are sorted in a gathered copy."""
         vals = self.residues(u, buffers)
         caps = _gap_caps(vals, self.denominator, buffers[1][:, :u.shape[0]])
         keep = np.flatnonzero(caps >= floor)
-        return keep, self._sorted_gaps(vals, keep, buffers)
-
-    def _sorted_gaps(self, vals: np.ndarray, keep: np.ndarray, buffers) -> np.ndarray:
-        """Max circular gaps of the columns ``keep`` of vals, which is the
-        first buffer's view: gathered row-major into the second buffer,
-        sorted, and differenced into the first."""
-        k, n = len(keep), self.n
-        if not k:
-            return np.empty(0, dtype=np.uint64)
-        flat_rows = buffers[1].reshape(-1)[:k * n]
-        flat_diff = buffers[0].reshape(-1)[:k * n]
-        rows, diff = flat_rows.reshape(k, n), flat_diff.reshape(k, n)
-        np.take(vals, keep, axis=1, out=rows.T, mode="clip")
-        rows.sort(axis=1)
-        # consecutive differences over the flat buffer (one long loop instead
-        # of one per row); each row's last slot, which got the difference
-        # across the row boundary, is then overwritten by the row's wrap
-        # D - last + first (mod 2^64)
-        np.subtract(flat_rows[1:], flat_rows[:-1], out=flat_diff[:-1])
-        np.subtract(rows[:, 0], rows[:, -1], out=diff[:, -1])
-        diff[:, -1] += self.big
-        return np.maximum.reduceat(flat_diff, self.row_starts[:k])
+        if not len(keep):
+            return keep, np.empty(0, dtype=np.uint64)
+        kept = vals[:, keep]
+        kept.sort(axis=0)
+        # the wrap gap D - last + first, which lies in (0, D]; initial=0
+        # covers one-point patterns, whose only gap is the wrap
+        wrap = kept[0] - kept[-1] + self.big
+        return keep, np.maximum(np.diff(kept, axis=0).max(axis=0, initial=0), wrap)
 
 
 def _scan_blocks(kernel: _ExactKernel, blocks, threads: int):

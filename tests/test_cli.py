@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import re
 import subprocess
@@ -507,6 +508,22 @@ def _pattern_files(tmp_path):
     (["construct", "--mode", "thinned", "--n", "8", "--Q", "64", "--seed", "-1",
       "--pattern-out", "@out"], "--seed"),
     (["discrepancy", "--points", "@okcsv", "--N", "-3"], "--N"),
+    (["verify", "--pattern", "@patepsneg", "--method", "sampled", "--samples", "10"],
+     "--pattern @patepsneg: 'epsilon_verified'"),
+    (["verify", "--pattern", "@patepszero", "--method", "sampled", "--samples", "10"],
+     "--pattern @patepszero: 'epsilon_verified'"),
+    (["verify", "--pattern", "@garbage", "--method", "sampled", "--epsilon", "0.5",
+      "--samples", "10"], "--pattern @garbage: "),
+    (["construct", "--mode", "elementary", "--n", "2", "--pattern-out", "@out"], "--n"),
+    (["construct", "--mode", "thinned", "--n", "1", "--pattern-out", "@out"], "--n"),
+    (["verify", "--pattern", "@patQ0", "--method", "net", "--epsilon", "0.9",
+      "--net-cells", "10"], "--pattern @patQ0: 'Q'"),
+    (["verify", "--pattern", "@patlead", "--method", "net", "--epsilon", "0.9",
+      "--net-cells", "10"], "--pattern @patlead: 'A_num'/'A_den'"),
+    (["nocopy", "--pattern", "@pateps99", "--epsilon", "0.5", "--samples", "10"],
+     "--epsilon: 0.5 is below --pattern @pateps99: 'epsilon_verified' 0.99"),
+    (["verify", "--pattern", "@patepsnan", "--method", "sampled", "--samples", "10"],
+     "--pattern @patepsnan: 'epsilon_verified'"),
 ], ids=["A-zero-den", "B-zero-den", "pattern-no-indices",
         "density-zero-samples", "negative-threads", "net-cells-zero",
         "net-cells-negative", "epsilon-inf", "render-zero-R",
@@ -532,7 +549,11 @@ def _pattern_files(tmp_path):
         "construct-n-zero", "construct-Q-below-n", "verify-negative-seed",
         "density-negative-seed", "nocopy-negative-seed",
         "construct-epsilon-negative-seed", "construct-negative-seed",
-        "points-with-negative-N"])
+        "points-with-negative-N", "verify-sampled-pattern-epsilon-negative",
+        "verify-sampled-pattern-epsilon-zero", "pattern-not-json",
+        "elementary-n-below-four", "construct-n-one-without-Q",
+        "verify-net-pattern-Q-zero", "verify-net-pattern-leading-not-1-over-Q",
+        "nocopy-epsilon-below-pattern-epsilon", "verify-sampled-pattern-epsilon-nan"])
 def test_bad_input_exits_2_naming_the_flag(tmp_path, capsys, argv, flag):
     files = {**_pattern_files(tmp_path), "svg": str(tmp_path / "f.svg"),
              "out": str(tmp_path / "out.json")}
@@ -548,7 +569,12 @@ def test_bad_input_exits_2_naming_the_flag(tmp_path, capsys, argv, flag):
                              ("patidxbool", "indices", [0, True]),
                              ("patepsbool", "epsilon_verified", True),
                              ("patp0", "p", 0), ("patQ1", "Q", 1), ("patQneg", "Q", -5),
-                             ("patidxdup", "indices", [0, 3, 3])):
+                             ("patidxdup", "indices", [0, 3, 3]),
+                             ("patepsneg", "epsilon_verified", -0.5),
+                             ("patepszero", "epsilon_verified", 0),
+                             ("patQ0", "Q", 0), ("patlead", "A_num", 3),
+                             ("pateps99", "epsilon_verified", 0.99),
+                             ("patepsnan", "epsilon_verified", math.nan)):
         doc = json.loads((tmp_path / "pat2.json").read_text())
         doc[key] = value
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))

@@ -405,25 +405,39 @@ def test_net_threads_agree_with_serial():
     assert serial.to_dict() == threaded.to_dict()
 
 
-@pytest.mark.parametrize("degree, universe", [(2, 67), (3, 71), (2, 64), (3, 64)])
-def test_kernel_rows_match_fraction_oracle(degree, universe):
+@pytest.mark.parametrize("degree, universe, n", [
+    (2, 67, 64), (3, 71, 64), (2, 64, 64), (3, 64, 64), (2, 67, 1), (3, 64, 2),
+], ids=["2-67", "3-71", "2-64", "3-64", "2-67-one-point", "3-64-two-point"])
+def test_kernel_rows_match_fraction_oracle(degree, universe, n):
     # every row's exact gap, over one full block and a short one that reuses
     # its buffers, against the rational definition; with an odd universe a
     # row puts a point on D - 1, with a power of two a row puts one on D
     # itself, which the wrapping reduce must send to 0
-    pat = thin_pattern(64, universe, seed=1)
     leading = Fraction(1, universe)
-    kernel = patterns._ExactKernel(pat, leading, degree)
-    s, D, dims = kernel.s, kernel.denominator, degree - 1
-    special = [[0] * dims, [(1 << s) - 1] * dims]
+    s = patterns._scale_bits(universe)
+    D = universe << s
     edge = Fraction(D - 1, D) if universe % 2 else Fraction(0)
-    for k in pat.indices:
-        r = k ** degree % universe
+
+    def edge_row(k):
         # the point is (r 2^s + universe * acc) / D with acc = sum_i u_i k^i mod 2^s
+        r = k ** degree % universe
         want = ((universe - r) << s) - (universe % 2)
         if k % 2 and r and want % universe == 0:
             acc = want // universe
-            row = [acc * pow(k, -1, 1 << s) % (1 << s)] + [0] * (dims - 1)
+            return [acc * pow(k, -1, 1 << s) % (1 << s)] + [0] * (degree - 2)
+        return None
+
+    # 64 thinned indices, or the first n of the indices that can reach the edge
+    pat = thin_pattern(64, universe, seed=1) if n == 64 else Pattern(
+        tuple(k for k in range(universe) if edge_row(k))[:n], universe)
+    assert pat.n == n
+    kernel = patterns._ExactKernel(pat, leading, degree)
+    dims = degree - 1
+    assert (kernel.s, kernel.denominator) == (s, D)
+    special = [[0] * dims, [(1 << s) - 1] * dims]
+    for k in pat.indices:
+        row = edge_row(k)
+        if row:
             coeffs = [Fraction(x, 1 << s) for x in row]
             assert PolySeqSpec(degree, leading, tuple(coeffs)).value_at(k) == edge
             special.append(row)
@@ -441,9 +455,12 @@ def test_kernel_rows_match_fraction_oracle(degree, universe):
     u = distinct[pick]
     assert len(u) % kernel.rows != 0
     buffers = kernel.buffers()
-    got = np.concatenate([kernel.gaps(u[lo:lo + kernel.rows], buffers)
+    got = np.concatenate([kernel.candidate_gaps(u[lo:lo + kernel.rows], buffers, 0)[1]
                           for lo in range(0, len(u), kernel.rows)])
     assert len(got) == len(u)
+    # every cap is below 2D, so a floor of 2D keeps no row
+    keep, none = kernel.candidate_gaps(u[:kernel.rows], buffers, 2 * D)
+    assert keep.size == none.size == 0 and none.dtype == np.uint64
     oracle = {}
     for row, gap in zip(map(tuple, u.tolist()), got.tolist()):
         if row not in oracle:
