@@ -16,7 +16,6 @@ the report), 2 usage or budget error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import datetime
 import json
 import math
@@ -95,13 +94,25 @@ def _write_pattern_file(path: str, pattern: Pattern, degree: int,
     _atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-_PATTERN_KEYS = {"indices": list, "Q": int, "provenance": str, "p": int,
-                 "A_num": int, "A_den": int}
-
-
 def _json_is(value, kind) -> bool:
     """isinstance for JSON values: true and false are not integers."""
     return isinstance(value, kind) and not isinstance(value, bool)
+
+
+# pattern-file key -> (JSON type, range test, what the key must be); 'p' and
+# 'Q' accept the ranges of construct's --p and --Q
+_PATTERN_KEYS = {
+    "indices": (list, lambda v: v and all(_json_is(k, int) for k in v)
+                and len(set(v)) == len(v), "a non-empty list of distinct integers"),
+    "Q": (int, lambda v: v >= 0, "an integer >= 0"),
+    "provenance": (str, lambda v: True, "a string"),
+    "p": (int, lambda v: v >= 1, "an integer >= 1"),
+    "A_num": (int, lambda v: True, "an integer"),
+    "A_den": (int, lambda v: v != 0, "a nonzero integer"),
+    "epsilon_verified": ((int, float, type(None)),
+                         lambda v: v is None or 0 <= v < math.inf,
+                         "a finite number >= 0, or null"),
+}
 
 
 def _read_pattern_file(path: str):
@@ -112,28 +123,16 @@ def _read_pattern_file(path: str):
             raise ValueError(f"--pattern {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"--pattern {path}: expected a JSON object")
-    for key, kind in _PATTERN_KEYS.items():
-        if not _json_is(doc.get(key), kind):
-            raise ValueError(f"--pattern {path}: {key!r} must be a JSON {kind.__name__}")
-    indices = doc["indices"]
-    if not indices or not all(_json_is(k, int) for k in indices) \
-            or len(set(indices)) < len(indices):
-        raise ValueError(f"--pattern {path}: 'indices' must be a non-empty list of "
-                         "distinct integers")
-    if doc["A_den"] == 0:
-        raise ValueError(f"--pattern {path}: 'A_den' must be nonzero")
-    if doc["p"] < 1:
-        raise ValueError(f"--pattern {path}: 'p' must be >= 1")
-    if doc["Q"] < 0 or doc["Q"] and not all(0 <= k < doc["Q"] for k in indices):
+    for key, (kind, in_range, what) in _PATTERN_KEYS.items():
+        value = doc.get(key)
+        if not (_json_is(value, kind) and in_range(value)):
+            raise ValueError(f"--pattern {path}: {key!r} must be {what}")
+    if doc["Q"] and not all(0 <= k < doc["Q"] for k in doc["indices"]):
         raise ValueError(f"--pattern {path}: 'Q' must be 0 (unconstrained indices) "
                          "or above every index, with no index below 0")
-    eps = doc.get("epsilon_verified")
-    if eps is not None and not (_json_is(eps, (int, float)) and 0 <= eps < math.inf):
-        raise ValueError(f"--pattern {path}: 'epsilon_verified' must be a finite "
-                         "number >= 0 or null")
-    pattern = Pattern(tuple(indices), doc["Q"], doc["provenance"])
+    pattern = Pattern(tuple(doc["indices"]), doc["Q"], doc["provenance"])
     leading = Fraction(doc["A_num"], doc["A_den"])
-    return pattern, doc["p"], leading, eps
+    return pattern, doc["p"], leading, doc.get("epsilon_verified")
 
 
 def _epsilon(args, eps_file):
@@ -171,6 +170,14 @@ def _at_least(low, kind=int, strict=False):
 _positive = _at_least(0.0, _finite_float, strict=True)
 
 
+def _set_epsilon(token: str) -> float:
+    """An argparse type: the epsilon of an annular set, in [0, 1)."""
+    value = _finite_float(token)
+    if not 0 <= value < 1:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1), got {token!r}")
+    return value
+
+
 def _positive_or_auto(token: str):
     try:
         return token if token == "auto" else _positive(token)
@@ -185,18 +192,6 @@ def _int_list(token: str) -> list:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"{token!r} is not a comma-separated list of integers") from None
-
-
-def _annulus_spec(*sources) -> AnnulusSpec:
-    """AnnulusSpec(d, p, epsilon) from three (source, value) pairs; a refused
-    value is reported with the flag or pattern-file key it came from."""
-    try:
-        return AnnulusSpec(*(value for _, value in sources))
-    except ValueError as exc:
-        # AnnulusSpec's messages open with the name of the refused field
-        fields = [f.name for f in dataclasses.fields(AnnulusSpec)]
-        source = sources[fields.index(str(exc).split()[0])][0]
-        raise ValueError(f"{source}: {exc}") from None
 
 
 def _scan_counters(cells: int, sorted_rows: int, n: int, seconds: float) -> dict:
@@ -225,7 +220,12 @@ def _cmd_construct(args) -> int:
         if not args.Q and args.n < 2:
             raise ValueError(f"--n: the Bertrand prime universe needs n >= 2, got "
                              f"{args.n}; give --Q for a smaller n")
-        universe = args.Q if args.Q else bertrand_prime(args.n, degree)
+        try:
+            universe = args.Q if args.Q else bertrand_prime(args.n, degree)
+        except ValueError:  # n^(2^p) >= 2^62; n >= 2 was checked above
+            raise ValueError(f"--n {args.n}, --p {degree}: the Bertrand prime universe "
+                             "needs n^(2^p) below 2^62; give --Q to set the universe "
+                             "directly") from None
         if universe < args.n:
             raise ValueError(f"--Q: cannot thin to --n {args.n} indices out of {universe}")
         seed = args.seed
@@ -318,7 +318,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_density(args) -> int:
     t0 = time.perf_counter()
-    spec = _annulus_spec(("--d", args.d), ("--p", args.p), ("--epsilon", args.epsilon))
+    spec = AnnulusSpec(args.d, args.p, args.epsilon)
     rep = density(spec, args.R, method=args.method, seed=args.seed,
                   samples=args.samples)
     config = {"d": args.d, "p": args.p, "epsilon": args.epsilon, "R": args.R,
@@ -332,8 +332,11 @@ def _cmd_nocopy(args) -> int:
     t0 = time.perf_counter()
     pattern, degree, leading, eps_file = _read_pattern_file(args.pattern)
     eps_source, epsilon = _epsilon(args, eps_file)
-    spec = _annulus_spec(("--d", args.d), (f"--pattern {args.pattern}: 'p'", degree),
-                         (eps_source, float(epsilon)))
+    if degree < 2:  # the file's 'p' and epsilon; the parser checks the flags
+        raise ValueError(f"--pattern {args.pattern}: 'p' must be >= 2, got {degree}")
+    if epsilon >= 1:
+        raise ValueError(f"{eps_source}: a set epsilon must be in [0, 1), got {epsilon}")
+    spec = AnnulusSpec(args.d, degree, float(epsilon))
     if eps_file is not None and eps_file > spec.epsilon:
         raise ValueError(f"--epsilon: {spec.epsilon} is below --pattern {args.pattern}: "
                          f"'epsilon_verified' {eps_file}; the set needs an epsilon "
@@ -471,7 +474,7 @@ def _render_svg(spec: AnnulusSpec, R: float, size: int = 640):
 
 def _cmd_render(args) -> int:
     t0 = time.perf_counter()
-    spec = _annulus_spec(("d", 2), ("p", 2), ("--epsilon", args.epsilon))
+    spec = AnnulusSpec(2, 2, args.epsilon)
     svg, shells = _render_svg(spec, args.R)
     _atomic_write(args.out, svg)
     config = {"epsilon": args.epsilon, "R": args.R, "out": args.out}
@@ -528,9 +531,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("density", help="volume fraction of the obstruction set")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--epsilon", type=_finite_float, required=True)
+    p.add_argument("--d", type=_at_least(1), required=True)
+    p.add_argument("--p", type=_at_least(2), required=True)
+    p.add_argument("--epsilon", type=_set_epsilon, required=True)
     p.add_argument("--R", type=_at_least(1.0, _finite_float), required=True)
     p.add_argument("--method", choices=("monte-carlo", "exact-slice"),
                    default="monte-carlo")
@@ -541,8 +544,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nocopy", help="sampled placements must leave the set")
     p.add_argument("--pattern", required=True)
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--epsilon", type=_finite_float, default=None,
+    p.add_argument("--d", type=_at_least(1), default=2)
+    p.add_argument("--epsilon", type=_set_epsilon, default=None,
                    help="set epsilon (default: the pattern file's verified value)")
     p.add_argument("--j-list", type=_int_list, default="1,2,3,4,5")
     p.add_argument("--samples", type=_at_least(1), default=10_000,
@@ -564,7 +567,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_discrepancy)
 
     p = sub.add_parser("render", help="SVG of the planar annular set (d = p = 2)")
-    p.add_argument("--epsilon", type=_finite_float, required=True)
+    p.add_argument("--epsilon", type=_set_epsilon, required=True)
     p.add_argument("--R", type=_positive, required=True)
     p.add_argument("--out", required=True)
     common(p)
@@ -581,6 +584,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"budget error: out of memory: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -62,9 +62,10 @@ def bertrand_prime(n: int, p: int) -> int:
     """Smallest prime above n^(2^p); Bertrand guarantees one below 2*n^(2^p)."""
     if n < 2 or p < 1:
         raise ValueError("need n >= 2 and p >= 1")
-    lower = n ** (2 ** p)
+    # at p >= 6, n^(2^p) >= 2^64: refused without building the power
+    lower = n ** (2 ** p) if p < 6 else 1 << 64
     if lower >= 1 << 62:
-        raise ValueError(f"parameter range: n^(2^p) = {lower} exceeds 2^62")
+        raise ValueError("parameter range: n^(2^p) must be below 2^62")
     q = lower + 1
     while not is_prime_64(q):
         q += 1

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import obstructions
-from obstructions.cli import _build_parser, main
+from obstructions.cli import _PATTERN_KEYS, _build_parser, main
 from obstructions.patterns import block_rows
 from obstructions.torus import exact_discrepancy
 
@@ -385,6 +385,12 @@ def _pattern_files(tmp_path):
     return files
 
 
+# an out-of-range value per pattern-file key: each key of cli._PATTERN_KEYS
+# gets a generated bad-input case, and a key missing here fails them all
+PATTERN_OUT_OF_RANGE = {"indices": [], "Q": -1, "provenance": 7, "p": 0,
+                        "A_num": 0.5, "A_den": 0, "epsilon_verified": -1}
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["discrepancy", "--A", "1/0", "--N", "5"], "--A"),
     (["discrepancy", "--A", "1/7", "--B", "1/0", "--N", "5"], "--B"),
@@ -524,6 +530,19 @@ def _pattern_files(tmp_path):
      "--epsilon: 0.5 is below --pattern @pateps99: 'epsilon_verified' 0.99"),
     (["verify", "--pattern", "@patepsnan", "--method", "sampled", "--samples", "10"],
      "--pattern @patepsnan: 'epsilon_verified'"),
+    (["construct", "--mode", "thinned", "--n", "64", "--p", "4",
+      "--pattern-out", "@out"], "--p"),
+    (["construct", "--mode", "thinned", "--n", "64", "--p", "27",
+      "--pattern-out", "@out"], "--p"),
+    (["construct", "--mode", "thinned", "--n", "64", "--p", "30",
+      "--pattern-out", "@out"], "--p"),
+    (["density", "--d", "100000000", "--p", "40", "--epsilon", "0.1", "--R", "1"],
+     "budget error"),
+    (["nocopy", "--pattern", "@patnull", "--d", "10000000", "--samples", "10000000",
+      "--epsilon", "0.9"], "budget error"),
+    *((["verify", "--pattern", f"@range_{key}", "--method", "sampled",
+        "--epsilon", "0.9", "--samples", "10"], f"--pattern @range_{key}: {key!r}")
+      for key in _PATTERN_KEYS),
 ], ids=["A-zero-den", "B-zero-den", "pattern-no-indices",
         "density-zero-samples", "negative-threads", "net-cells-zero",
         "net-cells-negative", "epsilon-inf", "render-zero-R",
@@ -553,7 +572,10 @@ def _pattern_files(tmp_path):
         "verify-sampled-pattern-epsilon-zero", "pattern-not-json",
         "elementary-n-below-four", "construct-n-one-without-Q",
         "verify-net-pattern-Q-zero", "verify-net-pattern-leading-not-1-over-Q",
-        "nocopy-epsilon-below-pattern-epsilon", "verify-sampled-pattern-epsilon-nan"])
+        "nocopy-epsilon-below-pattern-epsilon", "verify-sampled-pattern-epsilon-nan",
+        "bertrand-past-2^62", "bertrand-power-past-int-str-limit",
+        "bertrand-power-past-memory", "density-out-of-memory", "nocopy-out-of-memory",
+        *(f"pattern-{key}-out-of-range" for key in _PATTERN_KEYS)])
 def test_bad_input_exits_2_naming_the_flag(tmp_path, capsys, argv, flag):
     files = {**_pattern_files(tmp_path), "svg": str(tmp_path / "f.svg"),
              "out": str(tmp_path / "out.json")}
@@ -574,7 +596,9 @@ def test_bad_input_exits_2_naming_the_flag(tmp_path, capsys, argv, flag):
                              ("patepszero", "epsilon_verified", 0),
                              ("patQ0", "Q", 0), ("patlead", "A_num", 3),
                              ("pateps99", "epsilon_verified", 0.99),
-                             ("patepsnan", "epsilon_verified", math.nan)):
+                             ("patepsnan", "epsilon_verified", math.nan),
+                             *((f"range_{key}", key, PATTERN_OUT_OF_RANGE[key])
+                               for key in _PATTERN_KEYS)):
         doc = json.loads((tmp_path / "pat2.json").read_text())
         doc[key] = value
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
@@ -665,14 +689,13 @@ def test_fuzz_table_covers_every_parser_flag():
 
 def test_every_numeric_flag_has_a_range_checking_type():
     # a plain int or float type lets any value through to library code whose
-    # messages name no flag; --d and density's --p reach AnnulusSpec through
-    # _annulus_spec, which names the flag
+    # messages name no flag
     subparsers = next(a for a in _build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction))
     plain = {(sub, action.option_strings[-1])
              for sub, parser in subparsers.choices.items()
              for action in parser._actions if action.type in (int, float)}
-    assert plain - {("density", "--d"), ("density", "--p"), ("nocopy", "--d")} == set()
+    assert plain == set()
 
 
 @st.composite
