@@ -26,7 +26,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .torus import BudgetError, _Residues, exact_discrepancy
+from .torus import BudgetError, Residues, exact_discrepancy
 from .patterns import (
     NET_CELL_BUDGET,
     Pattern,
@@ -147,9 +147,14 @@ def _epsilon(args, eps_file):
 
 
 def _finite_float(token: str) -> float:
-    value = float(token)
+    """An argparse type: a finite float, refused as "argument --X: expected
+    a finite number, got ..." otherwise."""
+    try:
+        value = float(token)
+    except ValueError:
+        value = math.nan
     if not math.isfinite(value):
-        raise ValueError(token)
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {token!r}")
     return value
 
 
@@ -179,11 +184,14 @@ def _set_epsilon(token: str) -> float:
 
 
 def _positive_or_auto(token: str):
+    if token == "auto":
+        return token
     try:
-        return token if token == "auto" else _positive(token)
-    except ValueError:
+        _finite_float(token)
+    except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(
             f"expected a finite number or 'auto', got {token!r}") from None
+    return _positive(token)
 
 
 def _int_list(token: str) -> list:
@@ -394,7 +402,7 @@ def _parse_exact(flag: str, token: str) -> Fraction:
 def _cmd_discrepancy(args) -> int:
     t0 = time.perf_counter()
     if args.points:
-        values = _read_points_csv(args.points)
+        values = Residues.of(_read_points_csv(args.points))
         source = {"points": args.points}
     elif args.A is None or args.N is None:
         raise ValueError("discrepancy needs --points or --A with --N")
@@ -405,11 +413,11 @@ def _cmd_discrepancy(args) -> int:
         lower = tuple(_parse_exact("--B", tok)
                       for tok in args.B.split(",")) if args.B else ()
         degree = len(lower) + 1
-        values = _Residues(*PolySeqSpec(degree, leading, lower).residues(range(args.N)))
+        values = PolySeqSpec(degree, leading, lower).residues(range(args.N))
         source = {"A": {"num": leading.numerator, "den": leading.denominator},
                   "B": [float(c) for c in lower], "N": args.N, "degree": degree}
     if args.dump:
-        points = values if args.points else (Fraction(x, values.D) for x in values.nums)
+        points = (Fraction(num, values.D) for num in values.nums)
         _atomic_write(args.dump, "".join(f"{v.numerator}/{v.denominator}\n"
                                          for v in points))
     report = exact_discrepancy(values, et_cutoff=args.M)

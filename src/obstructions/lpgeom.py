@@ -15,7 +15,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .torus import max_circular_gap
+from .torus import Residues, max_circular_gap
 
 EQUALITY_TOL = 1e-12
 SUPPORT_TOL = 1e-9
@@ -201,7 +201,7 @@ def equally_spaced_obstruction(count: int) -> bool:
     """
     if count < 2:
         raise ValueError("count must be >= 2")
-    gap = max_circular_gap([Fraction(k, count) for k in range(count)])
+    gap = max_circular_gap(Residues(list(range(count)), count))
     return gap <= Fraction(1, count)
 
 

@@ -26,7 +26,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .torus import BudgetError, Real, TorusInterval, max_circular_gap
+from .torus import BudgetError, Real, Residues, TorusInterval, max_circular_gap
 
 NET_CELL_BUDGET = 20_000_000
 FISHER_YATES_CUTOFF = 1 << 20
@@ -177,8 +177,8 @@ class PolySeqSpec:
         object.__setattr__(self, "leading", Fraction(self.leading))
         object.__setattr__(self, "lower", lower)
 
-    def residues(self, ks: Iterable[int]) -> tuple:
-        """(numerators, D) with x_k = numerators[j] / D exactly for k = ks[j].
+    def residues(self, ks: Iterable[int]) -> Residues:
+        """The points x_k, with x_k = nums[j] / D exactly for k = ks[j].
 
         D is the lcm of every coefficient's denominator, and each numerator
         is sum_i num_i * (D / den_i) * (k^i mod D), reduced into [0, D).
@@ -187,8 +187,8 @@ class PolySeqSpec:
         D = math.lcm(*(c.denominator for c in coeffs))
         terms = [(i, c.numerator * (D // c.denominator))
                  for i, c in enumerate(coeffs, start=1) if c]
-        return [sum(a * pow(k, i, D) for i, a in terms) % D
-                for k in map(int, ks)], D
+        return Residues([sum(a * pow(k, i, D) for i, a in terms) % D
+                         for k in map(int, ks)], D)
 
     def value_at(self, k: int) -> Fraction:
         """x_k mod 1 as a Fraction, straight from the definition; tests hold
@@ -199,10 +199,9 @@ class PolySeqSpec:
         return acc % 1
 
     def values(self, ks: Iterable[int]) -> np.ndarray:
-        """Float values x_k: each exact N_k / D of ``residues`` rounded once
-        (int / int is correctly rounded), so equal to float(value_at(k))."""
-        nums, D = self.residues(ks)
-        return np.array([n / D for n in nums], dtype=float)
+        """Float values x_k of ``residues``, each rounded once, so equal to
+        float(value_at(k))."""
+        return self.residues(ks).floats()
 
 
 def pattern_gap(pattern: Pattern, leading: Fraction, degree: int,
@@ -373,9 +372,9 @@ class _ExactKernel:
 
     def __init__(self, pattern: Pattern, leading: Fraction, degree: int):
         ks = pattern.indices
-        lead, b = PolySeqSpec(degree, leading).residues(ks)
-        self.s = _scale_bits(b)
-        self.denominator = b << self.s
+        lead = PolySeqSpec(degree, leading).residues(ks)
+        self.s = _scale_bits(lead.D)
+        self.denominator = lead.D << self.s
         self.n = len(ks)
         self.rows = block_rows(self.n)
 
@@ -383,11 +382,11 @@ class _ExactKernel:
             column = np.array(column, dtype=np.uint64)[:, None]
             return np.repeat(column, self.rows, axis=1)
 
-        self.lead = tile([r << self.s for r in lead])
+        self.lead = tile([r << self.s for r in lead.nums])
         self.kpows = [tile([pow(k, i, 1 << self.s) for k in ks])
                       for i in range(1, degree)]
         self.mask = np.uint64((1 << self.s) - 1)
-        self.b = np.uint64(b)
+        self.b = np.uint64(lead.D)
         self.big = np.uint64(self.denominator)
 
     def buffers(self):
@@ -650,7 +649,7 @@ def find_hitter(n: int, B: float, target: TorusInterval) -> int:
     block index i with (B + 2i/m) mod 1 in [1/m, 3/m), then walk l = 0..m-1
     through positions stepping by theta + (2l+1)/m^2 < 5/m until the target
     (any interval of length >= min(1, 10/sqrt(n))) is entered. Membership of
-    the returned index is confirmed by direct evaluation; exhausting the walk
+    each walk index is decided on its exact residue; exhausting the walk
     would falsify the construction and raises.
     """
     if n < 16:
@@ -663,8 +662,9 @@ def find_hitter(n: int, B: float, target: TorusInterval) -> int:
                   if 1.0 / m <= (B + 2.0 * i / m) % 1.0 < 3.0 / m]
     walk = [i * m + l for i in admissible for l in range(m)]
     spec = PolySeqSpec(2, Fraction(1, m * m), (B,))
-    for k, x in zip(walk, spec.values(walk)):
-        if target.contains(x):
+    pts = spec.residues(walk)
+    for k, num in zip(walk, pts.nums):
+        if target.contains(Fraction(num, pts.D)):
             return k
     raise RuntimeError(
         "block walk found no hitter; this contradicts the construction "

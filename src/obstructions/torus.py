@@ -1,9 +1,10 @@
 """Arithmetic on the circle R/Z: gaps, exact interval discrepancy, Weyl sums.
 
-Functions take plain sequences of points: ints, floats, Fractions or numpy
-scalars. Each point is read as the exact rational it equals (a finite float
-is a dyadic rational) and reduced mod 1, so a point set becomes integer
-residues over one common denominator, and gaps and discrepancies are exact.
+Functions take a ``Residues`` or plain sequences of points: ints, floats,
+Fractions or numpy scalars. Each point is read as the exact rational it
+equals (a finite float is a dyadic rational) and reduced mod 1, so a point
+set becomes a ``Residues``, integer residues over one common denominator,
+and gaps and discrepancies are exact.
 A float result is an exact value rounded once, a Weyl sum or Erdos-Turan
 bound with a stated rounding bound, or a grid estimate that rounds each
 point once. Every operation in this module is a pure function of its
@@ -39,26 +40,10 @@ def _ratio(x) -> tuple:
         raise ValueError(f"{x!r} is not a finite number") from None
 
 
-def _common_denominator(points) -> tuple:
-    """(numerators, D) with point k equal to numerators[k] / D mod 1, each
-    numerator in [0, D); D is the lcm of the points' denominators, or the D
-    of a ``_Residues``, which is read as it stands."""
-    if isinstance(points, _Residues):
-        return points.nums, points.D
-    ratios = [_ratio(x) for x in points]
-    if not ratios:
-        raise ValueError("empty point set")
-    dens = {den for _, den in ratios}
-    D = math.lcm(*dens)
-    scale = {den: D // den for den in dens}
-    return [num * scale[den] % D for num, den in ratios], D
-
-
 @dataclass(frozen=True)
-class _Residues:
-    """Points nums[k] / D mod 1, each numerator in [0, D), already over one
-    common denominator, which ``_common_denominator`` returns as they stand;
-    len() counts the points."""
+class Residues:
+    """Points nums[k] / D mod 1, each numerator in [0, D): a point set over
+    one common denominator. len() counts the points."""
 
     nums: list
     D: int
@@ -66,11 +51,23 @@ class _Residues:
     def __len__(self) -> int:
         return len(self.nums)
 
+    @classmethod
+    def of(cls, points) -> Residues:
+        """The points as residues over D, the lcm of their denominators; a
+        ``Residues`` is returned as it stands."""
+        if isinstance(points, cls):
+            return points
+        ratios = [_ratio(x) for x in points]
+        if not ratios:
+            raise ValueError("empty point set")
+        dens = {den for _, den in ratios}
+        D = math.lcm(*dens)
+        scale = {den: D // den for den in dens}
+        return cls([num * scale[den] % D for num, den in ratios], D)
 
-def _rounded(points) -> np.ndarray:
-    """Each point reduced mod 1 exactly, then rounded once to a float."""
-    nums, D = _common_denominator(points)
-    return np.array([num / D for num in nums])
+    def floats(self) -> np.ndarray:
+        """Each point rounded once to a float (int / int is correctly rounded)."""
+        return np.array([num / self.D for num in self.nums], dtype=float)
 
 
 def _fraction_json(v: Fraction) -> dict:
@@ -121,8 +118,8 @@ def max_circular_gap(points) -> Fraction:
     circular gap is <= eps. A single point (or fully coincident set) has
     gap 1.
     """
-    nums, D = _common_denominator(points)
-    ys = sorted(nums)
+    pts = Residues.of(points)
+    ys, D = sorted(pts.nums), pts.D
     wrap = D - ys[-1] + ys[0]
     return Fraction(max([wrap, *map(operator.sub, ys[1:], ys)]), D)
 
@@ -183,9 +180,9 @@ def exact_discrepancy(points, et_cutoff: Optional[int] = None) -> DiscrepancyRep
     of the witness [y_i, y_j] cross-checks it (degenerate and wrapping
     witnesses included).
     """
-    nums, D = _common_denominator(points)
-    n = len(nums)
-    ys = sorted(nums)
+    pts = Residues.of(points)
+    n, D = len(pts), pts.D
+    ys = sorted(pts.nums)
     # y_i - i/N over N*D; the excess is max + (D - min)
     a = [n * y - i * D for i, y in enumerate(ys)]
     i, j = a.index(max(a)), a.index(min(a))
@@ -203,7 +200,7 @@ def exact_discrepancy(points, et_cutoff: Optional[int] = None) -> DiscrepancyRep
     )
     if et_cutoff is not None:
         start = time.perf_counter()
-        bound = erdos_turan_bound(_Residues(nums, D), et_cutoff)
+        bound = erdos_turan_bound(pts, et_cutoff)
         report = dataclasses.replace(report, et_bound=bound, et_cutoff=et_cutoff,
                                      et_seconds=time.perf_counter() - start)
     return report
@@ -219,7 +216,7 @@ def grid_discrepancy(points, grid: int = 100) -> float:
     """
     if grid < 2:
         raise ValueError("grid must be >= 2")
-    pts = _rounded(points)
+    pts = Residues.of(points).floats()
     n = len(pts)
     starts = np.arange(grid) / grid
     lengths = (np.arange(grid) + 1.0) / grid
@@ -263,8 +260,8 @@ def weyl_sum(poly, n_terms: int, multiplier: int = 1) -> complex:
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
-    nums, D = poly.residues(range(n_terms))
-    cos, sin = _unit_phases([(multiplier * n) % D for n in nums], D)
+    pts = poly.residues(range(n_terms))
+    cos, sin = _unit_phases([(multiplier * n) % pts.D for n in pts.nums], pts.D)
     return complex(math.fsum(cos), math.fsum(sin))
 
 
@@ -307,9 +304,9 @@ def erdos_turan_bound(points, cutoff: int) -> float:
     """
     if not 1 <= cutoff <= 1 << 40:
         raise ValueError("cutoff must be in [1, 2^40]")
-    nums, D = _common_denominator(points)
-    n = len(nums)
-    cos, sin = _unit_phases(nums, D)
+    pts = Residues.of(points)
+    n = len(pts)
+    cos, sin = _unit_phases(pts.nums, pts.D)
     z = cos + 1j * sin
     block = min(cutoff, max(1, (1 << 16) // n))
     table = np.cumprod(np.broadcast_to(z, (block, n)), axis=0)

@@ -155,13 +155,13 @@ def test_criterion_04_elementary_bound_and_hitter():
             gaps = np.maximum(np.diff(vals, axis=1).max(axis=1),
                               1.0 - vals[:, -1] + vals[:, 0])
             assert (gaps <= bound).all(), (n, float(gaps.max()))
-            # block-walk hitter, confirmed by direct evaluation
+            # block-walk hitter, confirmed by exact evaluation
             length = min(1.0, 10.0 / math.sqrt(n))
             for b in list(rng.random(40)) + adversarial_coeffs(n, 5):
                 target = ob.TorusInterval(float(rng.random()), length)
                 k = ob.find_hitter(n, float(b), target)
-                val = ((k * k % m2) / m2 + b * k) % 1.0
-                assert target.contains(val)
+                spec = ob.PolySeqSpec(2, Fraction(1, m2), (float(b),))
+                assert target.contains(spec.value_at(k))
     report(4, "elementary 10/sqrt(n) bound + hitter", "PASS", t.elapsed, limit)
     assert t.elapsed < limit
 

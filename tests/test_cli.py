@@ -252,6 +252,19 @@ def test_discrepancy_dump_reads_back(tmp_path):
     assert reread["reports"] == generated["reports"]
 
 
+def test_discrepancy_dump_of_points_is_reduced_mod_1(tmp_path):
+    # the dump holds the points the report used: each reduced into [0, 1)
+    csv, dump = tmp_path / "pts.csv", tmp_path / "dump.csv"
+    csv.write_text("5/4\n-1/3\n0.5\n")
+    code, given = run(["discrepancy", "--points", str(csv), "--M", "5",
+                       "--dump", str(dump)], tmp_path)
+    assert code == 0
+    assert dump.read_text().splitlines() == ["1/4", "2/3", "1/2"]
+    code, reread = run(["discrepancy", "--points", str(dump), "--M", "5"], tmp_path)
+    assert code == 0
+    assert reread["reports"] == given["reports"]
+
+
 def test_discrepancy_points_tokens_are_exact(tmp_path):
     # 0.1 in a points file is 1/10, as in --A and --B, not the binary float
     csv = tmp_path / "pts.csv"
@@ -696,6 +709,29 @@ def test_every_numeric_flag_has_a_range_checking_type():
              for sub, parser in subparsers.choices.items()
              for action in parser._actions if action.type in (int, float)}
     assert plain == set()
+
+
+def test_malformed_float_names_the_kind_of_value(capsys):
+    # argparse names a type function in "invalid <name> value"; the float
+    # types refuse with their own message instead
+    subparsers = next(a for a in _build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    options = {(sub, action.option_strings[-1])
+               for sub, parser in subparsers.choices.items()
+               for action in parser._actions
+               if getattr(action.type, "__name__", None)
+               in ("_finite_float", "_set_epsilon", "_positive_or_auto")}
+    assert options == {("construct", "--epsilon"), ("construct", "--target-epsilon"),
+                       ("verify", "--epsilon"), ("density", "--epsilon"),
+                       ("density", "--R"), ("nocopy", "--epsilon"),
+                       ("render", "--epsilon"), ("render", "--R")}
+    for sub, flag in sorted(options):
+        for token in ("x", "inf"):
+            capsys.readouterr()
+            assert main([sub, flag, token]) == 2
+            err = capsys.readouterr().err
+            assert f"argument {flag}: expected a finite number" in err
+            assert "invalid _" not in err
 
 
 @st.composite

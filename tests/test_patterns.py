@@ -747,11 +747,10 @@ def test_find_hitter_membership_and_existence():
             b = float(rng.random())
             target = TorusInterval(float(rng.random()), length)
             k = find_hitter(n, b, target)
-            val = ((k * k % (m * m)) / (m * m) + b * k) % 1.0
-            assert target.contains(val)
+            spec = PolySeqSpec(2, Fraction(1, m * m), (b,))
+            assert target.contains(spec.value_at(k))
             # independent oracle: some index hits (scan everything)
-            hits = [kk for kk in range(n)
-                    if target.contains(((kk * kk % (m * m)) / (m * m) + b * kk) % 1.0)]
+            hits = [kk for kk in range(n) if target.contains(spec.value_at(kk))]
             assert k in hits
 
 
@@ -762,8 +761,20 @@ def test_find_hitter_adversarial_phases():
     for b in adversarial_coeffs(n):
         target = TorusInterval(0.123, length)
         k = find_hitter(n, b, target)
-        val = ((k * k % (m * m)) / (m * m) + b * k) % 1.0
-        assert target.contains(val)
+        assert target.contains(PolySeqSpec(2, Fraction(1, m * m), (b,)).value_at(k))
+
+
+def test_find_hitter_decides_on_exact_residues():
+    # index 4603's exact value lies 117/5629499534213120000 (about 2.1e-17)
+    # below the target's start, but its float rounds up onto the start
+    b = 0.09158478740507359
+    target = TorusInterval(Fraction(1466716228767085, 2 ** 52), 0.1)
+    spec = PolySeqSpec(2, Fraction(1, 10000), (b,))
+    assert not target.contains(spec.value_at(4603))
+    assert target.contains(spec.values([4603])[0])
+    k = find_hitter(10000, b, target)
+    assert k == 4604
+    assert target.contains(spec.value_at(k))
 
 
 def test_find_hitter_preconditions():

@@ -16,7 +16,7 @@ from obstructions import (
     max_circular_gap,
     weyl_sum,
 )
-from obstructions.torus import _Residues
+from obstructions.torus import Residues
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +337,7 @@ def test_exact_discrepancy_reads_residues_as_they_stand():
     fractions = [Fraction(x, 20) for x in nums]
     assert math.lcm(*(f.denominator for f in fractions)) == 10
     for cutoff in (None, 16):
-        rep = exact_discrepancy(_Residues(nums, 20), et_cutoff=cutoff)
+        rep = exact_discrepancy(Residues(nums, 20), et_cutoff=cutoff)
         assert rep == exact_discrepancy(fractions, et_cutoff=cutoff)
         assert rep.to_dict() == exact_discrepancy(fractions, et_cutoff=cutoff).to_dict()
 
