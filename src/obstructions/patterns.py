@@ -10,7 +10,11 @@ Verification is exact. With A = a/b rational and each lower coefficient a
 dyadic u_i/2^s, every point is an integer over the common denominator
 D = b * 2^s; choosing s = 62 - bitlen(b) keeps D and all intermediates
 inside uint64, so the whole scan (nets of 10^7 cells and beyond) runs as
-vectorized integer arithmetic with no rounding anywhere.
+vectorized integer arithmetic. Only the pruning bound reads rounded values:
+each point's position in units of 2^-64, rounded down by less than one
+unit. Its bucket edges are whole units, so the rounding never moves a point
+out of its bucket, and its caps bound the exact gaps (see ``_ExactKernel``).
+Every reported gap and witness is exact over D.
 """
 
 from __future__ import annotations
@@ -340,103 +344,140 @@ def _empty_runs() -> np.ndarray:
     return table
 
 
-def _gap_caps(vals: np.ndarray, D: int, scratch: np.ndarray) -> np.ndarray:
-    """Exact per-row upper bounds on the max circular gap of residues in [0, D).
-
-    vals has shape (n, rows), one column per row. Bucket j holds the points
-    in [j W, (j + 1) W) with W = ceil(D / 16), so buckets 0..15 cover [0, D)
-    (the last may reach past D). Let E be the longest circular run of empty
-    buckets of a row. If a point x lies in bucket i and the next point y in
-    bucket i + e + 1, with e <= E empty buckets between, then x >= i W and
-    y <= (i + e + 2) W - 1, so y - x <= (E + 2) W - 1. The wrap gap from the
-    last point to the first, D - x + y <= 16 W - x + y, is bounded the same
-    way with the run taken through bucket 15 to bucket 0. So every gap of
-    the row is at most (E + 2) W - 1, which this returns as uint64 (below
-    18 W < 2^64 for D < 2^63). scratch, shaped like vals, is overwritten.
-    """
-    width = -(-D // _BUCKETS)
-    np.floor_divide(vals, np.uint64(width), out=scratch)
-    np.left_shift(np.uint64(1), scratch, out=scratch)
-    occupied = np.bitwise_or.reduce(scratch, axis=0)
-    caps = np.arange(2, _BUCKETS + 3, dtype=np.uint64) * np.uint64(width) - np.uint64(1)
-    return caps[_empty_runs()[occupied]]
-
-
 class _ExactKernel:
     """Per-pattern tables for exact gap evaluation over uint64 coefficients.
 
-    Residues are laid out point-major, one (n, rows) array per block, so every
-    elementwise stage runs along rows; the per-point constants are stored as
-    full (n, rows) tiles for the same reason.
+    Point x_k = r_k/b + acc_k/2^s for a row of coefficients u_i/2^s, where
+    r_k/b is the leading term's residue and acc_k = sum_i u_i k^i mod 2^s;
+    its exact numerator over D = b * 2^s is (r_k 2^s + b acc_k) mod D. A
+    block is laid out point-major, one (n, rows) array per stage, so every
+    elementwise pass runs along rows; the per-point constants the passes
+    over the whole block read are stored as full (n, rows) tiles, and those
+    the kept rows read as (n, 1) columns.
+
+    Every row of a block gets one wrapping multiply-accumulate, in units of
+    2^-64 of the circle: ``kpows`` holds (k^i mod 2^s) << (64 - s), so the
+    uint64 sum, which wraps mod 2^64, is acc_k << (64 - s) exactly (every
+    bit above the low s of acc_k falls off the top). Adding the ``phase``
+    floor(r_k 2^64 / b) gives pos_k, the point's position rounded down to a
+    whole unit (exact when b divides r_k 2^64). The gap bound reads only the
+    top 4 bits of pos_k; exact numerators are built only for the rows the
+    bound keeps, from their positions less the phase.
+
+    Why the bound holds. Bucket j is [j 2^60, (j + 1) 2^60) in units of
+    2^-64. Its edges are whole units, so rounding a point down by less than
+    one unit never moves it across an edge: the bucket of pos_k, its top 4
+    bits, is exactly the bucket floor(16 x_k / D) of the exact point. Let E
+    be the longest circular run of empty buckets of a row. If a point x lies
+    in bucket i and the next point y in bucket i + e + 1, with e <= E empty
+    buckets between, then y - x < (e + 2) 2^60 units; the wrap gap from the
+    last point to the first is bounded the same way with the run taken
+    through bucket 15 to bucket 0. A unit is D/2^64 of a numerator over D,
+    and 16 divides D (s >= 8), so every exact gap numerator is below
+    (E + 2) D/16, hence at most caps[E] = (E + 2) D/16 - 1; a one-point row
+    (E = 15, gap D) is covered too. The 17 caps are built once in Python
+    ints; all lie below 18 D/16 < 2^63.
     """
 
     def __init__(self, pattern: Pattern, leading: Fraction, degree: int):
         ks = pattern.indices
         lead = PolySeqSpec(degree, leading).residues(ks)
-        self.s = _scale_bits(lead.D)
-        self.denominator = lead.D << self.s
+        b = lead.D
+        self.s = _scale_bits(b)
+        self.denominator = b << self.s
         self.n = len(ks)
         self.rows = block_rows(self.n)
+        self.shift = np.uint64(64 - self.s)
 
-        def tile(column):
-            column = np.array(column, dtype=np.uint64)[:, None]
-            return np.repeat(column, self.rows, axis=1)
+        def column(values):
+            return np.array(values, dtype=np.uint64)[:, None]
 
-        self.lead = tile([r << self.s for r in lead.nums])
-        self.kpows = [tile([pow(k, i, 1 << self.s) for k in ks])
+        def tile(col):
+            return np.repeat(col, self.rows, axis=1)
+
+        self.kpows = [tile(column([pow(k, i, 1 << self.s) << (64 - self.s) for k in ks]))
                       for i in range(1, degree)]
-        self.mask = np.uint64((1 << self.s) - 1)
-        self.b = np.uint64(lead.D)
+        self.phase = column([(r << 64) // b for r in lead.nums])
+        self.phase_tile = tile(self.phase)
+        self.lead = column([r << self.s for r in lead.nums])
+        self.b = np.uint64(b)
         self.big = np.uint64(self.denominator)
+        self.caps = np.array([(E + 2) * (self.denominator >> 4) - 1
+                              for E in range(_BUCKETS + 1)], dtype=np.uint64)
 
     def buffers(self):
-        """The two (n, rows) scratch arrays one thread reuses for every block."""
-        return (np.empty((self.n, self.rows), dtype=np.uint64),
-                np.empty((self.n, self.rows), dtype=np.uint64))
+        """The scratch arrays one thread reuses for every block, each shaped
+        (n, rows): the positions (uint64), the bucket bits (uint16) and, from
+        degree 3 on, one uint64 term of the multiply-accumulate."""
+        shape = (self.n, self.rows)
+        return (np.empty(shape, dtype=np.uint64), np.empty(shape, dtype=np.uint16),
+                np.empty(shape, dtype=np.uint64) if len(self.kpows) > 1 else None)
 
-    def residues(self, u: np.ndarray, buffers) -> np.ndarray:
-        """Exact numerators over D = b * 2^s, shape (n, rows), of the points
-        for rows of coefficients u/2^s; a view of the first buffer.
+    def positions(self, u: np.ndarray, buffers) -> np.ndarray:
+        """The positions pos_k (see the class) of the points of every row of
+        u, shape (n, rows), in a view of the first buffer.
 
         u has shape (rows, degree-1), dtype uint64, with at most self.rows
-        rows. uint64 products and sums wrap mod 2^64, and 2^s divides 2^64,
-        so masking the sum to its low s bits gives sum_i u_i k^i mod 2^s
-        exactly. Then each value v = lead + b * acc lies below D + D = 2D <
-        2^63 (D < 2^62 by the choice of s), so one wrapping subtraction
-        reduces it mod D: if v < D, v - D wraps to at least 2^64 - D > 2^63 > v
-        and min keeps v.
-        """
+        rows."""
         rows = u.shape[0]
-        vals, tmp = buffers[0][:, :rows], buffers[1][:, :rows]
+        pos = buffers[0][:, :rows]
         if not self.kpows:
-            vals.fill(0)
+            pos.fill(0)
         for d, (kp, coeff) in enumerate(zip(self.kpows, np.ascontiguousarray(u.T))):
-            np.multiply(kp[:, :rows], coeff, out=tmp if d else vals)
             if d:
-                vals += tmp
-        vals &= self.mask
-        vals *= self.b
-        vals += self.lead[:, :rows]
-        np.subtract(vals, self.big, out=tmp)
-        np.minimum(vals, tmp, out=vals)
-        return vals
+                pos += np.multiply(kp[:, :rows], coeff, out=buffers[2][:, :rows])
+            else:
+                np.multiply(kp[:, :rows], coeff, out=pos)
+        pos += self.phase_tile[:, :rows]
+        return pos
 
-    def candidate_gaps(self, u: np.ndarray, buffers, floor: int):
-        """(rows, gaps): the exact max-gap numerators over D (see residues)
-        of the rows of u whose ``_gap_caps`` bound is at least floor. Every
-        other row's gap is below floor, so a row whose gap reaches floor is
-        never left out. The few rows kept are sorted in a gathered copy."""
-        vals = self.residues(u, buffers)
-        caps = _gap_caps(vals, self.denominator, buffers[1][:, :u.shape[0]])
-        keep = np.flatnonzero(caps >= floor)
+    def row_caps(self, pos: np.ndarray, bits: np.ndarray) -> np.ndarray:
+        """caps[E] of every row (column) of positions, as uint64; bits, a
+        uint16 array shaped like pos, is overwritten."""
+        np.right_shift(pos, np.uint64(60), out=bits, casting="unsafe")
+        np.left_shift(np.uint16(1), bits, out=bits)
+        return self.caps[_empty_runs()[np.bitwise_or.reduce(bits, axis=0)]]
+
+    def exact(self, pos: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """pos, columns of positions, turned in place into the exact
+        numerators over D; scratch, shaped like pos, is overwritten.
+
+        Subtracting the phase gives back acc_k << (64 - s) exactly, since
+        the sum wrapped mod 2^64. Then each value v = r_k 2^s + b acc_k lies
+        below D + D = 2D < 2^63 (D < 2^62 by the choice of s), so one
+        wrapping subtraction reduces it mod D: if v < D, v - D wraps to at
+        least 2^64 - D > 2^63 > v and min keeps v."""
+        pos -= self.phase
+        pos >>= self.shift
+        pos *= self.b
+        pos += self.lead
+        np.subtract(pos, self.big, out=scratch)
+        np.minimum(pos, scratch, out=pos)
+        return pos
+
+    def candidate_gaps(self, u: np.ndarray, buffers, floor):
+        """(rows, gaps): the exact max-gap numerators over D of the rows of u
+        whose cap is at least floor (an int, or an array with one floor per
+        row). Every other row's gap is below its floor, so a row whose gap
+        reaches its floor is never left out. Only the rows kept get exact
+        numerators, built and sorted in one gathered copy of their
+        positions. That copy is column-major (each row's points contiguous,
+        as the sort along points wants), and so is the scratch that
+        ``exact`` and the gaps between neighbours use: a view of the
+        positions buffer, no longer needed."""
+        pos = self.positions(u, buffers)
+        keep = np.flatnonzero(self.row_caps(pos, buffers[1][:, :u.shape[0]]) >= floor)
         if not len(keep):
             return keep, np.empty(0, dtype=np.uint64)
-        kept = vals[:, keep]
+        kept = pos[:, keep]
+        scratch = np.ndarray(kept.shape, np.uint64, buffer=buffers[0], order="F")
+        self.exact(kept, scratch)
         kept.sort(axis=0)
         # the wrap gap D - last + first, which lies in (0, D]; initial=0
         # covers one-point patterns, whose only gap is the wrap
         wrap = kept[0] - kept[-1] + self.big
-        return keep, np.maximum(np.diff(kept, axis=0).max(axis=0, initial=0), wrap)
+        inner = np.subtract(kept[1:], kept[:-1], out=scratch[1:])
+        return keep, np.maximum(inner.max(axis=0, initial=0), wrap)
 
 
 def _scan_blocks(kernel: _ExactKernel, blocks, threads: int):
@@ -444,8 +485,9 @@ def _scan_blocks(kernel: _ExactKernel, blocks, threads: int):
 
     Each worker thread pulls the next block from the shared iterator, so at
     most ``threads`` blocks exist at once, and keeps its own scratch buffers
-    and its own best (gap, coefficient tuple). It sorts only the rows whose
-    exact bound (``_gap_caps``) reaches its best gap: every other row has a
+    and its own best (gap, coefficient tuple). It builds exact numerators
+    and sorts them only for the rows whose bucket cap (``row_caps``, read
+    from the 2^-64 positions) reaches its best gap: every other row has a
     smaller gap, and a row that ties is still sorted. The global best is the
     max gap with ties broken by the smallest coefficient tuple, whatever the
     order in which blocks were scanned, so threaded and serial scans return

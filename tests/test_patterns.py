@@ -510,16 +510,37 @@ def test_scan_keeps_few_blocks_in_flight():
     assert 1 <= count["peak"] <= 2 * threads
 
 
-def _bucket_oracle(row, D):
-    """(max gap numerator, E, W) of residues over D in Python integers: E is
-    the longest circular run of empty buckets of width W = ceil(D/16)."""
-    width = -(-D // 16)
-    gap = max_circular_gap([Fraction(x, D) for x in row]) * D
-    occupied = {x // width for x in row}
+def _slow_phase(b):
+    """The residue r over an odd b with r 2^64 mod b = b - 1: the kernel's
+    phase floor(r 2^64 / b) is then rounded down by (b - 1)/b of a unit of
+    2^-64, the most it can be. 0 for an even b, whose test needs none."""
+    return (b - 1) * pow(2, -64, b) % b if b % 2 else 0
+
+
+def _cap_oracle(points, b, s):
+    """(max gap numerator, E, cap, positions) of one row in Python ints.
+
+    Each point is (r, acc): its leading residue r over b and acc =
+    sum_i u_i k^i mod 2^s, so its exact numerator over D = b 2^s is
+    (r 2^s + b acc) mod D. Its position is pos = acc 2^(64-s) +
+    floor(r 2^64 / b) mod 2^64 in units of 2^-64; E is the longest circular
+    run of the 16 buckets pos >> 60 that no point occupies, and the cap is
+    (E + 2) D/16 - 1.
+    """
+    D = b << s
+    xs = [((r << s) + b * acc) % D for r, acc in points]
+    gap = max_circular_gap([Fraction(x, D) for x in xs]) * D
+    pos = [((acc << (64 - s)) + (r << 64) // b) % (1 << 64) for r, acc in points]
+    for x, q in zip(xs, pos):
+        # the position is the exact point rounded down to a whole unit, so
+        # its top 4 bits are the exact point's bucket
+        assert q == (x << 64) // D and q >> 60 == 16 * x // D
+    occupied = {q >> 60 for q in pos}
     runs = [0]
     for j in range(32):
         runs.append(0 if j % 16 in occupied else runs[-1] + 1)
-    return gap, min(max(runs), 16), width
+    E = min(max(runs), 16)
+    return gap, E, (E + 2) * D // 16 - 1, pos
 
 
 def test_empty_runs_table_matches_brute_force():
@@ -531,89 +552,183 @@ def test_empty_runs_table_matches_brute_force():
         assert table[mask] == want, mask
 
 
-@pytest.mark.parametrize("D", [1 << 20, 1_000_003, 16 * 1013, 67 << 55])
-def test_gap_caps_bound_every_gap(D):
-    # every row's exact gap is below (E + 2) W, the cap is (E + 2) W - 1, and
-    # the cap is attained; D = 1,000,003 is not a multiple of 16, so the
-    # last bucket reaches past D
-    W = -(-D // 16)
-    rng = np.random.default_rng(D % 1000)
+@pytest.mark.parametrize("b", [1, 3, 7, 1_048_583], ids=["b1", "b3", "b7", "b1048583"])
+def test_gap_caps_bound_every_gap(b):
+    # rows of exact numerators over D = b 2^s, each point split into its
+    # leading residue r and its acc; the kernel's caps, read from the 2^-64
+    # positions, bound every gap and the bound is attained. With b = 1 every
+    # phase is exact; for b > 1 the points beside the bucket edges carry the
+    # residue whose phase is rounded down the most. 1,048,583 is the
+    # Bertrand prime above 2^20 (n = 32, p = 2).
+    r_slow = _slow_phase(b)
+    kernel = patterns._ExactKernel(Pattern((1,)), Fraction(r_slow or 1, b), 2)
+    s, D = kernel.s, kernel.denominator
+    assert D == b << s and D % 16 == 0 and (r_slow << 64) % b == (b - 1) % b
+    W = D // 16
+
+    def split(x):
+        r = x * pow(2, -s, b) % b if b > 1 else 0
+        return r, (x - (r << s)) % D // b
+
+    # the points with the slow residue nearest each edge i W, on either side
+    c0 = (r_slow << s) % b
+    above = [i * W + c0 for i in range(16)]
+    below = [(i * W + c0 - b) % D for i in range(16)]
+    assert all(split(x)[0] == r_slow for x in above + below)
+    rng = np.random.default_rng(b)
     rows = [
-        [3], [0], [D - 1],                                 # n = 1
-        [0, 9 * W - 1], [W - 1, W], [0, D - 1], [5, 5],    # n = 2
+        [3], [0], [D - 1], [above[0]], [below[0]],             # n = 1
+        [0, 9 * W - 1], [W - 1, W], [0, D - 1], [5, 5],        # n = 2
+        [above[0], below[9]],
+        *([below[i], above[i]] for i in range(16)),            # both sides of each edge
         [W - 1, W, D - 1],
-        [0, 1, 2, W - 1],                                  # one bucket
-        [15 * W, D - 1], [15 * W + 1, D - 1, 15 * W],      # the last bucket
-        [j * W for j in range(16)],                        # every bucket
+        [0, 1, 2, W - 1],                                      # one bucket
+        [15 * W, D - 1], [15 * W + 1, D - 1, 15 * W],          # the last bucket
+        above, below,                                          # every bucket
         [j * W + W - 1 for j in range(0, 16, 3)],
     ]
     rows += [rng.integers(0, D, size=n).tolist()
              for n in (1, 2, 3, 5, 8, 40) for _ in range(6)]
     for n in sorted({len(r) for r in rows}):
         same = [r for r in rows if len(r) == n]
-        vals = np.array(same, dtype=np.uint64).T.copy()
-        caps = patterns._gap_caps(vals, D, np.empty_like(vals))
-        for row, cap in zip(same, caps.tolist()):
-            gap, E, width = _bucket_oracle(row, D)
-            assert width == W and cap == (E + 2) * W - 1, row
-            assert gap < (E + 2) * W, row
-    gap, E, _ = _bucket_oracle([0, 9 * W - 1], D)
-    assert gap == (E + 2) * W - 1
+        oracle = [_cap_oracle([split(x) for x in row], b, s) for row in same]
+        pos = np.array([o[3] for o in oracle], dtype=np.uint64).T.copy()
+        caps = kernel.row_caps(pos, np.empty(pos.shape, dtype=np.uint16))
+        for row, cap, (gap, E, want, _) in zip(same, caps.tolist(), oracle):
+            assert cap == want == kernel.caps[E], row
+            assert gap <= cap, row
+    # two points 9W - 1 apart leave 7 empty buckets, and the gap is the cap
+    gap, E, cap, _ = _cap_oracle([split(0), split(9 * W - 1)], b, s)
+    assert E == 7 and gap == cap
+    gap, E, cap, _ = _cap_oracle([split(above[0]), split(below[9])], b, s)
+    assert E == 7 and cap - b < gap <= cap
 
 
-@pytest.mark.parametrize("degree, universe", [(2, 64), (3, 101)])
+@pytest.mark.parametrize("degree, universe", [(2, 64), (3, 101), (2, 1_048_583)])
 def test_kernel_caps_bound_its_rows(degree, universe):
-    # the kernel's point-major residues and their caps, row by row, against
-    # the rational points
-    pat = thin_pattern(20, universe, seed=3)
-    leading = Fraction(1, universe)
+    # the kernel's positions, exact residues and caps, row by row,
+    # against Python ints and the rational points; for an odd universe the
+    # leading numerator is the residue whose phase is rounded down the most,
+    # and k = 1 in the pattern takes it
+    b = universe
+    leading = Fraction(_slow_phase(b) or 1, b)
+    pat = Pattern(tuple({0, 1, *thin_pattern(20, universe, seed=3).indices}), universe)
     kernel = patterns._ExactKernel(pat, leading, degree)
     s, D = kernel.s, kernel.denominator
+    lead = PolySeqSpec(degree, leading).residues(pat.indices)
+    assert lead.D == b and D == b << s
+    if b % 2:
+        assert (lead.nums[pat.indices.index(1)] << 64) % b == b - 1
     rng = np.random.default_rng(universe)
     u = rng.integers(0, 1 << s, size=(300, degree - 1), dtype=np.uint64)
-    vals = kernel.residues(u, kernel.buffers())
-    caps = patterns._gap_caps(vals, D, np.empty_like(vals))
-    for coeffs, row, cap in zip(u.tolist(), vals.T.tolist(), caps.tolist()):
+    u[0] = 0
+    buffers = kernel.buffers()
+    pos = kernel.positions(u, buffers).copy()
+    caps = kernel.row_caps(pos, buffers[1][:, :len(u)])
+    vals = kernel.exact(pos.copy(), np.empty_like(pos))
+    for coeffs, q, row, cap in zip(u.tolist(), pos.T.tolist(), vals.T.tolist(),
+                                   caps.tolist()):
+        accs = [sum(c * k ** i for i, c in enumerate(coeffs, start=1)) % (1 << s)
+                for k in pat.indices]
+        gap, E, want, oracle_pos = _cap_oracle(list(zip(lead.nums, accs)), b, s)
+        assert q == oracle_pos and cap == want
         spec = PolySeqSpec(degree, leading, tuple(Fraction(x, 1 << s) for x in coeffs))
         assert [Fraction(x, D) for x in row] == [spec.value_at(k) for k in pat.indices]
-        gap, E, W = _bucket_oracle(row, D)
-        assert gap <= cap == (E + 2) * W - 1
+        assert gap <= cap
 
 
-def test_scan_prune_keeps_tied_rows():
-    # leading 1 and k in {0, 1, 2} at degree 3 put the points of a row at 0,
-    # p = u_1 + u_2 and q = 2 u_1 + 4 u_2 over D = 2^61. With p = 9W - 1 and
-    # q in [9W, 16W) the gap is 9W - 1 and equals the row's cap, so all
-    # these rows tie the best and must still be sorted; the smallest of
-    # them comes only after earlier blocks have set the best. Filler rows
-    # (p in bucket 5, q in bucket 10) have cap 7W - 1 and are pruned.
+def test_candidate_gaps_keeps_rows_whose_cap_reaches_their_floor():
+    # one floor per row: a row is kept iff its cap reaches its own floor, and
+    # each kept row's gap is exact
+    universe = 1_048_583
+    leading = Fraction(1, universe)
+    pat = thin_pattern(12, universe, seed=2)
+    kernel = patterns._ExactKernel(pat, leading, 2)
+    s, D = kernel.s, kernel.denominator
+    lead = PolySeqSpec(2, leading).residues(pat.indices)
+    rng = np.random.default_rng(5)
+    u = rng.integers(0, 1 << s, size=(400, 1), dtype=np.uint64)
+    oracle = [_cap_oracle([(r, x * k % (1 << s)) for r, k in zip(lead.nums, pat.indices)],
+                          universe, s) for x in u[:, 0].tolist()]
+    caps = [o[2] for o in oracle]
+    # floors at, just above and just below each cap, at the gap, and 0
+    floors = [[cap, cap + 1, cap - 1, gap, 0][i % 5]
+              for i, (gap, _, cap, _) in enumerate(oracle)]
+    keep, gaps = kernel.candidate_gaps(u, kernel.buffers(),
+                                       np.array(floors, dtype=np.uint64))
+    want = [i for i, (cap, f) in enumerate(zip(caps, floors)) if cap >= f]
+    assert keep.tolist() == want and 0 < len(want) < len(u)
+    assert gaps.tolist() == [oracle[i][0] for i in want]
+    assert all(Fraction(g, D) == pattern_gap(pat, leading, 2, [Fraction(int(u[i, 0]), 1 << s)])
+               for i, g in zip(want, gaps.tolist()))
+
+
+def _check_tied_rows(leading):
+    """Scans, with 1 and 2 threads, blocks of rows of a degree-3 kernel on k
+    in {0, 1, 2} whose best gap 9W - 1 (W = D/16) equals their cap.
+
+    The points of a row lie at 0, x_1 and x_2 over D. With x_1 = 9W - 1 and
+    x_2 in [9W, 16W) the gap is 9W - 1 and equals the row's cap, so all these
+    rows tie the best and must still be sorted; the smallest of them comes
+    only after earlier blocks have set the best. Filler rows (x_1 in bucket
+    5, x_2 in bucket 10) have cap 7W - 1 and are pruned. x_1 = 9W - 1 needs
+    r_1 2^s = -1 mod b, which the leading numerator is chosen to give. Each
+    other point is rounded down onto one the row can take, at most b - 1
+    below its draw for x_1 and 2b - 1 for x_2, which is even; for b = 1
+    these are the draws themselves.
+    """
     pat = Pattern((0, 1, 2))
-    kernel = patterns._ExactKernel(pat, 1, 3)
-    one = 1 << kernel.s
-    W = kernel.denominator // 16
+    kernel = patterns._ExactKernel(pat, leading, 3)
+    b, s, D = Fraction(leading).denominator, kernel.s, kernel.denominator
+    r1, r2 = PolySeqSpec(3, leading).residues((1, 2)).nums
+    one, W = 1 << s, D // 16
 
-    def row(p, q):  # q even
-        u2 = (q - 2 * p) // 2 % (one // 2)
-        return (p - u2) % one, u2
+    def point(t, r, step):
+        # the largest point at most t with leading residue r whose acc is a
+        # multiple of step / b
+        return t - (t - (r << s)) % step
+
+    def row(x1, x2):
+        # acc_1 = u_1 + u_2 and acc_2 = 2 u_1 + 4 u_2 mod 2^s; acc_2 is even
+        a1 = (x1 - (r1 << s)) % D // b
+        a2 = (x2 - (r2 << s)) % D // b
+        assert a2 % 2 == 0
+        u2 = (a2 - 2 * a1) // 2 % (one // 2)
+        return (a1 - u2) % one, u2
 
     rng = np.random.default_rng(11)
-    ties = sorted(row(9 * W - 1, 2 * int(h))
-                  for h in rng.integers(9 * W // 2, 8 * W, size=60))
-    filler = [row(5 * W + int(j), 10 * W + 2 * int(i))
-              for j, i in zip(rng.integers(0, W, size=200),
-                              rng.integers(0, W // 2, size=200))]
+    x1 = point(9 * W - 1, r1, b)
+    assert x1 == 9 * W - 1
+    ties = sorted(row(x1, point(2 * int(h), r2, 2 * b))
+                  for h in rng.integers(9 * W // 2 + b - 1, 8 * W, size=60))
+    filler = [row(point(5 * W + int(j), r1, b), point(10 * W + 2 * int(i), r2, 2 * b))
+              for j, i in zip(rng.integers(b - 1, W, size=200),
+                              rng.integers(b - 1, W // 2, size=200))]
     rest = ties[4:] + filler[13:]
     rows = ties[1:4] + filler[:13] + [rest[i] for i in rng.permutation(len(rest))]
     rows.insert(100, ties[0])
-    oracle = {r: pattern_gap(pat, 1, 3, [Fraction(x, one) for x in r]) for r in rows}
-    assert [r for r in rows if oracle[r] == Fraction(9 * W - 1, one)] == \
-        [r for r in rows if r in ties]
-    assert max(oracle.values()) == Fraction(9 * W - 1, one)
+    oracle = {r: pattern_gap(pat, leading, 3, [Fraction(x, one) for x in r]) for r in rows}
+    best = Fraction(9 * W - 1, D)
+    assert [r for r in rows if oracle[r] == best] == [r for r in rows if r in ties]
+    assert max(oracle.values()) == best
     u = np.array(rows, dtype=np.uint64)
     for threads in (1, 2):
         found = patterns._scan_blocks(kernel, np.array_split(u, 16), threads)
         assert found[:3] == (9 * W - 1, ties[0], len(rows))
         assert len(ties) <= found[3] < len(rows)
+
+
+def test_scan_prune_keeps_tied_rows():
+    # leading 1: b = 1, D = 2^61 and every phase is exact
+    _check_tied_rows(1)
+
+
+def test_scan_prune_keeps_tied_rows_at_odd_leading():
+    # b = 1,048,583, where the phases are rounded down; the numerator puts
+    # k = 1 at 9W - 1 exactly
+    b = 1_048_583
+    s = patterns._scale_bits(b)
+    _check_tied_rows(Fraction(-pow(2, -s, b) % b, b))
 
 
 # ---------------------------------------------------------------------------
