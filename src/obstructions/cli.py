@@ -4,9 +4,10 @@ densities, run no-copy checks, compute discrepancies, render the planar set.
 Reports are schema-stable JSON: a ``config`` echo of every resolved
 parameter, the module reports, a ``pass`` flag (conjunction of sub-report
 passes), and a volatile ``meta`` block (timestamp, wall clock, and the
-``counters`` of a gap scan, cells, sorted_rows, block_rows and cells_per_s,
-or of the Erdos-Turan sums, et_terms, et_s and et_terms_per_s) that is the
-only part allowed to differ between identical reruns. Rationals are
+``counters`` of a gap scan, cells, kernel_rows, sorted_rows, block_rows and
+cells_per_s, or of the Erdos-Turan sums, et_terms, et_s and
+et_terms_per_s) that is the only part allowed to differ between identical
+reruns. Rationals are
 serialized as {num, den} pairs. Output files are written atomically.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed (witness in
@@ -202,10 +203,13 @@ def _int_list(token: str) -> list:
             f"{token!r} is not a comma-separated list of integers") from None
 
 
-def _scan_counters(cells: int, sorted_rows: int, n: int, seconds: float) -> dict:
+def _scan_counters(cells: int, kernel_rows: int, sorted_rows: int, n: int,
+                   seconds: float) -> dict:
     """Volatile counters of an exact gap scan, for the report's meta block:
-    sorted_rows counts the cells whose exact gap was computed."""
-    return {"cells": cells, "sorted_rows": sorted_rows, "block_rows": block_rows(n),
+    kernel_rows counts the cells the kernel evaluated, sorted_rows those
+    whose exact gap it computed."""
+    return {"cells": cells, "kernel_rows": kernel_rows, "sorted_rows": sorted_rows,
+            "block_rows": block_rows(n),
             "cells_per_s": cells / seconds if seconds > 0 else None}
 
 
@@ -255,8 +259,9 @@ def _cmd_construct(args) -> int:
         epsilon_verified = cal.epsilon_min
         reports["calibration"] = cal.to_dict()
         passed = cal.achieved
-        counters = _scan_counters(len(cal.attempts) * cal.n_samples, cal.sorted_rows,
-                                  pattern.n, time.perf_counter() - t_scan)
+        counters = _scan_counters(len(cal.attempts) * cal.n_samples, cal.kernel_rows,
+                                  cal.sorted_rows, pattern.n,
+                                  time.perf_counter() - t_scan)
     elif args.epsilon is not None:
         rep = verify_hitting_sampled(
             pattern, leading, degree, args.epsilon,
@@ -313,7 +318,7 @@ def _cmd_verify(args) -> int:
                                      n_samples=args.samples, seed=args.seed,
                                      threads=args.threads)
         reports = {"hitting": rep.to_dict()}
-    counters = _scan_counters(rep.tested, rep.sorted_rows, pattern.n,
+    counters = _scan_counters(rep.tested, rep.kernel_rows, rep.sorted_rows, pattern.n,
                               time.perf_counter() - t_scan)
     config = {
         "pattern": args.pattern, "method": args.method, "epsilon": epsilon,

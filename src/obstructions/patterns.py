@@ -14,7 +14,9 @@ vectorized integer arithmetic. Only the pruning bound reads rounded values:
 each point's position in units of 2^-64, rounded down by less than one
 unit. Its bucket edges are whole units, so the rounding never moves a point
 out of its bucket, and its caps bound the exact gaps (see ``_ExactKernel``).
-Every reported gap and witness is exact over D.
+A net scan also skips the cells that an exact integer Lipschitz cone proves
+below a gap already found (see ``_Cone``). Every reported gap and witness
+is exact over D.
 """
 
 from __future__ import annotations
@@ -456,19 +458,21 @@ class _ExactKernel:
         return pos
 
     def candidate_gaps(self, u: np.ndarray, buffers, floor):
-        """(rows, gaps): the exact max-gap numerators over D of the rows of u
-        whose cap is at least floor (an int, or an array with one floor per
-        row). Every other row's gap is below its floor, so a row whose gap
-        reaches its floor is never left out. Only the rows kept get exact
-        numerators, built and sorted in one gathered copy of their
-        positions. That copy is column-major (each row's points contiguous,
-        as the sort along points wants), and so is the scratch that
-        ``exact`` and the gaps between neighbours use: a view of the
-        positions buffer, no longer needed."""
+        """(keep, bounds): the indices of the rows of u whose cap is at least
+        floor (an int, or an array with one floor per row), and an upper
+        bound on every row's max-gap numerator over D, as uint64: the exact
+        gap for a kept row, its cap for any other. A row left out has a gap
+        below its floor, so a row whose gap reaches its floor is always
+        kept. Only the rows kept get exact numerators, built and sorted in
+        one gathered copy of their positions. That copy is column-major
+        (each row's points contiguous, as the sort along points wants), and
+        so is the scratch that ``exact`` and the gaps between neighbours
+        use: a view of the positions buffer, no longer needed."""
         pos = self.positions(u, buffers)
-        keep = np.flatnonzero(self.row_caps(pos, buffers[1][:, :u.shape[0]]) >= floor)
+        bounds = self.row_caps(pos, buffers[1][:, :u.shape[0]])
+        keep = np.flatnonzero(bounds >= floor)
         if not len(keep):
-            return keep, np.empty(0, dtype=np.uint64)
+            return keep, bounds
         kept = pos[:, keep]
         scratch = np.ndarray(kept.shape, np.uint64, buffer=buffers[0], order="F")
         self.exact(kept, scratch)
@@ -477,54 +481,246 @@ class _ExactKernel:
         # covers one-point patterns, whose only gap is the wrap
         wrap = kept[0] - kept[-1] + self.big
         inner = np.subtract(kept[1:], kept[:-1], out=scratch[1:])
-        return keep, np.maximum(inner.max(axis=0, initial=0), wrap)
+        bounds[keep] = np.maximum(inner.max(axis=0, initial=0), wrap)
+        return keep, bounds
 
 
-def _scan_blocks(kernel: _ExactKernel, blocks, threads: int):
-    """Max-gap reduction over coefficient blocks; deterministic merge.
+class _Worker:
+    """One scan thread: its scratch buffers, its best (gap, coefficient
+    tuple) so far, the cells it certified, the rows it sent to the kernel
+    and those it sorted, and a one-block queue of rows for the kernel."""
 
-    Each worker thread pulls the next block from the shared iterator, so at
-    most ``threads`` blocks exist at once, and keeps its own scratch buffers
-    and its own best (gap, coefficient tuple). It builds exact numerators
-    and sorts them only for the rows whose bucket cap (``row_caps``, read
-    from the 2^-64 positions) reaches its best gap: every other row has a
-    smaller gap, and a row that ties is still sorted. The global best is the
-    max gap with ties broken by the smallest coefficient tuple, whatever the
-    order in which blocks were scanned, so threaded and serial scans return
-    identical results. Returns (gap, coefficients, rows tested, rows sorted);
-    only the last depends on the thread count.
-    """
-    blocks = iter(blocks)
-    lock = threading.Lock()
+    def __init__(self, kernel: _ExactKernel):
+        self.kernel = kernel
+        self.buffers = kernel.buffers()
+        self.best = None
+        self.cells = self.kernel_rows = self.sorted_rows = 0
+        self.queue = np.empty((kernel.rows, len(kernel.kpows)), dtype=np.uint64)
+        self.queued = 0
 
-    def worker():
-        buffers = kernel.buffers()
-        best, tested, sorted_rows = None, 0, 0
-        while True:
-            with lock:
-                u = next(blocks, None)
-            if u is None:
-                return best, tested, sorted_rows
-            rows, g = kernel.candidate_gaps(u, buffers, 0 if best is None else best[0])
-            tested += u.shape[0]
-            sorted_rows += len(rows)
-            if not len(rows):
-                continue
-            gap = g.max()
-            top = rows[g == gap]
+    @property
+    def floor(self) -> int:
+        return 0 if self.best is None else self.best[0]
+
+    def evaluate(self, u: np.ndarray) -> np.ndarray:
+        """Runs the kernel on the rows of u (at most kernel.rows) with the
+        best gap as floor, keeps the best, and returns the rows' gap bounds
+        (``candidate_gaps``). A row that ties the best is sorted too, and
+        ties go to the smallest coefficient tuple."""
+        keep, bounds = self.kernel.candidate_gaps(u, self.buffers, self.floor)
+        self.kernel_rows += u.shape[0]
+        self.sorted_rows += len(keep)
+        if len(keep):
+            gaps = bounds[keep]
+            gap = gaps.max()
+            top = keep[gaps == gap]
             if len(top) > 1 and u.shape[1]:
                 top = top[np.lexsort(u[top].T[::-1])]
             found = (int(gap), tuple(int(x) for x in u[top[0]]))
-            best = found if best is None else max(best, found, key=_rank)
+            self.best = found if self.best is None else max(self.best, found, key=_rank)
+        return bounds
+
+    def certify(self, u: np.ndarray) -> None:
+        """Certifies every row of u by running the kernel on it."""
+        self.cells += u.shape[0]
+        self.evaluate(u)
+
+    def submit(self, u: np.ndarray) -> None:
+        """Queues the rows of u, running the kernel on the queue each time
+        it fills."""
+        while len(u):
+            take = min(len(u), len(self.queue) - self.queued)
+            self.queue[self.queued:self.queued + take] = u[:take]
+            self.queued += take
+            u = u[take:]
+            if self.queued == len(self.queue):
+                self.flush()
+
+    def flush(self) -> None:
+        """Runs the kernel on the queued rows."""
+        if self.queued:
+            self.evaluate(self.queue[:self.queued])
+            self.queued = 0
+
+
+def _scan_workers(kernel: _ExactKernel, threads: int, pull, work):
+    """Runs ``threads`` workers and merges their bests deterministically.
+
+    Each worker calls pull(worker) under a shared lock for its next item,
+    until it returns None, and work(worker, item) outside it; then it runs
+    the kernel on its queued rows. The global best is the max gap with ties
+    broken by the smallest coefficient tuple, whatever the order in which
+    the items were scanned, so threaded and serial scans return identical
+    results. Returns (gap, coefficients, cells certified, rows sorted,
+    kernel rows); the last two depend on the thread count.
+    """
+    lock = threading.Lock()
+
+    def run():
+        worker = _Worker(kernel)
+        while True:
+            with lock:
+                item = pull(worker)
+            if item is None:
+                worker.flush()
+                return worker
+            work(worker, item)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(worker) for _ in range(threads)]
-            results = [f.result() for f in futures]
+            futures = [pool.submit(run) for _ in range(threads)]
+            workers = [f.result() for f in futures]
     else:
-        results = [worker()]
-    best_gap, best_u = max((r[0] for r in results if r[0] is not None), key=_rank)
-    return best_gap, best_u, sum(r[1] for r in results), sum(r[2] for r in results)
+        workers = [run()]
+    best_gap, best_u = max((w.best for w in workers if w.best is not None), key=_rank)
+    return (best_gap, best_u, sum(w.cells for w in workers),
+            sum(w.sorted_rows for w in workers), sum(w.kernel_rows for w in workers))
+
+
+def _scan_blocks(kernel: _ExactKernel, blocks, threads: int):
+    """Max-gap reduction over coefficient blocks, each sent whole to the
+    kernel; the sampled scans take this path.
+
+    Each worker thread pulls the next block from the shared iterator, so at
+    most ``threads`` blocks exist at once, and keeps its own best. It builds
+    exact numerators and sorts them only for the rows whose bucket cap
+    (``row_caps``, read from the 2^-64 positions) reaches its best gap:
+    every other row has a smaller gap, and a row that ties is still sorted.
+    Returns what ``_scan_workers`` does, with every row certified and sent
+    to the kernel.
+    """
+    blocks = iter(blocks)
+    return _scan_workers(kernel, threads, lambda worker: next(blocks, None),
+                         _Worker.certify)
+
+
+# the longest stride between two coarse cells of the net scan
+_MAX_STRIDE = 64
+
+
+class _Cone:
+    """The net scan, pruned by an exact Lipschitz cone along the last grid.
+
+    Cells are numbered as mixed-radix numbers over the grid sizes, the last
+    grid fastest; a run is the cells that differ only in their last digit
+    t. One step of t adds w/2^s to the coefficient of k^d (d = degree - 1,
+    w the last grid's step), which moves each point x_k by k^d w/2^s along
+    the circle. Moving every point forward by between c and c + L changes
+    the max gap by at most L: an empty arc (a, a + g) of the old points
+    leaves (a + c + L, a + c + g) empty. So one step moves any gap
+    numerator over D = b 2^s by at most
+
+        lip = (max_k k^d - min_k k^d) * w * b,
+
+    an exact integer (taken as 1 if it is 0: a larger constant bounds the
+    moves too). If coarse cells a < c < e of one run, r = c - a and
+    span = e - a, have gap bounds ub_a and ub_e (``candidate_gaps``: exact
+    where the kernel sorted the row, its cap otherwise), cell c's gap is at
+    most min(ub_a + lip r, ub_e + lip (span - r)). A cell whose bound is
+    below the worker's best gap cannot hold the witness, and is certified
+    without the kernel; every cell whose gap reaches the best, a tie
+    included, still goes to the kernel. So the witness and its
+    smallest-tuple tie-break are those of a scan of every cell, at every
+    stride.
+
+    A worker pulls a segment of one run: every stride-th cell from the
+    first, plus the last, are coarse, at most kernel.rows of them, and go to
+    the kernel in one block. The interior cells whose cone reaches the best
+    are queued and sent to the kernel in full blocks. The stride is
+    m = clamp(floor((2 best - 3D/8) / lip), 1, 64), and 1 until a best
+    exists: a coarse row whose longest empty bucket run is one bucket has
+    cap 3D/16 - 1, and the cone of two such rows m steps apart peaks at
+    about 3D/16 + lip m/2 <= best. Only the number of kernel rows depends
+    on m.
+
+    Headroom. Interior cells exist only at m >= 2, where lip m <= 2 best -
+    3D/8 <= 13D/8 (best <= D), so lip < D. ``interior`` never forms a cone
+    sum: it works in int64 on best - ub, which lies in (-18D/16, D] (every
+    bound is at most the largest cap, 18D/16 - 1), on max(best - ub, 1) +
+    lip - 1 < 2D, and on last digits below 2^s. D < 2^62, so all of these
+    lie inside int64, and a uint64 bound below 2^63 reads the same as an
+    int64 one.
+    """
+
+    def __init__(self, kernel: _ExactKernel, pattern: Pattern, nets: NetSpec):
+        self.kernel = kernel
+        self.steps, self.sizes = nets.steps, nets.sizes
+        self.run = self.sizes[-1] if self.sizes else 1
+        self.cells = nets.total_cells
+        self.next = 0
+        D = kernel.denominator
+        powers = [k ** len(self.steps) for k in pattern.indices]
+        step = self.steps[-1] if self.steps else 0
+        # a larger constant bounds the moves too; at least 1, so it divides
+        self.lip = max(1, (max(powers) - min(powers)) * step * (D >> kernel.s))
+        # 2 * 3D/16, with 3D/16 - 1 the cap of a row whose longest empty
+        # bucket run is one bucket
+        self.room = 3 * (D >> 3)
+
+    def stride(self, best) -> int:
+        """The stride m for a worker whose best is best (None before any)."""
+        if best is None:
+            return 1
+        return max(1, min(_MAX_STRIDE, (2 * best[0] - self.room) // self.lip))
+
+    def pull(self, worker: _Worker):
+        """The next segment (first cell, end, stride), or None; called under
+        the scan's lock."""
+        lo = self.next
+        if lo >= self.cells:
+            return None
+        m = self.stride(worker.best)
+        hi = min(lo + (self.kernel.rows - 1) * m + 1, (lo // self.run + 1) * self.run)
+        self.next = hi
+        return lo, hi, m
+
+    def rows(self, run: int, ts: np.ndarray) -> np.ndarray:
+        """The coefficient rows of the cells of a run at last digits ts."""
+        u = np.empty((len(ts), len(self.steps)), dtype=np.uint64)
+        if self.steps:
+            for d in range(len(self.steps) - 2, -1, -1):
+                run, t = divmod(run, self.sizes[d])
+                u[:, d] = t * self.steps[d]
+            np.multiply(ts, np.uint64(self.steps[-1]), out=u[:, -1])
+        return u
+
+    def interior(self, ts: np.ndarray, bounds: np.ndarray, best: int) -> np.ndarray:
+        """The last digits between consecutive coarse ones ts (uint64) whose
+        cone bound reaches best, given the coarse cells' gap bounds.
+
+        The cell r steps after coarse cell a and span - r before the next,
+        e, passes iff ub_a + lip r >= best and ub_e + lip (span - r) >= best,
+        that is iff d_a <= r <= span - d_e, with d = max(1, ceil((best - ub)
+        / lip)) (r = 0 and r = span are the coarse cells): one run of
+        span + 1 - d_a - d_e cells per span, if that is positive."""
+        ts = ts.view(np.int64)
+        d = (np.maximum(best - bounds.view(np.int64), 1) + (self.lip - 1)) // self.lip
+        count = ts[1:] - ts[:-1] + 1 - d[:-1] - d[1:]
+        live = np.flatnonzero(count > 0)
+        count, first = count[live], ts[live] + d[live]
+        # first[j], first[j] + 1, ... for count[j] cells, span by span
+        shift = np.repeat(first - (np.cumsum(count) - count), count)
+        return (np.arange(len(shift)) + shift).view(np.uint64)
+
+    def scan(self, worker: _Worker, segment) -> None:
+        """Certifies the cells of a segment: the coarse ones with the
+        kernel, the interior ones by their cone or by queuing them."""
+        lo, hi, m = segment
+        run, first = divmod(lo, self.run)
+        last = first + hi - lo - 1
+        # first, first + m, first + 2m, ... and the last cell
+        ts = np.arange(first, last + m, m, dtype=np.uint64)
+        ts[-1] = last
+        bounds = worker.evaluate(self.rows(run, ts))
+        worker.cells += hi - lo
+        if m > 1:
+            inner = self.interior(ts, bounds, worker.floor)
+            if len(inner):
+                worker.submit(self.rows(run, inner))
+
+    def scan_all(self, threads: int):
+        """The pruned scan of every cell; returns what ``_scan_workers`` does."""
+        return _scan_workers(self.kernel, threads, self.pull, self.scan)
 
 
 def _rank(found):
@@ -533,17 +729,16 @@ def _rank(found):
     return gap, tuple(-x for x in coeffs)
 
 
-def _scan(pattern: Pattern, leading: Fraction, degree: int, blocks,
-          threads: int) -> dict:
-    """The one exact scan: builds the kernel for the pattern, scans the
-    coefficient blocks that ``blocks(kernel)`` yields, and returns the
-    witness as HittingReport fields."""
+def _scan(pattern: Pattern, leading: Fraction, degree: int, run) -> dict:
+    """The one exact scan: builds the kernel for the pattern, runs
+    ``run(kernel)`` (``_scan_blocks`` or a ``_Cone``'s ``scan_all``), and
+    returns the witness as HittingReport fields."""
     kernel = _ExactKernel(pattern, leading, degree)
-    best_gap, best_u, tested, sorted_rows = _scan_blocks(kernel, blocks(kernel), threads)
+    best_gap, best_u, tested, sorted_rows, kernel_rows = run(kernel)
     return dict(tested=tested, worst_gap_exact=(best_gap, kernel.denominator),
                 worst_coeffs_exact=tuple((u, kernel.s) for u in best_u),
                 pattern_n=pattern.n, universe=pattern.universe, degree=degree,
-                sorted_rows=sorted_rows)
+                sorted_rows=sorted_rows, kernel_rows=kernel_rows)
 
 
 @dataclass(frozen=True)
@@ -563,8 +758,10 @@ class HittingReport:
     slack: float = 0.0
     epsilon_guaranteed: Optional[float] = None
     seed: Optional[int] = None
-    # rows whose exact gap the scan computed; it depends on the thread
-    # count, so it is volatile: not compared or emitted
+    # rows the kernel evaluated, and those whose exact gap it computed;
+    # both depend on the thread count, so they are volatile: not compared
+    # or emitted
+    kernel_rows: Optional[int] = field(default=None, compare=False)
     sorted_rows: Optional[int] = field(default=None, compare=False)
 
     @property
@@ -594,12 +791,17 @@ class HittingReport:
 def verify_hitting_net(pattern: Pattern, leading: Fraction, degree: int,
                        epsilon, nets: NetSpec,
                        threads: int = 1) -> HittingReport:
-    """Exhaustive exact scan over the coefficient net, with transfer margin.
+    """Exact worst gap over every cell of the coefficient net, with
+    transfer margin.
 
-    Scans the integer grids of ``nets`` as given: tested equals
-    nets.total_cells. Any real coefficient vector lies within nets.meshes
-    of a net point, shifting each value by at most slack/2 =
-    sum_i mesh_i * Q^i, hence:
+    Certifies every cell of the integer grids of ``nets`` as given: tested
+    equals nets.total_cells, the cells certified. The kernel runs only on
+    the cells (kernel_rows) that a ``_Cone`` cannot prove below a gap
+    already found, 2.2 M of the 10^7-cell net of the seed-0 n = 32
+    pattern, so the witness and its tie-break are those of a scan of every
+    cell. Any
+    real coefficient vector lies within nets.meshes of a net point,
+    shifting each value by at most slack/2 = sum_i mesh_i * Q^i, hence:
 
       * every interval of length worst_gap + slack is hit for EVERY real
         coefficient vector (recorded as epsilon_guaranteed), and
@@ -614,25 +816,10 @@ def verify_hitting_net(pattern: Pattern, leading: Fraction, degree: int,
     s = _scale_bits(pattern.universe)
     if (nets.degree, nets.universe, nets.scale_bits) != (degree, pattern.universe, s):
         raise ValueError("net spec does not match the pattern")
-    dims, ws, sizes, cells = degree - 1, nets.steps, nets.sizes, nets.total_cells
-
     slack = 2 * sum(Fraction(w, 1 << s) * pattern.universe ** (i + 1)
-                    for i, w in enumerate(ws))
-
-    def blocks(kernel):
-        # cell c is a mixed-radix number over sizes, the last grid fastest;
-        # each digit t_i gives the coefficient t_i * ws[i]
-        for lo in range(0, cells, kernel.rows):
-            c = np.arange(lo, min(lo + kernel.rows, cells), dtype=np.uint64)
-            u = np.empty((len(c), dims), dtype=np.uint64)
-            for d in range(dims - 1, 0, -1):
-                c, t = np.divmod(c, np.uint64(sizes[d]))
-                np.multiply(t, np.uint64(ws[d]), out=u[:, d])
-            if dims:
-                np.multiply(c, np.uint64(ws[0]), out=u[:, 0])
-            yield u
-
-    found = _scan(pattern, leading, degree, blocks, threads)
+                    for i, w in enumerate(nets.steps))
+    found = _scan(pattern, leading, degree,
+                  lambda kernel: _Cone(kernel, pattern, nets).scan_all(threads))
     gap = Fraction(*found["worst_gap_exact"])
     # lengths above 1 are meaningless on the circle; a clamped guarantee of
     # 1 means the net was too coarse to certify anything
@@ -670,7 +857,8 @@ def verify_hitting_sampled(pattern: Pattern, leading: Fraction, degree: int,
             yield rng.integers(0, 1 << kernel.s, dtype=np.uint64,
                                size=(min(kernel.rows, n_samples - lo), degree - 1))
 
-    found = _scan(pattern, leading, degree, blocks, threads)
+    found = _scan(pattern, leading, degree,
+                  lambda kernel: _scan_blocks(kernel, blocks(kernel), threads))
     return HittingReport(
         mode="sampled",
         epsilon=float(epsilon),
@@ -737,7 +925,9 @@ class CalibrationResult:
     pattern_seed: int
     attempts: tuple  # of (seed, worst_gap)
     report: HittingReport  # the best attempt's
-    # rows whose exact gap the scans computed, over every attempt: volatile
+    # rows the kernel evaluated and those it sorted, over every attempt:
+    # volatile
+    kernel_rows: int = field(default=0, compare=False)
     sorted_rows: int = field(default=0, compare=False)
 
     @property
@@ -799,5 +989,6 @@ def calibrate_sampled(n: int, degree: int, universe: int, seed: int = 0,
         pattern_seed=pattern_seed,
         attempts=tuple((a[0], a[2].worst_gap) for a in tried),
         report=report,
+        kernel_rows=sum(a[2].kernel_rows for a in tried),
         sorted_rows=sum(a[2].sorted_rows for a in tried),
     )

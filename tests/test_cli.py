@@ -122,10 +122,16 @@ def test_scan_counters_in_meta(tmp_path):
     for payload, cells in ((cal, 2 * 300), (net, net["reports"]["hitting"]["tested"])):
         counters = payload["meta"]["counters"]
         assert counters["cells"] == cells
-        assert 0 < counters["sorted_rows"] <= cells
+        assert 0 < counters["sorted_rows"] <= counters["kernel_rows"] <= cells
         assert counters["block_rows"] == block_rows(12)
         assert counters["cells_per_s"] > 0
-    assert "sorted_rows" not in net["reports"]["hitting"]
+    # a sampled scan sends every row to the kernel; this net (Q = 257,
+    # 102,801 cells) moves a gap by at most about D/430 per step, so its
+    # cone skips most cells
+    assert cal["meta"]["counters"]["kernel_rows"] == 2 * 300
+    assert net["meta"]["counters"]["kernel_rows"] < net["meta"]["counters"]["cells"]
+    for field in ("sorted_rows", "kernel_rows"):
+        assert field not in net["reports"]["hitting"]
 
 
 def test_verify_net_threads_deterministic(tmp_path):

@@ -319,6 +319,21 @@ def test_net_kernel_matches_fraction_oracle():
         assert Fraction(*kernel_rep.worst_gap_exact) == oracle
 
 
+def _record_kernel_rows(monkeypatch) -> list:
+    """A list that collects, from here on, every coefficient row the exact
+    kernel evaluates, from any thread."""
+    rows, lock = [], threading.Lock()
+    candidate_gaps = patterns._ExactKernel.candidate_gaps
+
+    def recording(kernel, u, buffers, floor):
+        with lock:
+            rows.extend(map(tuple, u.tolist()))
+        return candidate_gaps(kernel, u, buffers, floor)
+
+    monkeypatch.setattr(patterns._ExactKernel, "candidate_gaps", recording)
+    return rows
+
+
 @pytest.mark.parametrize("degree, universe, sizes", [(3, 13, (13, 17)),
                                                      (4, 11, (5, 6, 7))])
 def test_net_scans_every_cell_against_fraction_oracle(monkeypatch, degree,
@@ -339,16 +354,9 @@ def test_net_scans_every_cell_against_fraction_oracle(monkeypatch, degree,
     witness = min(us for us, g in gaps.items() if g == worst)
     assert witness != (0,) * (degree - 1)
     monkeypatch.setattr(patterns, "_BLOCK_BYTES", 8 * pat.n * 7)
-    scan_blocks, scanned = patterns._scan_blocks, []
-
-    def recording(kernel, blocks, threads):
-        def tee():
-            for u in blocks:  # pulled under the scan's lock
-                scanned.extend(map(tuple, u.tolist()))
-                yield u
-        return scan_blocks(kernel, tee(), threads)
-
-    monkeypatch.setattr(patterns, "_scan_blocks", recording)
+    # every row the kernel evaluates; these nets move a gap by more than D
+    # per step of the last grid, so the scan's cone prunes nothing
+    scanned = _record_kernel_rows(monkeypatch)
     reports = []
     for threads in (1, 3):
         scanned.clear()
@@ -357,9 +365,151 @@ def test_net_scans_every_cell_against_fraction_oracle(monkeypatch, degree,
         assert sorted(scanned) == sorted(gaps)
     assert reports[0].to_dict() == reports[1].to_dict()
     rep = reports[0]
-    assert rep.tested == nets.total_cells == len(gaps)
+    assert rep.tested == nets.total_cells == len(gaps) == rep.kernel_rows
     assert Fraction(*rep.worst_gap_exact) == worst
     assert rep.worst_coeffs_exact == tuple((u, s) for u in witness)
+
+
+def _every_cell_gap(pattern, leading, degree, nets) -> dict:
+    """The exact gap numerator of every net cell, keyed by its coefficient
+    tuple: the kernel at floor 0, which keeps every row, as
+    test_kernel_rows_match_fraction_oracle holds it to Fractions."""
+    kernel = patterns._ExactKernel(pattern, leading, degree)
+    u = np.array(list(itertools.product(*map(range, nets.sizes))),
+                 dtype=np.uint64) * np.array(nets.steps, dtype=np.uint64)
+    buffers = kernel.buffers()
+    gaps = np.concatenate([kernel.candidate_gaps(u[lo:lo + kernel.rows], buffers, 0)[1]
+                           for lo in range(0, len(u), kernel.rows)])
+    return dict(zip(map(tuple, u.tolist()), gaps.tolist()))
+
+
+def _doubled(pattern: Pattern, universe: int) -> Pattern:
+    """The pattern's indices doubled: every index even, so the points at B
+    and at B + 1/2 coincide and the max gap repeats half a circle on."""
+    return Pattern(tuple(2 * k for k in pattern.indices), universe)
+
+
+def _pruning_cases():
+    # (id, pattern, degree, nets, whether the max sits at two or more cells)
+    q6, q8 = bertrand_prime(6, 2), bertrand_prime(8, 2)
+    s29, s8 = patterns._scale_bits(29), patterns._scale_bits(q8)
+    return [
+        ("thinned-6", thin_pattern(6, q6, seed=1), 2, build_nets(2, q6, 0.5, 50_000), False),
+        ("degree-3", thin_pattern(6, 29, seed=3), 3,
+         NetSpec(3, 29, s29, (-(-(1 << s29) // 3), -(-(1 << s29) // 20_000))), False),
+        # a power-of-two step puts B + 1/2 on the grid with every B
+        ("tied", _doubled(thin_pattern(8, q8 // 2, seed=5), q8), 2,
+         NetSpec(2, q8, s8, (1 << (s8 - 15),)), True),
+    ]
+
+
+@pytest.mark.parametrize("case", _pruning_cases(), ids=lambda case: case[0])
+def test_pruned_net_scan_matches_every_cell_oracle(monkeypatch, case):
+    # nets whose last grid moves a gap numerator far less than D per step:
+    # the cone skips most cells, and the report must equal a full pass of
+    # the kernel over every cell, for 1 and 3 threads
+    _, pat, degree, nets, tied = case
+    leading = Fraction(1, pat.universe)
+    full = _every_cell_gap(pat, leading, degree, nets)
+    assert len(full) == nets.total_cells
+    kernel = patterns._ExactKernel(pat, leading, degree)
+    assert patterns._Cone(kernel, pat, nets).lip * 8 < kernel.denominator
+    worst = max(full.values())
+    top = sorted(us for us, g in full.items() if g == worst)
+    assert (len(top) >= 2) == tied
+    s, D = kernel.s, kernel.denominator
+    for us in top[:2]:  # the tie, confirmed in Fractions
+        coeffs = [Fraction(u, 1 << s) for u in us]
+        assert pattern_gap(pat, leading, degree, coeffs) == Fraction(worst, D)
+    scanned = _record_kernel_rows(monkeypatch)
+    reports = []
+    for threads in (1, 3):
+        scanned.clear()
+        rep = verify_hitting_net(pat, leading, degree, "auto", nets, threads=threads)
+        reports.append(rep)
+        evaluated = set(scanned)
+        # each cell goes to the kernel at most once, and some never do
+        assert len(scanned) == len(evaluated) == rep.kernel_rows
+        assert rep.sorted_rows <= rep.kernel_rows < nets.total_cells
+        assert all(g < worst for us, g in full.items() if us not in evaluated)
+        assert set(top) <= evaluated
+    assert reports[0].to_dict() == reports[1].to_dict()
+    rep = reports[0]
+    assert rep.tested == nets.total_cells
+    assert rep.worst_gap_exact == (worst, D)
+    assert rep.worst_coeffs_exact == tuple((u, s) for u in top[0])
+
+
+def _largest_denominator_net():
+    """A degree-2 net at the kernel's largest denominator: b is the largest
+    prime below 2^54, so s = 8 and D = b 2^8 > 2^61, on a 256-cell grid of
+    step 1 for a pattern with indices 0..10. At B = 0 every point lies
+    within 100/b of 0, so the best gap is nearly D, and the stride then
+    sets lip m near its 13D/8 bound."""
+    b = (1 << 54) - 1
+    while not patterns.is_prime_64(b):
+        b -= 2
+    pat = Pattern((0, 1, 3, 4, 7, 10), b)
+    s = patterns._scale_bits(b)
+    return pat, Fraction(1, b), NetSpec(2, b, s, (1,))
+
+
+def test_cone_sums_do_not_wrap_at_largest_denominator(monkeypatch):
+    pat, leading, nets = _largest_denominator_net()
+    kernel = patterns._ExactKernel(pat, leading, 2)
+    D = kernel.denominator
+    assert kernel.s == 8 and 1 << 61 < D < 1 << 62
+    cone = patterns._Cone(kernel, pat, nets)
+    oracle = {(t,): pattern_gap(pat, leading, 2, [Fraction(t, 1 << 8)])
+              for t in range(256)}
+    worst = max(oracle.values())
+    m = cone.stride((int(worst * D), ()))
+    assert 2 <= m < patterns._MAX_STRIDE
+    # lip m within 2% of its bound 2 best - 3D/8 <= 13D/8, where the cone
+    # sums of two one-bucket rows pass 2^63: signed sums would wrap
+    assert 0.98 * (13 * D / 8) < cone.lip * m <= 13 * D // 8
+    assert 2 * int(kernel.caps[-2]) + cone.lip * m > 1 << 63
+    # 7-row blocks: the first segment's 7 cells set the best, the rest run at m
+    monkeypatch.setattr(patterns, "_BLOCK_BYTES", 8 * pat.n * 7)
+    scanned = _record_kernel_rows(monkeypatch)
+    rep = verify_hitting_net(pat, leading, 2, "auto", nets)
+    assert len(scanned) == rep.kernel_rows < 256 and rep.tested == 256
+    assert Fraction(*rep.worst_gap_exact) == worst
+    witness = min(us for us, g in oracle.items() if g == worst)
+    assert rep.worst_coeffs_exact == ((witness[0], 8),)
+    assert all(g < worst for us, g in oracle.items() if us not in set(scanned))
+
+
+def test_cone_interior_matches_integer_oracle_at_the_stride_cap():
+    # the cone test on bounds up to the largest cap 18D/16 - 1 with lip m at
+    # 13D/8, against the same bound in Python integers: every cell whose
+    # cone reaches the best is kept, every other is dropped, for bests from
+    # 0 to D, with one short span at the end
+    pat, leading, nets = _largest_denominator_net()
+    kernel = patterns._ExactKernel(pat, leading, 2)
+    D = kernel.denominator
+    cone = patterns._Cone(kernel, pat, nets)
+    m = patterns._MAX_STRIDE
+    cone.lip = 13 * D // 8 // m
+    assert cone.stride((D, ())) == m
+    top = int(kernel.caps[-1])
+    assert top == 18 * (D >> 4) - 1
+    rng = np.random.default_rng(3)
+    ts = [5 + m * j for j in range(40)] + [5 + m * 39 + 17]
+    for best in (0, 1, D // 4, D // 2, 3 * D // 4, D - 1, D):
+        for bounds in ([top] * len(ts), [0] * len(ts),
+                       rng.integers(0, top + 1, size=len(ts), dtype=np.uint64).tolist(),
+                       # a cone that meets the best exactly, r steps away
+                       rng.choice([0, top, best, best - 1, best - cone.lip,
+                                   best - 3 * cone.lip, best - 40 * cone.lip],
+                                  size=len(ts)).tolist()):
+            bounds = [max(0, int(x)) for x in bounds]
+            want = [a + r for a, e, ua, ue in zip(ts, ts[1:], bounds, bounds[1:])
+                    for r in range(1, e - a)
+                    if min(ua + cone.lip * r, ue + cone.lip * (e - a - r)) >= best]
+            got = cone.interior(np.array(ts, dtype=np.uint64),
+                                np.array(bounds, dtype=np.uint64), best)
+            assert got.tolist() == want
 
 
 def test_net_requires_exact_leading():
@@ -458,9 +608,11 @@ def test_kernel_rows_match_fraction_oracle(degree, universe, n):
     got = np.concatenate([kernel.candidate_gaps(u[lo:lo + kernel.rows], buffers, 0)[1]
                           for lo in range(0, len(u), kernel.rows)])
     assert len(got) == len(u)
-    # every cap is below 2D, so a floor of 2D keeps no row
-    keep, none = kernel.candidate_gaps(u[:kernel.rows], buffers, 2 * D)
-    assert keep.size == none.size == 0 and none.dtype == np.uint64
+    # every cap is below 2D, so a floor of 2D keeps no row, and the bounds
+    # it returns, the caps, are at least the exact gaps
+    keep, caps = kernel.candidate_gaps(u[:kernel.rows], buffers, 2 * D)
+    assert keep.size == 0 and caps.dtype == np.uint64
+    assert (caps < 2 * D).all() and (caps >= got[:kernel.rows]).all()
     oracle = {}
     for row, gap in zip(map(tuple, u.tolist()), got.tolist()):
         if row not in oracle:
@@ -654,11 +806,14 @@ def test_candidate_gaps_keeps_rows_whose_cap_reaches_their_floor():
     # floors at, just above and just below each cap, at the gap, and 0
     floors = [[cap, cap + 1, cap - 1, gap, 0][i % 5]
               for i, (gap, _, cap, _) in enumerate(oracle)]
-    keep, gaps = kernel.candidate_gaps(u, kernel.buffers(),
-                                       np.array(floors, dtype=np.uint64))
+    keep, bounds = kernel.candidate_gaps(u, kernel.buffers(),
+                                         np.array(floors, dtype=np.uint64))
     want = [i for i, (cap, f) in enumerate(zip(caps, floors)) if cap >= f]
     assert keep.tolist() == want and 0 < len(want) < len(u)
-    assert gaps.tolist() == [oracle[i][0] for i in want]
+    # the exact gap of each kept row, the cap of every other
+    assert bounds.tolist() == [oracle[i][0] if i in want else cap
+                               for i, cap in enumerate(caps)]
+    gaps = bounds[keep]
     assert all(Fraction(g, D) == pattern_gap(pat, leading, 2, [Fraction(int(u[i, 0]), 1 << s)])
                for i, g in zip(want, gaps.tolist()))
 
