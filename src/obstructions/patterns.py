@@ -543,57 +543,6 @@ class _Worker:
             self.queued = 0
 
 
-def _scan_workers(kernel: _ExactKernel, threads: int, pull, work):
-    """Runs ``threads`` workers and merges their bests deterministically.
-
-    Each worker calls pull(worker) under a shared lock for its next item,
-    until it returns None, and work(worker, item) outside it; then it runs
-    the kernel on its queued rows. The global best is the max gap with ties
-    broken by the smallest coefficient tuple, whatever the order in which
-    the items were scanned, so threaded and serial scans return identical
-    results. Returns (gap, coefficients, cells certified, rows sorted,
-    kernel rows); the last two depend on the thread count.
-    """
-    lock = threading.Lock()
-
-    def run():
-        worker = _Worker(kernel)
-        while True:
-            with lock:
-                item = pull(worker)
-            if item is None:
-                worker.flush()
-                return worker
-            work(worker, item)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(run) for _ in range(threads)]
-            workers = [f.result() for f in futures]
-    else:
-        workers = [run()]
-    best_gap, best_u = max((w.best for w in workers if w.best is not None), key=_rank)
-    return (best_gap, best_u, sum(w.cells for w in workers),
-            sum(w.sorted_rows for w in workers), sum(w.kernel_rows for w in workers))
-
-
-def _scan_blocks(kernel: _ExactKernel, blocks, threads: int):
-    """Max-gap reduction over coefficient blocks, each sent whole to the
-    kernel; the sampled scans take this path.
-
-    Each worker thread pulls the next block from the shared iterator, so at
-    most ``threads`` blocks exist at once, and keeps its own best. It builds
-    exact numerators and sorts them only for the rows whose bucket cap
-    (``row_caps``, read from the 2^-64 positions) reaches its best gap:
-    every other row has a smaller gap, and a row that ties is still sorted.
-    Returns what ``_scan_workers`` does, with every row certified and sent
-    to the kernel.
-    """
-    blocks = iter(blocks)
-    return _scan_workers(kernel, threads, lambda worker: next(blocks, None),
-                         _Worker.certify)
-
-
 # the longest stride between two coarse cells of the net scan
 _MAX_STRIDE = 64
 
@@ -623,6 +572,7 @@ class _Cone:
     smallest-tuple tie-break are those of a scan of every cell, at every
     stride.
 
+    ``pull`` and ``scan`` are the item source and the work of ``_scan``.
     A worker pulls a segment of one run: every stride-th cell from the
     first, plus the last, are coarse, at most kernel.rows of them, and go to
     the kernel in one block. The interior cells whose cone reaches the best
@@ -718,10 +668,6 @@ class _Cone:
             if len(inner):
                 worker.submit(self.rows(run, inner))
 
-    def scan_all(self, threads: int):
-        """The pruned scan of every cell; returns what ``_scan_workers`` does."""
-        return _scan_workers(self.kernel, threads, self.pull, self.scan)
-
 
 def _rank(found):
     """Order (gap, coefficients) by larger gap, then by smaller tuple."""
@@ -729,16 +675,41 @@ def _rank(found):
     return gap, tuple(-x for x in coeffs)
 
 
-def _scan(pattern: Pattern, leading: Fraction, degree: int, run) -> dict:
-    """The one exact scan: builds the kernel for the pattern, runs
-    ``run(kernel)`` (``_scan_blocks`` or a ``_Cone``'s ``scan_all``), and
-    returns the witness as HittingReport fields."""
-    kernel = _ExactKernel(pattern, leading, degree)
-    best_gap, best_u, tested, sorted_rows, kernel_rows = run(kernel)
-    return dict(tested=tested, worst_gap_exact=(best_gap, kernel.denominator),
+def _scan(kernel: _ExactKernel, threads: int, pull, work) -> dict:
+    """The one exact scan: runs ``threads`` workers and merges their bests
+    deterministically, returning the witness as HittingReport fields.
+
+    Each worker calls pull(worker) under a shared lock for its next item,
+    until it returns None, and work(worker, item) outside it; then it runs
+    the kernel on its queued rows. The global best is the max gap with ties
+    broken by the smallest coefficient tuple, whatever the order in which
+    the items were scanned, so threaded and serial scans return identical
+    results; only sorted_rows and kernel_rows depend on the thread count.
+    """
+    lock = threading.Lock()
+
+    def run():
+        worker = _Worker(kernel)
+        while True:
+            with lock:
+                item = pull(worker)
+            if item is None:
+                worker.flush()
+                return worker
+            work(worker, item)
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            futures = [pool.submit(run) for _ in range(threads)]
+            workers = [f.result() for f in futures]
+    else:
+        workers = [run()]
+    best_gap, best_u = max((w.best for w in workers if w.best is not None), key=_rank)
+    return dict(tested=sum(w.cells for w in workers),
+                worst_gap_exact=(best_gap, kernel.denominator),
                 worst_coeffs_exact=tuple((u, kernel.s) for u in best_u),
-                pattern_n=pattern.n, universe=pattern.universe, degree=degree,
-                sorted_rows=sorted_rows, kernel_rows=kernel_rows)
+                sorted_rows=sum(w.sorted_rows for w in workers),
+                kernel_rows=sum(w.kernel_rows for w in workers))
 
 
 @dataclass(frozen=True)
@@ -795,12 +766,12 @@ def verify_hitting_net(pattern: Pattern, leading: Fraction, degree: int,
     transfer margin.
 
     Certifies every cell of the integer grids of ``nets`` as given: tested
-    equals nets.total_cells, the cells certified. The kernel runs only on
-    the cells (kernel_rows) that a ``_Cone`` cannot prove below a gap
-    already found, 2.2 M of the 10^7-cell net of the seed-0 n = 32
-    pattern, so the witness and its tie-break are those of a scan of every
-    cell. Any
-    real coefficient vector lies within nets.meshes of a net point,
+    equals nets.total_cells, the cells certified. ``_scan`` runs the
+    kernel, with a ``_Cone``'s pull and scan, only on the cells
+    (kernel_rows) that the cone cannot prove below a gap already found,
+    2.2 M of the 10^7-cell net of the seed-0 n = 32 pattern, so the witness
+    and its tie-break are those of a scan of every cell. Any real
+    coefficient vector lies within nets.meshes of a net point,
     shifting each value by at most slack/2 = sum_i mesh_i * Q^i, hence:
 
       * every interval of length worst_gap + slack is hit for EVERY real
@@ -818,8 +789,9 @@ def verify_hitting_net(pattern: Pattern, leading: Fraction, degree: int,
         raise ValueError("net spec does not match the pattern")
     slack = 2 * sum(Fraction(w, 1 << s) * pattern.universe ** (i + 1)
                     for i, w in enumerate(nets.steps))
-    found = _scan(pattern, leading, degree,
-                  lambda kernel: _Cone(kernel, pattern, nets).scan_all(threads))
+    kernel = _ExactKernel(pattern, leading, degree)
+    cone = _Cone(kernel, pattern, nets)
+    found = _scan(kernel, threads, cone.pull, cone.scan)
     gap = Fraction(*found["worst_gap_exact"])
     # lengths above 1 are meaningless on the circle; a clamped guarantee of
     # 1 means the net was too coarse to certify anything
@@ -835,6 +807,7 @@ def verify_hitting_net(pattern: Pattern, leading: Fraction, degree: int,
         passed=gap <= Fraction(9, 10) * eps - slack,
         slack=float(slack),
         epsilon_guaranteed=float(guaranteed),
+        pattern_n=pattern.n, universe=pattern.universe, degree=degree,
         **found,
     )
 
@@ -851,19 +824,19 @@ def verify_hitting_sampled(pattern: Pattern, leading: Fraction, degree: int,
     if n_samples < 1:
         raise ValueError(f"samples (--samples) must be >= 1, got {n_samples}")
     rng = np.random.default_rng(seed)
-
-    def blocks(kernel):
-        for lo in range(0, n_samples, kernel.rows):
-            yield rng.integers(0, 1 << kernel.s, dtype=np.uint64,
-                               size=(min(kernel.rows, n_samples - lo), degree - 1))
-
-    found = _scan(pattern, leading, degree,
-                  lambda kernel: _scan_blocks(kernel, blocks(kernel), threads))
+    kernel = _ExactKernel(pattern, leading, degree)
+    # each worker draws its next block under the scan's lock, so at most
+    # ``threads`` blocks exist at once and the stream is the serial one
+    blocks = (rng.integers(0, 1 << kernel.s, dtype=np.uint64,
+                           size=(min(kernel.rows, n_samples - lo), degree - 1))
+              for lo in range(0, n_samples, kernel.rows))
+    found = _scan(kernel, threads, lambda worker: next(blocks, None), _Worker.certify)
     return HittingReport(
         mode="sampled",
         epsilon=float(epsilon),
         passed=Fraction(*found["worst_gap_exact"]) <= Fraction(float(epsilon)),
         seed=seed,
+        pattern_n=pattern.n, universe=pattern.universe, degree=degree,
         **found,
     )
 

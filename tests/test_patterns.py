@@ -621,6 +621,19 @@ def test_kernel_rows_match_fraction_oracle(degree, universe, n):
         assert Fraction(gap, D) == oracle[row]
 
 
+def _scan_blocks(kernel, blocks, threads):
+    """``patterns._scan`` as the sampled verifier runs it: each worker pulls
+    the next block of rows and certifies it whole."""
+    blocks = iter(blocks)
+    return patterns._scan(kernel, threads, lambda worker: next(blocks, None),
+                          patterns._Worker.certify)
+
+
+def _witness(found):
+    """The fields of a scan that must not depend on the thread count."""
+    return found["worst_gap_exact"], found["worst_coeffs_exact"], found["tested"]
+
+
 def test_scan_keeps_few_blocks_in_flight():
     # workers pull blocks as they free up, so a threaded scan holds at most
     # about two blocks per thread however many the stream has
@@ -645,7 +658,7 @@ def test_scan_keeps_few_blocks_in_flight():
                 count["peak"] = max(count["peak"], count["yielded"] - count["finished"])
             yield rng.integers(0, 1 << kernel.s, size=(50, 1), dtype=np.uint64)
 
-    serial = patterns._scan_blocks(kernel, blocks(), 1)
+    serial = _scan_blocks(kernel, blocks(), 1)
     kernel.candidate_gaps = counting_gaps
     count.update(yielded=0, peak=0)
     # more threads than cores and frequent switches: a block lost or scanned
@@ -653,11 +666,11 @@ def test_scan_keeps_few_blocks_in_flight():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threaded = patterns._scan_blocks(kernel, blocks(), threads)
+        threaded = _scan_blocks(kernel, blocks(), threads)
     finally:
         sys.setswitchinterval(interval)
-    # the rows sorted (last) depend on how the blocks fell to the threads
-    assert threaded[:3] == serial[:3] and threaded[2] == 300 * 50
+    # the rows sorted depend on how the blocks fell to the threads
+    assert _witness(threaded) == _witness(serial) and threaded["tested"] == 300 * 50
     assert count["finished"] == count["yielded"] == 300
     assert 1 <= count["peak"] <= 2 * threads
 
@@ -868,9 +881,9 @@ def _check_tied_rows(leading):
     assert max(oracle.values()) == best
     u = np.array(rows, dtype=np.uint64)
     for threads in (1, 2):
-        found = patterns._scan_blocks(kernel, np.array_split(u, 16), threads)
-        assert found[:3] == (9 * W - 1, ties[0], len(rows))
-        assert len(ties) <= found[3] < len(rows)
+        found = _scan_blocks(kernel, np.array_split(u, 16), threads)
+        assert _witness(found) == ((9 * W - 1, D), tuple((x, s) for x in ties[0]), len(rows))
+        assert len(ties) <= found["sorted_rows"] < len(rows)
 
 
 def test_scan_prune_keeps_tied_rows():
