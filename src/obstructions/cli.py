@@ -37,6 +37,7 @@ from .patterns import (
     build_nets,
     calibrate_sampled,
     elementary_pattern,
+    float_up,
     thin_pattern,
     verify_hitting_net,
     verify_hitting_sampled,
@@ -256,7 +257,9 @@ def _cmd_construct(args) -> int:
             epsilon_target=args.target_epsilon, threads=args.threads,
         )
         pattern = cal.pattern
-        epsilon_verified = cal.epsilon_min
+        # the exact worst gap rounded up, at which re-verifying the pattern
+        # on its calibration stream passes; epsilon_min is rounded to nearest
+        epsilon_verified = float_up(Fraction(*cal.report.worst_gap_exact))
         reports["calibration"] = cal.to_dict()
         passed = cal.achieved
         counters = _scan_counters(len(cal.attempts) * cal.n_samples, cal.kernel_rows,

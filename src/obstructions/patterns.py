@@ -712,6 +712,13 @@ def _scan(kernel: _ExactKernel, threads: int, pull, work) -> dict:
                 kernel_rows=sum(w.kernel_rows for w in workers))
 
 
+def float_up(x: Fraction) -> float:
+    """The smallest float at or above x, so a bound x reported as a float
+    stays a bound (float() alone rounds to nearest)."""
+    f = float(x)
+    return math.nextafter(f, math.inf) if f < x else f
+
+
 @dataclass(frozen=True)
 class HittingReport:
     """Outcome of a hitting verification run; pass iff worst gap <= epsilon
@@ -775,10 +782,11 @@ def verify_hitting_net(pattern: Pattern, leading: Fraction, degree: int,
     shifting each value by at most slack/2 = sum_i mesh_i * Q^i, hence:
 
       * every interval of length worst_gap + slack is hit for EVERY real
-        coefficient vector (recorded as epsilon_guaranteed), and
+        coefficient vector (recorded as epsilon_guaranteed, rounded up), and
       * the run passes iff worst_gap <= (9/10) * epsilon - slack.
 
-    epsilon="auto" picks the smallest epsilon that passes.
+    epsilon="auto" picks the smallest float epsilon that passes: the exact
+    boundary rounded up, so rerunning at the reported epsilon passes too.
     """
     if pattern.universe == 0 or leading != Fraction(1, pattern.universe):
         raise ValueError("net verification expects leading = 1/universe "
@@ -797,8 +805,9 @@ def verify_hitting_net(pattern: Pattern, leading: Fraction, degree: int,
     # 1 means the net was too coarse to certify anything
     guaranteed = min(gap + slack, Fraction(1))
 
+    # both are reported rounded up, and auto's pass is judged on that float
     if epsilon == "auto":
-        eps = min(guaranteed * Fraction(10, 9), Fraction(1))
+        eps = Fraction(float_up(min(guaranteed * Fraction(10, 9), Fraction(1))))
     else:
         eps = Fraction(float(epsilon))
     return HittingReport(
@@ -806,7 +815,7 @@ def verify_hitting_net(pattern: Pattern, leading: Fraction, degree: int,
         epsilon=float(eps),
         passed=gap <= Fraction(9, 10) * eps - slack,
         slack=float(slack),
-        epsilon_guaranteed=float(guaranteed),
+        epsilon_guaranteed=float_up(guaranteed),
         pattern_n=pattern.n, universe=pattern.universe, degree=degree,
         **found,
     )

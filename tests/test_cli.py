@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 import obstructions
 from obstructions.cli import _PATTERN_KEYS, _build_parser, main
-from obstructions.patterns import block_rows
+from obstructions.patterns import (Pattern, _sample_seed, block_rows,
+                                   verify_hitting_sampled)
 from obstructions.torus import exact_discrepancy
 
 
@@ -108,6 +109,26 @@ def test_verify_net_budget_error_names_the_flags_that_help(tmp_path, capsys):
     assert code == 2
     assert "lower --net-cells" in err
     assert "--budget" not in err and "--resolution-scale" not in err
+
+
+def test_calibrated_epsilon_passes_on_its_own_stream(tmp_path):
+    # construct --calibrate writes the exact worst gap rounded up; rounded
+    # to nearest, re-verifying on the calibration stream at it failed for 9
+    # of these 12 seeds
+    pat = tmp_path / "pat.json"
+    for seed in range(12):
+        code, payload = run(["construct", "--mode", "thinned", "--n", "12", "--Q", "257",
+                             "--calibrate", "--samples", "2000", "--seed", str(seed),
+                             "--pattern-out", str(pat)], tmp_path)
+        assert code == 0
+        doc = json.loads(pat.read_text())
+        cal = payload["reports"]["calibration"]
+        assert doc["epsilon_verified"] >= cal["epsilon_min"]
+        rep = verify_hitting_sampled(
+            Pattern(tuple(doc["indices"]), doc["Q"]), Fraction(doc["A_num"], doc["A_den"]),
+            doc["p"], doc["epsilon_verified"], cal["n_samples"],
+            seed=_sample_seed(cal["pattern_seed"]))
+        assert rep.passed and rep.worst_gap == cal["epsilon_min"]
 
 
 def test_scan_counters_in_meta(tmp_path):

@@ -546,6 +546,48 @@ def test_net_too_coarse_cannot_certify():
     assert not rep.passed
 
 
+def _auto_nets():
+    """(pattern, nets, exact slack) for the 20,000-cell degree-2 nets that
+    ``verify --epsilon auto`` builds (at recipe epsilon 0.5) for thinned
+    n = 8 patterns on Q = 64 and n = 12 patterns on Q = 257, seeds 0-5."""
+    for n, universe in ((8, 64), (12, 257)):
+        nets = build_nets(2, universe, 0.5, max_cells=20_000)
+        slack = 2 * Fraction(nets.steps[0], 1 << nets.scale_bits) * universe
+        for seed in range(6):
+            yield thin_pattern(n, universe, seed), nets, slack
+
+
+def _is_float_up(f: float, x: Fraction) -> bool:
+    """Whether f is the smallest float at or above x."""
+    return Fraction(f) >= x and Fraction(math.nextafter(f, -math.inf)) < x
+
+
+def test_float_up_is_the_smallest_float_at_or_above():
+    for x in (Fraction(1, 3), Fraction(2, 3), Fraction(1, 2), Fraction(0),
+              Fraction(1), Fraction(10, 9) * Fraction(7, 11)):
+        assert _is_float_up(patterns.float_up(x), x)
+
+
+def test_net_epsilon_guaranteed_is_rounded_up():
+    # rounded to nearest, it fell below worst_gap + slack on two of these
+    # twelve nets (n = 12, seeds 2 and 3), and so was not a bound
+    for pat, nets, slack in _auto_nets():
+        rep = verify_hitting_net(pat, Fraction(1, nets.universe), 2, "auto", nets)
+        assert _is_float_up(rep.epsilon_guaranteed, Fraction(*rep.worst_gap_exact) + slack)
+
+
+def test_net_auto_epsilon_passes_when_fed_back():
+    # the auto epsilon is the exact boundary rounded up and passes as
+    # reported; rounded to nearest, rerunning at it failed on 7 of these nets
+    for pat, nets, slack in _auto_nets():
+        leading = Fraction(1, nets.universe)
+        rep = verify_hitting_net(pat, leading, 2, "auto", nets)
+        boundary = (Fraction(*rep.worst_gap_exact) + slack) * Fraction(10, 9)
+        assert rep.passed and _is_float_up(rep.epsilon, boundary)
+        again = verify_hitting_net(pat, leading, 2, rep.epsilon, nets)
+        assert again.to_dict() == rep.to_dict()
+
+
 def test_net_threads_agree_with_serial():
     universe = 257
     pat = thin_pattern(12, universe, seed=4)
@@ -930,6 +972,23 @@ def test_sampled_ties_go_to_the_smallest_coefficients():
     for rep in reports:
         assert rep.worst_gap == 1.0 and rep.tested == samples
         assert tuple(u for u, _ in rep.worst_coeffs_exact) == smallest
+
+
+def test_threads_outnumber_items():
+    # 5 samples make one block and a 4-cell net one segment, so two of the
+    # three workers pull nothing and end with no best; the report is the
+    # serial one
+    universe = 257
+    pat, leading = thin_pattern(12, universe, seed=1), Fraction(1, universe)
+    nets = build_nets(2, universe, 0.5, max_cells=4)
+    assert nets.total_cells <= 4
+    for verify in (lambda t: verify_hitting_sampled(pat, leading, 2, 0.9, 5, seed=3, threads=t),
+                   lambda t: verify_hitting_net(pat, leading, 2, "auto", nets, threads=t)):
+        serial, threaded = verify(1), verify(3)
+        assert threaded.to_dict() == serial.to_dict()
+        assert (threaded.kernel_rows, threaded.sorted_rows) == (serial.kernel_rows,
+                                                                serial.sorted_rows)
+    assert serial.tested == nets.total_cells
 
 
 def test_sampled_equal_spacing_floor():
