@@ -530,7 +530,7 @@ def test_net_pass_transfers_to_random_real_coefficients():
     for _ in range(1000):
         b = Fraction(int(rng.integers(0, 1 << 40)), 1 << 40)
         g = pattern_gap(pat, Fraction(1, universe), 2, (b,))
-        assert float(g) <= rep.epsilon_guaranteed + 1e-15
+        assert g <= Fraction(rep.epsilon_guaranteed)
     # the auto epsilon satisfies the pass inequality it was derived from
     assert rep.worst_gap <= 0.9 * rep.epsilon - rep.slack + 1e-15
 
@@ -663,7 +663,7 @@ def test_kernel_rows_match_fraction_oracle(degree, universe, n):
         assert Fraction(gap, D) == oracle[row]
 
 
-def _scan_blocks(kernel, blocks, threads):
+def _scan_sampled(kernel, blocks, threads):
     """``patterns._scan`` as the sampled verifier runs it: each worker pulls
     the next block of rows and certifies it whole."""
     blocks = iter(blocks)
@@ -700,7 +700,7 @@ def test_scan_keeps_few_blocks_in_flight():
                 count["peak"] = max(count["peak"], count["yielded"] - count["finished"])
             yield rng.integers(0, 1 << kernel.s, size=(50, 1), dtype=np.uint64)
 
-    serial = _scan_blocks(kernel, blocks(), 1)
+    serial = _scan_sampled(kernel, blocks(), 1)
     kernel.candidate_gaps = counting_gaps
     count.update(yielded=0, peak=0)
     # more threads than cores and frequent switches: a block lost or scanned
@@ -708,7 +708,7 @@ def test_scan_keeps_few_blocks_in_flight():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threaded = _scan_blocks(kernel, blocks(), threads)
+        threaded = _scan_sampled(kernel, blocks(), threads)
     finally:
         sys.setswitchinterval(interval)
     # the rows sorted depend on how the blocks fell to the threads
@@ -923,7 +923,7 @@ def _check_tied_rows(leading):
     assert max(oracle.values()) == best
     u = np.array(rows, dtype=np.uint64)
     for threads in (1, 2):
-        found = _scan_blocks(kernel, np.array_split(u, 16), threads)
+        found = _scan_sampled(kernel, np.array_split(u, 16), threads)
         assert _witness(found) == ((9 * W - 1, D), tuple((x, s) for x in ties[0]), len(rows))
         assert len(ties) <= found["sorted_rows"] < len(rows)
 
