@@ -225,8 +225,7 @@ def pattern_gap(pattern: Pattern, leading: Fraction, degree: int,
 class NetSpec:
     """The integer grids net verification scans: grid i (the k^i coefficient)
     holds t * steps[i-1] / 2^scale_bits for t < sizes[i-1], so every
-    coefficient in [0, 1) lies within meshes[i-1] above a grid point.
-    """
+    coefficient mod 1 lies within meshes[i-1]/2 of a grid point (see ``_Cone``)."""
 
     degree: int
     universe: int
@@ -548,29 +547,32 @@ _MAX_STRIDE = 64
 
 
 class _Cone:
-    """The net scan, pruned by an exact Lipschitz cone along the last grid.
+    """The net scan, pruned by an exact Lipschitz cone along the last grid,
+    and the net's transfer slack, from one lemma: moving every point forward
+    by between c and c + L changes the max gap by at most L (an empty arc
+    (a, a + g) of the old points leaves (a + c + L, a + c + g) empty; and
+    backwards). Adding delta_i to the coefficient of k^i (i = 1..d, d =
+    degree - 1) moves x_k by sum_i delta_i k^i, so the moves lie within
+    sum_i |delta_i| spread_i of each other, spread_i = max_k k^i - min_k k^i.
 
-    Cells are numbered as mixed-radix numbers over the grid sizes, the last
-    grid fastest; a run is the cells that differ only in their last digit
-    t. One step of t adds w/2^s to the coefficient of k^d (d = degree - 1,
-    w the last grid's step), which moves each point x_k by k^d w/2^s along
-    the circle. Moving every point forward by between c and c + L changes
-    the max gap by at most L: an empty arc (a, a + g) of the old points
-    leaves (a + c + L, a + c + g) empty. So one step moves any gap
-    numerator over D = b 2^s by at most
+    Slack. Coefficients live mod 1 and 2^s = 0 is a grid point, so every
+    real coefficient lies within step_i/2^(s+1) = mesh_i/2 of a point of
+    grid i, the short last cell included, and every real vector's gap
+    exceeds a net cell's by at most slack = sum_i spread_i step_i/2^(s+1).
 
-        lip = (max_k k^d - min_k k^d) * w * b,
-
-    an exact integer (taken as 1 if it is 0: a larger constant bounds the
-    moves too). If coarse cells a < c < e of one run, r = c - a and
-    span = e - a, have gap bounds ub_a and ub_e (``candidate_gaps``: exact
-    where the kernel sorted the row, its cap otherwise), cell c's gap is at
-    most min(ub_a + lip r, ub_e + lip (span - r)). A cell whose bound is
-    below the worker's best gap cannot hold the witness, and is certified
-    without the kernel; every cell whose gap reaches the best, a tie
-    included, still goes to the kernel. So the witness and its
-    smallest-tuple tie-break are those of a scan of every cell, at every
-    stride.
+    Cone. Cells are numbered as mixed-radix numbers over the grid sizes,
+    the last grid fastest; a run is the cells that differ only in their
+    last digit t. One step of t adds w/2^s to the coefficient of k^d (w the
+    last grid's step), so it moves any gap numerator over D = b 2^s by at
+    most lip = spread_d w b, an integer, taken as at least 1. If coarse
+    cells a < c < e of one run, r = c - a and span = e - a, have gap
+    bounds ub_a and ub_e (``candidate_gaps``: exact where the kernel sorted
+    the row, its cap otherwise), cell c's gap is at most
+    min(ub_a + lip r, ub_e + lip (span - r)). A cell whose bound is below
+    the worker's best gap cannot hold the witness, and is certified without
+    the kernel; every cell whose gap reaches the best, a tie included,
+    still goes to the kernel. So the witness and its smallest-tuple
+    tie-break are those of a scan of every cell, at every stride.
 
     ``pull`` and ``scan`` are the item source and the work of ``_scan``.
     A worker pulls a segment of one run: every stride-th cell from the
@@ -599,10 +601,12 @@ class _Cone:
         self.cells = nets.total_cells
         self.next = 0
         D = kernel.denominator
-        powers = [k ** len(self.steps) for k in pattern.indices]
-        step = self.steps[-1] if self.steps else 0
+        # the indices are sorted and nonnegative: k^i spreads from the ends
+        lo, hi = pattern.indices[0], pattern.indices[-1]
+        spreads = [hi ** i - lo ** i for i in range(1, len(self.steps) + 1)]
+        self.slack = Fraction(sum(a * w for a, w in zip(spreads, self.steps)), 2 << kernel.s)
         # a larger constant bounds the moves too; at least 1, so it divides
-        self.lip = max(1, (max(powers) - min(powers)) * step * (D >> kernel.s))
+        self.lip = max(1, spreads[-1] * self.steps[-1] * (D >> kernel.s)) if spreads else 1
         # 2 * 3D/16, with 3D/16 - 1 the cap of a row whose longest empty
         # bucket run is one bucket
         self.room = 3 * (D >> 3)
@@ -722,7 +726,7 @@ def float_up(x: Fraction) -> float:
 @dataclass(frozen=True)
 class HittingReport:
     """Outcome of a hitting verification run; pass iff worst gap <= epsilon
-    (sampled mode) or <= 9/10 epsilon - slack (net mode)."""
+    (sampled mode) or <= 9/10 epsilon - slack (net mode; ``_Cone`` proves slack)."""
 
     mode: str                       # "net" or "sampled"
     epsilon: float
@@ -777,9 +781,9 @@ def verify_hitting_net(pattern: Pattern, leading: Fraction, degree: int,
     kernel, with a ``_Cone``'s pull and scan, only on the cells
     (kernel_rows) that the cone cannot prove below a gap already found,
     2.2 M of the 10^7-cell net of the seed-0 n = 32 pattern, so the witness
-    and its tie-break are those of a scan of every cell. Any real
-    coefficient vector lies within nets.meshes of a net point,
-    shifting each value by at most slack/2 = sum_i mesh_i * Q^i, hence:
+    and its tie-break are those of a scan of every cell. By the cone's
+    lemma, every real coefficient vector's gap exceeds a net cell's by at
+    most the cone's slack, hence:
 
       * every interval of length worst_gap + slack is hit for EVERY real
         coefficient vector (recorded as epsilon_guaranteed, rounded up), and
@@ -791,19 +795,15 @@ def verify_hitting_net(pattern: Pattern, leading: Fraction, degree: int,
     if pattern.universe == 0 or leading != Fraction(1, pattern.universe):
         raise ValueError("net verification expects leading = 1/universe "
                          "with the pattern confined to {0..universe-1}")
-    # the kernel's denominator is b = universe, so its fixed-point bits are these
-    s = _scale_bits(pattern.universe)
-    if (nets.degree, nets.universe, nets.scale_bits) != (degree, pattern.universe, s):
-        raise ValueError("net spec does not match the pattern")
-    slack = 2 * sum(Fraction(w, 1 << s) * pattern.universe ** (i + 1)
-                    for i, w in enumerate(nets.steps))
     kernel = _ExactKernel(pattern, leading, degree)
+    if (nets.degree, nets.universe, nets.scale_bits) != (degree, pattern.universe, kernel.s):
+        raise ValueError("net spec does not match the pattern")
     cone = _Cone(kernel, pattern, nets)
     found = _scan(kernel, threads, cone.pull, cone.scan)
     gap = Fraction(*found["worst_gap_exact"])
     # lengths above 1 are meaningless on the circle; a clamped guarantee of
     # 1 means the net was too coarse to certify anything
-    guaranteed = min(gap + slack, Fraction(1))
+    guaranteed = min(gap + cone.slack, Fraction(1))
 
     # both are reported rounded up, and auto's pass is judged on that float
     if epsilon == "auto":
@@ -813,8 +813,8 @@ def verify_hitting_net(pattern: Pattern, leading: Fraction, degree: int,
     return HittingReport(
         mode="net",
         epsilon=float(eps),
-        passed=gap <= Fraction(9, 10) * eps - slack,
-        slack=float(slack),
+        passed=gap <= Fraction(9, 10) * eps - cone.slack,
+        slack=float(cone.slack),
         epsilon_guaranteed=float_up(guaranteed),
         pattern_n=pattern.n, universe=pattern.universe, degree=degree,
         **found,
