@@ -12,7 +12,8 @@ which a verified hitting pattern forbids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence
@@ -74,11 +75,13 @@ def members(spec: AnnulusSpec, points: np.ndarray) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[1] != spec.dimension:
         raise ValueError(f"expected shape (count, {spec.dimension})")
     w = spec.band_halfwidth
-    p = spec.exponent
+    # x^p as p - 1 left-to-right products, which cost a fraction of libm pow;
+    # at p = 2 this is x * x, the same bits as |x|^2
+    powers = pts * pts
+    for _ in range(spec.exponent - 2):
+        powers *= pts
     if spec.parity == "even":
-        f = (np.abs(pts) ** p).sum(axis=1)
-        return _dist_to_z(f) < w
-    powers = pts ** p
+        return _dist_to_z(powers.sum(axis=1)) < w
     ok = np.ones(len(pts), dtype=bool)
     # sigma and -sigma give negated sums at the same distance to Z, so
     # sigma_1 = +1 covers all 2^d sign vectors
@@ -209,6 +212,8 @@ class DensityReport:
     seed: Optional[int] = None
     std_error: Optional[float] = None
     error_bound: Optional[float] = None
+    # Monte Carlo wall time: volatile, so not compared or emitted
+    seconds: Optional[float] = field(default=None, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.fraction <= 1.0:
@@ -239,10 +244,12 @@ def density(spec: AnnulusSpec, R: float, method: str = "monte-carlo",
     samples with per-block child seeds, so block order never matters.
 
     Monte Carlo precision guard: the computed F = |x|_p^p (or a signed power
-    sum) is within B = (p + d + 1) 2^-53 d (R/2)^p of the F of the uniform
-    point, to first order in 2^-53. Per coordinate, rounding (u - 1/2) R
-    costs up to p 2^-53 (R/2)^p and the power's one ulp up to 2 2^-53 (R/2)^p;
-    each of the d - 1 additions costs up to 2^-53 d (R/2)^p. Rounding moves
+    sum) is within B = (p + q + d - 1) 2^-53 d (R/2)^p, q = max(p - 1, 2), of
+    the F of the uniform point, to first order in 2^-53. Per coordinate,
+    rounding (u - 1/2) R costs up to p 2^-53 (R/2)^p and the p - 1 products
+    that form x^p up to (p - 1) 2^-53 (R/2)^p, which q bounds (q = 2 keeps B
+    as it was for a one-ulp power at p = 2, 3); each of the d - 1 additions
+    costs up to 2^-53 d (R/2)^p. Rounding moves
     only the samples within B of a band edge, about a 4B share, as F mod 1
     has two edges per unit. Once 4B reaches the sampling error
     1/(2 sqrt(samples)), BudgetError is raised before any sample is drawn.
@@ -282,13 +289,14 @@ def density(spec: AnnulusSpec, R: float, method: str = "monte-carlo",
     if samples < 1:
         raise ValueError("samples must be >= 1")
     p, d = spec.exponent, spec.dimension
-    rounding = ((p + d + 1) * d * 2.0 ** -53 * (R / 2.0) ** p
+    rounding = ((p + max(p - 1, 2) + d - 1) * d * 2.0 ** -53 * (R / 2.0) ** p
                 if p * math.log2(R / 2.0) <= 1000 else math.inf)  # (R/2)^p must stay a float
     if 4 * rounding >= 0.5 / math.sqrt(samples):
         raise BudgetError(f"Monte Carlo density at R={R}, p={p}: |x|_p^p rounds by "
                           f"up to B = {rounding:.1e}, and the share 4B of samples it "
                           f"can move across a band edge is not below the sampling "
                           f"error {0.5 / math.sqrt(samples):.1e}; lower --R")
+    start = time.perf_counter()
     ss = np.random.SeedSequence(seed)
     block = 1 << 18
     n_blocks = -(-samples // block)
@@ -305,6 +313,7 @@ def density(spec: AnnulusSpec, R: float, method: str = "monte-carlo",
         R=R, fraction=frac, target=target, target_kind=kind,
         method="monte-carlo", detail={"samples": samples, "hits": hits},
         seed=seed, std_error=math.sqrt(max(frac * (1 - frac), 1e-300) / samples),
+        seconds=time.perf_counter() - start,
     )
 
 
@@ -442,6 +451,9 @@ class NoCopyReport:
     per_scale: tuple
     worst_margin: float
     route_mismatches: int
+    # wall time of each route: volatile, so not compared or emitted
+    poly_route_s: float = field(default=0.0, compare=False)
+    direct_route_s: float = field(default=0.0, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -478,7 +490,8 @@ def no_copy_check(spec: AnnulusSpec, pattern: Pattern, leading: Fraction,
     Precision guard: with M = max|x_i| + r * max|k| * max|v_i| per scale, a
     route computes each F within d (4p + d + 5) eps M^p + 2^-48, eps being its
     machine epsilon: longdouble for the direct route (three roundings in
-    Y = x + r k v, the p-th power, the d-term sum), float64 for the polynomial
+    Y = x + (r k) v, the p-th power, the d-term sum, added in coordinate
+    order), float64 for the polynomial
     one (the B_l k^l terms, of total size <= d M^p); 2^-48 covers the float64
     mod-1 and comparison steps. A copy is decided when its direct margin
     max_k (dist_k - w) lies farther than that bound from 0, and any undecided
@@ -500,6 +513,7 @@ def no_copy_check(spec: AnnulusSpec, pattern: Pattern, leading: Fraction,
     children = np.random.SeedSequence(seed).spawn(len(j_list))
     per_scale = []
     mismatches = 0
+    poly_s = direct_s = 0.0
     for j, child in zip(j_list, children):
         r = _scale(leading, j, p)
         rng = np.random.default_rng(child)
@@ -512,24 +526,36 @@ def no_copy_check(spec: AnnulusSpec, pattern: Pattern, leading: Fraction,
         # polynomial route: j*k^p is an integer and drops mod 1, the leading
         # rational term comes from the exact table, the rest from the
         # binomial coefficients of each placement (constant term included,
-        # it aligns the values with the membership band)
+        # it aligns the values with the membership band). t - floor(t) is
+        # t % 1.0 bit for bit on every finite double, without fmod
+        start = time.perf_counter()
         coeffs, _, sgn = reduction_coefficients(xs, vs, r, p)
         vals = np.broadcast_to(lead_vals, (placements_per_scale, len(ks))).copy()
         for l, B_l in enumerate(coeffs):
-            vals = (vals + (B_l[:, None] * ks[None, :] ** l) % 1.0) % 1.0
+            term = B_l[:, None] * ks ** l
+            vals += term - np.floor(term)
+            vals -= np.floor(vals)
         poly_margins = (_dist_to_z(vals) - w).max(axis=1)
+        poly_s += time.perf_counter() - start
 
-        # direct route in extended precision
+        # direct route in extended precision, F summed one coordinate at a
+        # time over (chunk, len(ks)) arrays
+        start = time.perf_counter()
+        rk = np.longdouble(r) * ks
         margins = np.empty(placements_per_scale)
         chunk = 2048
         for lo in range(0, placements_per_scale, chunk):
             hi = min(lo + chunk, placements_per_scale)
             X = xs[lo:hi].astype(np.longdouble)
             V = vs[lo:hi].astype(np.longdouble)
-            Y = X[:, None, :] + np.longdouble(r) * ks[None, :, None] * V[:, None, :]
-            S = sgn[lo:hi].astype(np.longdouble)
-            F = (S[:, None, :] * Y ** p).sum(axis=2)
+            F = np.zeros((hi - lo, len(ks)), dtype=np.longdouble)
+            for i in range(d):
+                term = (X[:, i, None] + rk * V[:, i, None]) ** p
+                if p % 2:
+                    term *= sgn[lo:hi, i, None]
+                F += term
             margins[lo:hi] = (_dist_to_z(F).astype(float) - w).max(axis=1)
+        direct_s += time.perf_counter() - start
 
         bound = spread * float(np.finfo(np.longdouble).eps) + 2.0 ** -48
         undecided = int((np.abs(margins) <= bound).sum())
@@ -558,4 +584,6 @@ def no_copy_check(spec: AnnulusSpec, pattern: Pattern, leading: Fraction,
         per_scale=tuple(per_scale),
         worst_margin=min((s["worst_margin"] for s in per_scale), default=math.inf),
         route_mismatches=mismatches,
+        poly_route_s=poly_s,
+        direct_route_s=direct_s,
     )

@@ -5,9 +5,10 @@ Reports are schema-stable JSON: a ``config`` echo of every resolved
 parameter, the module reports, a ``pass`` flag (conjunction of sub-report
 passes), and a volatile ``meta`` block (timestamp, wall clock, and the
 ``counters`` of a gap scan, cells, kernel_rows, sorted_rows, block_rows and
-cells_per_s, or of the Erdos-Turan sums, et_terms, et_s and
-et_terms_per_s) that is the only part allowed to differ between identical
-reruns. Rationals are
+cells_per_s, of the Erdos-Turan sums, et_terms, et_s and et_terms_per_s, of
+a Monte Carlo density, samples, sign_vectors and samples_per_s, or of a
+no-copy check, placements, poly_route_s and direct_route_s) that is the only
+part allowed to differ between identical reruns. Rationals are
 serialized as {num, den} pairs. Output files are written atomically.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed (witness in
@@ -339,9 +340,15 @@ def _cmd_density(args) -> int:
                   samples=args.samples)
     config = {"d": args.d, "p": args.p, "epsilon": args.epsilon, "R": args.R,
               "method": args.method, "seed": args.seed, "samples": args.samples}
+    counters = None
+    if rep.seconds is not None:
+        # signed sums per sample: sigma and -sigma share one, so 2^(d-1) at odd p
+        counters = {"samples": args.samples,
+                    "sign_vectors": 1 if spec.parity == "even" else 2 ** (args.d - 1),
+                    "samples_per_s": args.samples / rep.seconds if rep.seconds > 0 else None}
     return _emit_report(args, "density", config,
                         {"spec": spec.to_dict(), "density": rep.to_dict()},
-                        True, t0)
+                        True, t0, counters)
 
 
 def _cmd_nocopy(args) -> int:
@@ -365,9 +372,11 @@ def _cmd_nocopy(args) -> int:
                         seed=args.seed, pattern_epsilon=eps_file)
     config = {"pattern": args.pattern, "d": args.d, "epsilon": spec.epsilon,
               "j_list": args.j_list, "samples": args.samples, "seed": args.seed}
+    counters = {"placements": rep.placements_total, "poly_route_s": rep.poly_route_s,
+                "direct_route_s": rep.direct_route_s}
     return _emit_report(args, "nocopy", config,
                         {"spec": spec.to_dict(), "nocopy": rep.to_dict()},
-                        rep.passed, t0)
+                        rep.passed, t0, counters)
 
 
 def _read_points_csv(path: str) -> list:

@@ -61,10 +61,19 @@ def test_members_vectorized_consistency():
     assert all(vec[i] == member(spec, pts[i]) for i in range(len(pts)))
 
 
+def product_power(x, p):
+    """x^p as the p - 1 left-to-right products ((x x) x) ... x."""
+    powers = x * x
+    for _ in range(p - 2):
+        powers = powers * x
+    return powers
+
+
 def full_sign_loop_members(spec, pts):
     """Odd-p membership over all 2^d sign vectors, each signed sum's distance
-    to Z taken exactly as |f - rint(f)|."""
-    powers = pts ** spec.exponent
+    to Z taken exactly as |f - rint(f)|; x^p is rounded as members rounds it,
+    so only the sign loop differs."""
+    powers = product_power(pts, spec.exponent)
     ok = np.ones(len(pts), dtype=bool)
     for sigma in product((1.0, -1.0), repeat=spec.dimension):
         f = powers @ np.asarray(sigma)
@@ -72,16 +81,22 @@ def full_sign_loop_members(spec, pts):
     return ok
 
 
-def band_edge_points(spec, rng, count):
-    """Points with one signed power sum within a few ulps of m +- w, m in
-    {-1, 0}: |sum| < 1 keeps the fractional bits that rounding can lose."""
+def band_edge_points(spec, rng, count, ulps=4):
+    """Points with one defining sum within a few ulps of a band edge m +- w,
+    x_1 moved by up to ``ulps`` ulps. Odd p: a signed sum, m in {-1, 0}, as
+    |sum| < 1 keeps the fractional bits that rounding can lose. Even p:
+    |x|_p^p, m = d, above the other coordinates' share."""
     d, p, w = spec.dimension, spec.exponent, spec.band_halfwidth
     rest = rng.uniform(-1, 1, size=(count, d - 1))
-    sigma = rng.choice((-1.0, 1.0), size=(count, d - 1))
-    edge = rng.integers(-1, 1, size=count) + rng.choice((-1.0, 1.0), size=count) * w
+    if spec.parity == "odd":
+        sigma = rng.choice((-1.0, 1.0), size=(count, d - 1))
+        m = rng.integers(-1, 1, size=count)
+    else:
+        sigma, m = 1.0, d
+    edge = m + rng.choice((-1.0, 1.0), size=count) * w
     target = edge - (sigma * rest ** p).sum(axis=1)
     x1 = np.sign(target) * np.abs(target) ** (1.0 / p)
-    x1 += rng.integers(-4, 5, size=count) * np.spacing(x1)
+    x1 += rng.integers(-ulps, ulps + 1, size=count) * np.spacing(x1)
     return np.column_stack([x1, rest])
 
 
@@ -101,6 +116,70 @@ def test_members_odd_half_sign_loop_matches_full_loop():
             f = edge ** p @ np.asarray(sigma)
             near |= np.abs(np.abs(f - np.rint(f)) - spec.band_halfwidth) < 2.0 ** -48
         assert near.mean() > 0.5
+
+
+def exact_margins(spec, pts):
+    """Per point, exact membership and the least |dist(F, Z) - w| over the
+    defining sums F, computed in Fractions from the float coordinates."""
+    d, p, w = spec.dimension, spec.exponent, Fraction(spec.band_halfwidth)
+    signs = [(1,) * d] if spec.parity == "even" else list(product((1, -1), repeat=d))
+    inside, margin = [], []
+    for x in pts:
+        powers = [Fraction(float(t)) ** p for t in x]
+        dists = []
+        for sigma in signs:
+            f = sum(s * t for s, t in zip(sigma, powers))
+            dists.append(abs(f - round(f)))
+        inside.append(all(t < w for t in dists))
+        margin.append(min(abs(t - w) for t in dists))
+    return np.array(inside), np.array([float(m) for m in margin])
+
+
+def test_members_match_exact_membership_outside_the_guard():
+    # the Monte Carlo guard B of density, with max |x_i| in place of R/2,
+    # bounds the rounding of each defining sum: beyond it from every band
+    # edge, the float membership is the exact one. Edge points move by up to
+    # 256 ulps, so that some land just outside B and some inside
+    rng = np.random.default_rng(21)
+    for d, p, eps in ((2, 3, 0.3), (4, 3, 0.05), (3, 4, 0.2), (2, 5, 0.1)):
+        spec = AnnulusSpec(d, p, eps)
+        for pts, near_edge in (((rng.random((1500, d)) - 0.5) * 40, False),
+                               (band_edge_points(spec, rng, 1500, ulps=256), True)):
+            half = np.abs(pts).max(axis=1)
+            guard = (p + max(p - 1, 2) + d - 1) * d * 2.0 ** -53 * half ** p
+            inside, margin = exact_margins(spec, pts)
+            decided = margin > guard
+            got = members(spec, pts)
+            assert (got[decided] == inside[decided]).all(), (d, p, eps)
+            assert decided.sum() > len(pts) // 4
+            if near_edge:  # some decided points sit within 4B of an edge
+                assert (decided & (margin < 4 * guard)).any(), (d, p)
+
+
+def test_product_power_within_its_rounding_allowance():
+    # p - 1 products round x^p by at most (p - 1) 2^-53 relative to first
+    # order; the guard allows max(p - 1, 2) of these
+    rng = np.random.default_rng(22)
+    x = np.concatenate([rng.uniform(-10, 10, 3000),
+                        np.exp(rng.uniform(-20, 20, 3000)) * rng.choice((-1.0, 1.0), 3000),
+                        [1.0, -1.0, 3.0, np.nextafter(1.0, 2.0), 0.1]])
+    for p in range(2, 9):
+        got = product_power(x, p)
+        for t, g in zip(x, got):
+            exact = Fraction(float(t)) ** p
+            assert abs(Fraction(float(g)) - exact) <= max(p - 1, 2) * Fraction(1, 2 ** 53) * abs(exact), (p, t)
+
+
+def test_float_mod_one_is_x_minus_floor_bit_for_bit():
+    # the no-copy polynomial route reduces mod 1 as x - floor(x): the same
+    # double as numpy's x % 1.0 on every finite input
+    rng = np.random.default_rng(23)
+    special = [0.0, -0.0, -5e-324, 5e-324, -1e-300, 1e-300, -1.0, -2.0, -3.0, -12345.0,
+               2.0 ** 52 + 0.5, 2.0 ** 52 - 0.5, -(2.0 ** 52 + 0.5), -(2.0 ** 52 - 0.5),
+               2.0 ** 60, -2.0 ** 60, -0.5, np.nextafter(-1.0, 0.0), np.nextafter(0.0, -1.0)]
+    mags = 10.0 ** rng.uniform(-20, 20, 100_000)
+    x = np.concatenate([special, mags, -mags, -np.floor(mags)])
+    assert ((x % 1.0).view(np.int64) == (x - np.floor(x)).view(np.int64)).all()
 
 
 def test_spec_validation():
@@ -237,6 +316,19 @@ def test_density_odd_lower_bound():
     assert rep.target == pytest.approx(1 - 4 * 0.05)
     assert rep.target_kind == "lower-bound"
     assert rep.fraction >= rep.target - 0.02
+
+
+def test_density_refusal_threshold_covers_the_products():
+    # B = (p + max(p - 1, 2) + d - 1) d 2^-53 (R/2)^p is refused once 4B
+    # reaches 1/(2 sqrt(samples)): just above the threshold R* it raises,
+    # just below it runs
+    samples, d = 1000, 2
+    for p in (2, 3, 4, 5):
+        factor = (p + max(p - 1, 2) + d - 1) * d * 2.0 ** -53
+        threshold = 2 * (0.125 / math.sqrt(samples) / factor) ** (1 / p)
+        with pytest.raises(BudgetError, match="lower --R"):
+            density(AnnulusSpec(d, p, 0.1), 1.01 * threshold, samples=samples)
+        density(AnnulusSpec(d, p, 0.1), 0.99 * threshold, samples=samples)
 
 
 def test_density_monotone_in_epsilon():

@@ -191,6 +191,12 @@ def test_density_subcommand(tmp_path):
     assert code == 0
     frac = payload["reports"]["density"]["fraction"]
     assert abs(frac - 0.9) < 0.03
+    counters = payload["meta"]["counters"]
+    assert counters["samples"] == 50000 and counters["sign_vectors"] == 1
+    assert counters["samples_per_s"] > 0
+    code, payload = run(["density", "--d", "3", "--p", "3", "--epsilon", "0.1",
+                         "--R", "20", "--samples", "1000"], tmp_path, "odd.json")
+    assert code == 0 and payload["meta"]["counters"]["sign_vectors"] == 4
 
 
 def test_nocopy_subcommand(tmp_path):
@@ -201,6 +207,9 @@ def test_nocopy_subcommand(tmp_path):
                          "--j-list", "1,2", "--samples", "500"], tmp_path)
     assert code == 0 and payload["pass"]
     assert payload["reports"]["nocopy"]["violations_total"] == 0
+    counters = payload["meta"]["counters"]
+    assert counters["placements"] == 2 * 500
+    assert counters["poly_route_s"] > 0 and counters["direct_route_s"] > 0
 
 
 def test_discrepancy_generated_sequence(tmp_path):
@@ -309,7 +318,7 @@ def test_discrepancy_points_tokens_are_exact(tmp_path):
 def test_density_exact_slice_p4_at_large_R(tmp_path):
     code, payload = run(["density", "--d", "2", "--p", "4", "--epsilon", "0.2",
                          "--R", "400", "--method", "exact-slice"], tmp_path)
-    assert code == 0
+    assert code == 0 and "counters" not in payload["meta"]
     rep = payload["reports"]["density"]
     assert abs(rep["fraction"] - rep["target"]) <= rep["error_bound"]
 
