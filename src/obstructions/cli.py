@@ -5,10 +5,11 @@ Reports are schema-stable JSON: a ``config`` echo of every resolved
 parameter, the module reports, a ``pass`` flag (conjunction of sub-report
 passes), and a volatile ``meta`` block (timestamp, wall clock, and the
 ``counters`` of a gap scan, cells, kernel_rows, sorted_rows, block_rows and
-cells_per_s, of the Erdos-Turan sums, et_terms, et_s and et_terms_per_s, of
-a Monte Carlo density, samples, sign_vectors and samples_per_s, or of a
-no-copy check, placements, poly_route_s and direct_route_s) that is the only
-part allowed to differ between identical reruns. Rationals are
+cells_per_s, of a discrepancy, residues_s and exact_s, with --M also the
+Erdos-Turan sums' et_terms, et_s and et_terms_per_s, of a Monte Carlo
+density, samples, sign_vectors and samples_per_s, or of a no-copy check,
+placements, poly_route_s and direct_route_s) that is the only part allowed
+to differ between identical reruns. Rationals are
 serialized as {num, den} pairs. Output files are written atomically.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed (witness in
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import math
 import os
@@ -433,19 +435,22 @@ def _cmd_discrepancy(args) -> int:
         values = PolySeqSpec(degree, leading, lower).residues(range(args.N))
         source = {"A": {"num": leading.numerator, "den": leading.denominator},
                   "B": [float(c) for c in lower], "N": args.N, "degree": degree}
+    residues_s = time.perf_counter() - t0
     if args.dump:
         points = (Fraction(num, values.D) for num in values.nums)
         _atomic_write(args.dump, "".join(f"{v.numerator}/{v.denominator}\n"
                                          for v in points))
+    t_scan = time.perf_counter()
     report = exact_discrepancy(values, et_cutoff=args.M)
     passed = True
-    counters = None
+    counters = {"residues_s": residues_s,
+                "exact_s": time.perf_counter() - t_scan - (report.et_seconds or 0)}
     if report.et_bound is not None:
         # the ET value is a proven upper bound, so this is a theorem
         passed = Fraction(report.et_bound) >= report.exact_value
         terms, seconds = report.n_points * report.et_cutoff, report.et_seconds
-        counters = {"et_terms": terms, "et_s": seconds,
-                    "et_terms_per_s": terms / seconds if seconds > 0 else None}
+        counters.update(et_terms=terms, et_s=seconds,
+                        et_terms_per_s=terms / seconds if seconds > 0 else None)
     config = {"M": args.M, "dump": args.dump, **source}
     reports = {"discrepancy": report.to_dict()}
     return _emit_report(args, "discrepancy", config, reports, passed, t0, counters)
@@ -510,7 +515,11 @@ def _cmd_render(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and then reused: every default is
+    None, a bool, an int, a float or a str, so one parse leaves nothing the
+    next can see. Not built at import, which stays cheap."""
     parser = argparse.ArgumentParser(
         prog="obstructions",
         description="Construct and verify hitting patterns and obstruction sets.",
@@ -601,6 +610,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit code. The parser is built
+    once per process (``_build_parser`` is cached), so repeated in-process
+    calls pay only for parsing."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

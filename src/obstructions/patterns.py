@@ -187,14 +187,20 @@ class PolySeqSpec:
         """The points x_k, with x_k = nums[j] / D exactly for k = ks[j].
 
         D is the lcm of every coefficient's denominator, and each numerator
-        is sum_i num_i * (D / den_i) * (k^i mod D), reduced into [0, D).
+        is the integer polynomial sum_i a_i k^i, a_i = num_i * (D / den_i),
+        evaluated by Horner's rule in Python ints and reduced into [0, D)
+        once.
         """
         coeffs = (*self.lower, self.leading)
         D = math.lcm(*(c.denominator for c in coeffs))
-        terms = [(i, c.numerator * (D // c.denominator))
-                 for i, c in enumerate(coeffs, start=1) if c]
-        return Residues([sum(a * pow(k, i, D) for i, a in terms) % D
-                         for k in map(int, ks)], D)
+        top, *rest = [c.numerator * (D // c.denominator) for c in reversed(coeffs)]
+        nums = []
+        for k in map(int, ks):
+            acc = top
+            for a in rest:
+                acc = acc * k + a
+            nums.append(acc * k % D)
+        return Residues(nums, D)
 
     def value_at(self, k: int) -> Fraction:
         """x_k mod 1 as a Fraction, straight from the definition; tests hold

@@ -265,6 +265,11 @@ def weyl_sum(poly, n_terms: int, multiplier: int = 1) -> complex:
     return complex(math.fsum(cos), math.fsum(sin))
 
 
+# entries of erdos_turan_bound's power table (measured there): the table
+# and each block's product temporary stay well inside a core's L2 cache
+_ET_TABLE_TERMS = 1 << 14
+
+
 def erdos_turan_bound(points, cutoff: int) -> float:
     """Explicit Erdos-Turan discrepancy bound with constants (1, 3),
 
@@ -275,8 +280,16 @@ def erdos_turan_bound(points, cutoff: int) -> float:
 
     Each point is read as an exact residue and z_k = e(x_k) is taken once
     (``_unit_phases``). The powers z^m come by multiplication: a table
-    Z = [z^1 .. z^B] (np.cumprod, B*N about 2^16) times a running
-    W = z^(bB) gives the B sums of block b in one pass, then W *= z^B.
+    Z = [z^1 .. z^B] (np.cumprod, B*N about ``_ET_TABLE_TERMS`` = 2^14)
+    times a running W = z^(bB) gives the B sums of block b in one pass, then
+    W *= z^B. For N <= 2^14 the table and each block's product hold at most
+    256 KiB each. On a 2-vCPU Xeon (2 MiB L2 per core, shared host), over
+    five sweeps, a call at M = N = 1024 took 2.6-3.8 ms, against 4.0-5.9 ms
+    at 2^16, where the two arrays fill the L2, and at M = N = 256
+    0.38-0.48 ms against 1.4-2.1 ms; 2^12, 2^13 and 2^15 were no faster at
+    either N. The rounding below holds for any B: the entry for m is m
+    factors after m - 1 rounded products. B only decides which products,
+    so the last bits of the result depend on it.
 
     Rounding, with u = 2^-53 and zeta_k = e(x_k) exact:
       1. Each part of z_k is within 18u (``_unit_phases``), so
@@ -308,7 +321,7 @@ def erdos_turan_bound(points, cutoff: int) -> float:
     n = len(pts)
     cos, sin = _unit_phases(pts.nums, pts.D)
     z = cos + 1j * sin
-    block = min(cutoff, max(1, (1 << 16) // n))
+    block = min(cutoff, max(1, _ET_TABLE_TERMS // n))
     table = np.cumprod(np.broadcast_to(z, (block, n)), axis=0)
     w = np.ones(n, dtype=complex)
     terms = []

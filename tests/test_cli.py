@@ -228,11 +228,18 @@ def test_discrepancy_et_counters_in_meta(tmp_path):
                          "--N", "64", "--M", "32"], tmp_path)
     assert code == 0 and payload["pass"]
     counters = payload["meta"]["counters"]
+    assert sorted(counters) == ["et_s", "et_terms", "et_terms_per_s", "exact_s",
+                                "residues_s"]
     assert counters["et_terms"] == 64 * 32
     assert counters["et_s"] > 0 and counters["et_terms_per_s"] > 0
+    assert counters["residues_s"] > 0 and counters["exact_s"] > 0
+    # the three stages are disjoint parts of the call
+    stages = counters["residues_s"] + counters["exact_s"] + counters["et_s"]
+    assert stages <= payload["meta"]["wall_clock_s"]
     code, payload = run(["discrepancy", "--A", "1/101", "--N", "64"], tmp_path,
                         "no-et.json")
-    assert code == 0 and "counters" not in payload["meta"]
+    assert code == 0
+    assert sorted(payload["meta"]["counters"]) == ["exact_s", "residues_s"]
 
 
 def test_discrepancy_points_file_roundtrip(tmp_path):
@@ -734,6 +741,25 @@ def test_fuzz_table_covers_every_parser_flag():
                  if opt.startswith("--") and opt != "--help"}
         assert flags == {*FUZZ_FLAGS[sub], *SWITCHES.get(sub, []), "--output",
                          *(["--threads"] if sub in THREADED else [])}, sub
+
+
+def test_parser_is_built_once():
+    assert _build_parser() is _build_parser()
+
+
+def test_every_parser_default_is_immutable():
+    # main reuses one parser, so a mutable default (a list, a dict) would
+    # carry one call's changes into the next
+    top = _build_parser()
+    subparsers = next(a for a in top._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    defaults = {(sub, action.dest): action.default
+                for sub, parser in [("", top), *subparsers.choices.items()]
+                for action in parser._actions}
+    assert len(defaults) > 50
+    bad = {key: value for key, value in defaults.items()
+           if type(value) not in (type(None), bool, int, float, str)}
+    assert bad == {}
 
 
 def test_every_numeric_flag_has_a_range_checking_type():

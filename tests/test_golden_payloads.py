@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from obstructions.cli import main
+from obstructions.cli import _build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -63,12 +63,28 @@ def assert_same(got, want, where="payload"):
             f"{where}: {got!r} != {want!r}"
 
 
-def test_cli_payloads_match_golden(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    for name, argv in CASES:
-        out = tmp_path / f"{name}.out.json"
+def run_cases(cases):
+    for name, argv in cases:
+        out = Path(f"{name}.out.json")
+        out.unlink(missing_ok=True)
         assert main([*argv, "-o", out.name]) in (0, 1), name
         payload = json.loads(out.read_text())
         payload.pop("meta")
         want = json.loads((GOLDEN / f"{name}.json").read_text())
         assert_same(payload, want, name)
+
+
+def test_cli_payloads_match_golden(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run_cases(CASES)
+
+
+def test_cached_parser_serves_repeated_calls(tmp_path, monkeypatch):
+    # main parses every call with one cached parser: a usage error and
+    # --version first, then every case twice, must leave each payload golden
+    monkeypatch.chdir(tmp_path)
+    parser = _build_parser()
+    assert main(["discrepancy", "--A", "1/101", "--N", "x"]) == 2
+    assert main(["--version"]) == 0
+    run_cases(CASES * 2)
+    assert _build_parser() is parser

@@ -151,6 +151,16 @@ def test_polyseq_values_match_value_at():
         assert list(spec.values(ks)) == [float(spec.value_at(k)) for k in ks]
     spec = PolySeqSpec(5, Fraction(1, 101), (0, 0, 0, Fraction(1, 3)))
     assert spec.values([99991])[0] == float(spec.value_at(99991))
+    # the exact residues, at indices at and above D and below 0, with D
+    # above 2^200
+    spec = PolySeqSpec(3, Fraction(5, 3 ** 130),
+                       (Fraction(-7, (1 << 61) + 1), Fraction(1, 6)))
+    D = spec.residues([0]).D
+    assert D > 1 << 200
+    ks = [D, D + 1, 3 * D - 2, -D - 5, (1 << 300) + 17, 12345]
+    res = spec.residues(ks)
+    assert res.D == D and all(0 <= num < D for num in res.nums)
+    assert [Fraction(num, D) for num in res.nums] == [spec.value_at(k) for k in ks]
 
 
 def test_polyseq_exact_vs_quad_precision():

@@ -16,7 +16,7 @@ from obstructions import (
     max_circular_gap,
     weyl_sum,
 )
-from obstructions.torus import Residues
+from obstructions.torus import _ET_TABLE_TERMS, Residues
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +350,11 @@ def test_et_refuses_cutoff_outside_its_rounding_bound():
 
 def test_numpy_sums_complex_rows_pairwise():
     # erdos_turan_bound's rounding term assumes numpy adds a contiguous row
-    # pairwise; added in row order, every 2^-53 after the leading 1 is lost
-    for rows, n in ((8192, 8), (64, 1024), (1, 70000)):
+    # pairwise; added in row order, every 2^-53 after the leading 1 is lost.
+    # The table's shapes come from its size; (8192, 8) and (64, 1024), the
+    # shapes of a 2^16-entry table, stay as well.
+    table = [(_ET_TABLE_TERMS // n, n) for n in (8, 1024)]
+    for rows, n in (*table, (8192, 8), (64, 1024), (1, 70000)):
         a = np.full((rows, n), 2.0 ** -53, dtype=complex)
         a[:, 0] = 1
         assert (a.sum(axis=1).real > 1).all(), (rows, n)
