@@ -112,7 +112,7 @@ _PATTERN_KEYS = {
     "Q": (int, lambda v: v >= 0, "an integer >= 0"),
     "provenance": (str, lambda v: True, "a string"),
     "p": (int, lambda v: v >= 1, "an integer >= 1"),
-    "A_num": (int, lambda v: True, "an integer"),
+    "A_num": (int, lambda v: v != 0, "a nonzero integer"),
     "A_den": (int, lambda v: v != 0, "a nonzero integer"),
     "epsilon_verified": ((int, float, type(None)),
                          lambda v: v is None or 0 <= v < math.inf,
@@ -257,7 +257,7 @@ def _cmd_construct(args) -> int:
         cal = calibrate_sampled(
             pattern.n, degree, pattern.universe, seed=args.seed,
             n_samples=args.samples, retries=args.retries,
-            epsilon_target=args.target_epsilon, threads=args.threads,
+            epsilon_target=args.target_epsilon,
         )
         pattern = cal.pattern
         # the exact worst gap rounded up, at which re-verifying the pattern
@@ -271,7 +271,7 @@ def _cmd_construct(args) -> int:
     elif args.epsilon is not None:
         rep = verify_hitting_sampled(
             pattern, leading, degree, args.epsilon,
-            n_samples=args.samples, seed=args.seed, threads=args.threads,
+            n_samples=args.samples, seed=args.seed,
         )
         reports["hitting"] = rep.to_dict()
         epsilon_verified = args.epsilon if rep.passed else None
@@ -310,8 +310,7 @@ def _cmd_verify(args) -> int:
                           float(epsilon) if epsilon != "auto" else 0.5,
                           max_cells=args.net_cells)
         t_scan = time.perf_counter()
-        rep = verify_hitting_net(pattern, leading, degree, epsilon, nets,
-                                 threads=args.threads)
+        rep = verify_hitting_net(pattern, leading, degree, epsilon, nets)
         reports = {"nets": nets.to_dict(), "hitting": rep.to_dict()}
     else:
         if epsilon == "auto":
@@ -321,8 +320,7 @@ def _cmd_verify(args) -> int:
             raise ValueError(f"{eps_source}: a hitting length must be > 0, got 0")
         t_scan = time.perf_counter()
         rep = verify_hitting_sampled(pattern, leading, degree, float(epsilon),
-                                     n_samples=args.samples, seed=args.seed,
-                                     threads=args.threads)
+                                     n_samples=args.samples, seed=args.seed)
         reports = {"hitting": rep.to_dict()}
     counters = _scan_counters(rep.tested, rep.kernel_rows, rep.sorted_rows, pattern.n,
                               time.perf_counter() - t_scan)
@@ -330,7 +328,6 @@ def _cmd_verify(args) -> int:
         "pattern": args.pattern, "method": args.method, "epsilon": epsilon,
         "samples": args.samples, "seed": args.seed,
         "net_cells": args.net_cells if args.method == "net" else None,
-        "threads": args.threads,
     }
     return _emit_report(args, "verify", config, reports, rep.passed, t0, counters)
 
@@ -531,7 +528,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("-o", "--output", help="write the JSON report here")
         if threads:
             p.add_argument("--threads", type=_at_least(1), default=1,
-                           help="worker threads")
+                           help="accepted and ignored: scans are serial")
 
     p = sub.add_parser("construct", help="build a pattern file")
     p.add_argument("--mode", choices=("thinned", "elementary"), required=True)

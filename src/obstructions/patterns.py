@@ -24,8 +24,6 @@ from __future__ import annotations
 import functools
 import math
 import random
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -413,7 +411,7 @@ class _ExactKernel:
                               for E in range(_BUCKETS + 1)], dtype=np.uint64)
 
     def buffers(self):
-        """The scratch arrays one thread reuses for every block, each shaped
+        """The scratch arrays the scan reuses for every block, each shaped
         (n, rows): the positions (uint64), the bucket bits (uint16) and, from
         degree 3 on, one uint64 term of the multiply-accumulate."""
         shape = (self.n, self.rows)
@@ -491,9 +489,10 @@ class _ExactKernel:
 
 
 class _Worker:
-    """One scan thread: its scratch buffers, its best (gap, coefficient
-    tuple) so far, the cells it certified, the rows it sent to the kernel
-    and those it sorted, and a one-block queue of rows for the kernel."""
+    """The scan's one worker: its scratch buffers, its best (gap,
+    coefficient tuple) so far, the cells it certified, the rows it sent to
+    the kernel and those it sorted, and a one-block queue of rows for the
+    kernel."""
 
     def __init__(self, kernel: _ExactKernel):
         self.kernel = kernel
@@ -581,7 +580,7 @@ class _Cone:
     tie-break are those of a scan of every cell, at every stride.
 
     ``pull`` and ``scan`` are the item source and the work of ``_scan``.
-    A worker pulls a segment of one run: every stride-th cell from the
+    The worker pulls a segment of one run: every stride-th cell from the
     first, plus the last, are coarse, at most kernel.rows of them, and go to
     the kernel in one block. The interior cells whose cone reaches the best
     are queued and sent to the kernel in full blocks. The stride is
@@ -624,8 +623,8 @@ class _Cone:
         return max(1, min(_MAX_STRIDE, (2 * best[0] - self.room) // self.lip))
 
     def pull(self, worker: _Worker):
-        """The next segment (first cell, end, stride), or None; called under
-        the scan's lock."""
+        """The next segment (first cell, end, stride) at the stride the
+        worker's best allows, or None once every cell is pulled."""
         lo = self.next
         if lo >= self.cells:
             return None
@@ -685,41 +684,25 @@ def _rank(found):
     return gap, tuple(-x for x in coeffs)
 
 
-def _scan(kernel: _ExactKernel, threads: int, pull, work) -> dict:
-    """The one exact scan: runs ``threads`` workers and merges their bests
-    deterministically, returning the witness as HittingReport fields.
+def _scan(kernel: _ExactKernel, pull, work) -> dict:
+    """The one exact scan, returning the witness as HittingReport fields.
 
-    Each worker calls pull(worker) under a shared lock for its next item,
-    until it returns None, and work(worker, item) outside it; then it runs
-    the kernel on its queued rows. The global best is the max gap with ties
-    broken by the smallest coefficient tuple, whatever the order in which
-    the items were scanned, so threaded and serial scans return identical
-    results; only sorted_rows and kernel_rows depend on the thread count.
+    One worker calls pull(worker) for its next item and work(worker, item)
+    on it, until pull returns None; then it runs the kernel on its queued
+    rows. The best is the max gap with ties broken by the smallest
+    coefficient tuple (``_rank``), whatever the order in which the items
+    were scanned.
     """
-    lock = threading.Lock()
-
-    def run():
-        worker = _Worker(kernel)
-        while True:
-            with lock:
-                item = pull(worker)
-            if item is None:
-                worker.flush()
-                return worker
-            work(worker, item)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(run) for _ in range(threads)]
-            workers = [f.result() for f in futures]
-    else:
-        workers = [run()]
-    best_gap, best_u = max((w.best for w in workers if w.best is not None), key=_rank)
-    return dict(tested=sum(w.cells for w in workers),
+    worker = _Worker(kernel)
+    while (item := pull(worker)) is not None:
+        work(worker, item)
+    worker.flush()
+    best_gap, best_u = worker.best
+    return dict(tested=worker.cells,
                 worst_gap_exact=(best_gap, kernel.denominator),
                 worst_coeffs_exact=tuple((u, kernel.s) for u in best_u),
-                sorted_rows=sum(w.sorted_rows for w in workers),
-                kernel_rows=sum(w.kernel_rows for w in workers))
+                sorted_rows=worker.sorted_rows,
+                kernel_rows=worker.kernel_rows)
 
 
 def float_up(x: Fraction) -> float:
@@ -746,9 +729,9 @@ class HittingReport:
     slack: float = 0.0
     epsilon_guaranteed: Optional[float] = None
     seed: Optional[int] = None
-    # rows the kernel evaluated, and those whose exact gap it computed;
-    # both depend on the thread count, so they are volatile: not compared
-    # or emitted
+    # rows the kernel evaluated, and those whose exact gap it computed:
+    # work counters, neither compared nor emitted here (the CLI shows them
+    # in meta.counters)
     kernel_rows: Optional[int] = field(default=None, compare=False)
     sorted_rows: Optional[int] = field(default=None, compare=False)
 
@@ -777,8 +760,7 @@ class HittingReport:
 
 
 def verify_hitting_net(pattern: Pattern, leading: Fraction, degree: int,
-                       epsilon, nets: NetSpec,
-                       threads: int = 1) -> HittingReport:
+                       epsilon, nets: NetSpec) -> HittingReport:
     """Exact worst gap over every cell of the coefficient net, with
     transfer margin.
 
@@ -805,7 +787,7 @@ def verify_hitting_net(pattern: Pattern, leading: Fraction, degree: int,
     if (nets.degree, nets.universe, nets.scale_bits) != (degree, pattern.universe, kernel.s):
         raise ValueError("net spec does not match the pattern")
     cone = _Cone(kernel, pattern, nets)
-    found = _scan(kernel, threads, cone.pull, cone.scan)
+    found = _scan(kernel, cone.pull, cone.scan)
     gap = Fraction(*found["worst_gap_exact"])
     # lengths above 1 are meaningless on the circle; a clamped guarantee of
     # 1 means the net was too coarse to certify anything
@@ -828,8 +810,7 @@ def verify_hitting_net(pattern: Pattern, leading: Fraction, degree: int,
 
 
 def verify_hitting_sampled(pattern: Pattern, leading: Fraction, degree: int,
-                           epsilon: float, n_samples: int, seed: int,
-                           threads: int = 1) -> HittingReport:
+                           epsilon: float, n_samples: int, seed: int) -> HittingReport:
     """Monte Carlo surrogate: worst gap over random coefficient vectors.
 
     Coefficients are drawn as exact dyadics u/2^s (uniform on the fixed-point
@@ -840,12 +821,11 @@ def verify_hitting_sampled(pattern: Pattern, leading: Fraction, degree: int,
         raise ValueError(f"samples (--samples) must be >= 1, got {n_samples}")
     rng = np.random.default_rng(seed)
     kernel = _ExactKernel(pattern, leading, degree)
-    # each worker draws its next block under the scan's lock, so at most
-    # ``threads`` blocks exist at once and the stream is the serial one
+    # drawn lazily, one block per pull, so one block exists at a time
     blocks = (rng.integers(0, 1 << kernel.s, dtype=np.uint64,
                            size=(min(kernel.rows, n_samples - lo), degree - 1))
               for lo in range(0, n_samples, kernel.rows))
-    found = _scan(kernel, threads, lambda worker: next(blocks, None), _Worker.certify)
+    found = _scan(kernel, lambda worker: next(blocks, None), _Worker.certify)
     return HittingReport(
         mode="sampled",
         epsilon=float(epsilon),
@@ -914,7 +894,8 @@ class CalibrationResult:
     attempts: tuple  # of (seed, worst_gap)
     report: HittingReport  # the best attempt's
     # rows the kernel evaluated and those it sorted, over every attempt:
-    # volatile
+    # work counters, neither compared nor emitted here (the CLI shows them
+    # in meta.counters)
     kernel_rows: int = field(default=0, compare=False)
     sorted_rows: int = field(default=0, compare=False)
 
@@ -943,8 +924,7 @@ class CalibrationResult:
 
 def calibrate_sampled(n: int, degree: int, universe: int, seed: int = 0,
                       n_samples: int = 10_000, retries: int = 1,
-                      epsilon_target: Optional[float] = None,
-                      threads: int = 1) -> CalibrationResult:
+                      epsilon_target: Optional[float] = None) -> CalibrationResult:
     """Measure the smallest epsilon passing sampled verification.
 
     Draws a fresh pattern per attempt (seeds seed, seed+1, ...), each checked
@@ -962,7 +942,7 @@ def calibrate_sampled(n: int, degree: int, universe: int, seed: int = 0,
         pattern = thin_pattern(n, universe, pattern_seed)
         report = verify_hitting_sampled(
             pattern, leading, degree, epsilon=1.0, n_samples=n_samples,
-            seed=_sample_seed(pattern_seed), threads=threads,
+            seed=_sample_seed(pattern_seed),
         )
         tried.append((pattern_seed, pattern, report))
         if _reaches(report, epsilon_target):

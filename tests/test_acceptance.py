@@ -477,7 +477,8 @@ def test_criterion_13_cli_determinism(tmp_path):
             assert cli_main([*args, "-o", str(out1)]) in (0, 1), name
             assert cli_main([*args, "-o", str(out2)]) in (0, 1), name
             assert strip_meta(out1) == strip_meta(out2), name
-        # threaded and serial net scans agree byte for byte on the payload
+        # --threads is accepted and ignored (the scan is serial): the net
+        # payloads agree byte for byte
         o1, o2 = tmp_path / "th1.json", tmp_path / "th2.json"
         base = ["verify", "--pattern", str(pat), "--method", "net",
                 "--epsilon", "auto"]
@@ -486,7 +487,6 @@ def test_criterion_13_cli_determinism(tmp_path):
         p1, p2 = json.loads(o1.read_text()), json.loads(o2.read_text())
         for p in (p1, p2):
             p.pop("meta")
-            p["config"].pop("threads")
         assert json.dumps(p1, sort_keys=True) == json.dumps(p2, sort_keys=True)
     report(13, "CLI determinism", "PASS", t.elapsed, limit,
            "7 subcommands rerun identical; 1 vs 4 threads identical")

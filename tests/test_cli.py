@@ -164,9 +164,8 @@ def test_verify_net_threads_deterministic(tmp_path):
     code1, p1 = run(base + ["--threads", "1"], tmp_path, "t1.json")
     code2, p2 = run(base + ["--threads", "4"], tmp_path, "t2.json")
     assert code1 == code2 == 0
-    # thread count is config echo; payloads must agree elsewhere
-    p1["config"].pop("threads")
-    p2["config"].pop("threads")
+    # the flag is accepted and ignored: it is not even echoed in config
+    assert "threads" not in p1["config"]
     assert payload_without_meta(p1) == payload_without_meta(p2)
 
 
@@ -596,6 +595,10 @@ PATTERN_OUT_OF_RANGE = {"indices": [], "Q": -1, "provenance": 7, "p": 0,
      "budget error"),
     (["nocopy", "--pattern", "@patnull", "--d", "10000000", "--samples", "10000000",
       "--epsilon", "0.9"], "budget error"),
+    (["verify", "--pattern", "@patnum0", "--method", "sampled", "--epsilon", "0.9",
+      "--samples", "10"], "--pattern @patnum0: 'A_num'"),
+    (["nocopy", "--pattern", "@patnum0", "--epsilon", "0.99", "--samples", "10"],
+     "--pattern @patnum0: 'A_num'"),
     *((["verify", "--pattern", f"@range_{key}", "--method", "sampled",
         "--epsilon", "0.9", "--samples", "10"], f"--pattern @range_{key}: {key!r}")
       for key in _PATTERN_KEYS),
@@ -631,6 +634,7 @@ PATTERN_OUT_OF_RANGE = {"indices": [], "Q": -1, "provenance": 7, "p": 0,
         "nocopy-epsilon-below-pattern-epsilon", "verify-sampled-pattern-epsilon-nan",
         "bertrand-past-2^62", "bertrand-power-past-int-str-limit",
         "bertrand-power-past-memory", "density-out-of-memory", "nocopy-out-of-memory",
+        "verify-sampled-pattern-A-num-zero", "nocopy-pattern-A-num-zero",
         *(f"pattern-{key}-out-of-range" for key in _PATTERN_KEYS)])
 def test_bad_input_exits_2_naming_the_flag(tmp_path, capsys, argv, flag):
     files = {**_pattern_files(tmp_path), "svg": str(tmp_path / "f.svg"),
@@ -651,6 +655,7 @@ def test_bad_input_exits_2_naming_the_flag(tmp_path, capsys, argv, flag):
                              ("patepsneg", "epsilon_verified", -0.5),
                              ("patepszero", "epsilon_verified", 0),
                              ("patQ0", "Q", 0), ("patlead", "A_num", 3),
+                             ("patnum0", "A_num", 0),
                              ("pateps99", "epsilon_verified", 0.99),
                              ("patepsnan", "epsilon_verified", math.nan),
                              *((f"range_{key}", key, PATTERN_OUT_OF_RANGE[key])
@@ -726,7 +731,7 @@ FUZZ_FLAGS = {
 ALWAYS = {"--mode", "--n", "--pattern-out", "--pattern", "--method", "--d",
           "--p", "--epsilon", "--R", "--samples", "--out", "--A", "--N"}
 SWITCHES = {"construct": ["--calibrate"]}
-THREADED = {"construct", "verify"}  # the subcommands that run a gap scan
+THREADED = {"construct", "verify"}  # the subcommands that accept --threads
 BAD = ["", "x", "-1", "0", "1.5", "1/0", "0/5", "a,", ",", "nan", "inf"]
 
 

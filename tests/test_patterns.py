@@ -1,8 +1,6 @@
 import dataclasses
 import itertools
 import math
-import sys
-import threading
 from fractions import Fraction
 
 import numpy as np
@@ -331,13 +329,12 @@ def test_net_kernel_matches_fraction_oracle():
 
 def _record_kernel_rows(monkeypatch) -> list:
     """A list that collects, from here on, every coefficient row the exact
-    kernel evaluates, from any thread."""
-    rows, lock = [], threading.Lock()
+    kernel evaluates."""
+    rows = []
     candidate_gaps = patterns._ExactKernel.candidate_gaps
 
     def recording(kernel, u, buffers, floor):
-        with lock:
-            rows.extend(map(tuple, u.tolist()))
+        rows.extend(map(tuple, u.tolist()))
         return candidate_gaps(kernel, u, buffers, floor)
 
     monkeypatch.setattr(patterns._ExactKernel, "candidate_gaps", recording)
@@ -367,14 +364,8 @@ def test_net_scans_every_cell_against_fraction_oracle(monkeypatch, degree,
     # every row the kernel evaluates; these nets move a gap by more than D
     # per step of the last grid, so the scan's cone prunes nothing
     scanned = _record_kernel_rows(monkeypatch)
-    reports = []
-    for threads in (1, 3):
-        scanned.clear()
-        reports.append(verify_hitting_net(pat, leading, degree, 0.9, nets,
-                                          threads=threads))
-        assert sorted(scanned) == sorted(gaps)
-    assert reports[0].to_dict() == reports[1].to_dict()
-    rep = reports[0]
+    rep = verify_hitting_net(pat, leading, degree, 0.9, nets)
+    assert sorted(scanned) == sorted(gaps)
     assert rep.tested == nets.total_cells == len(gaps) == rep.kernel_rows
     assert Fraction(*rep.worst_gap_exact) == worst
     assert rep.worst_coeffs_exact == tuple((u, s) for u in witness)
@@ -417,7 +408,8 @@ def _pruning_cases():
 def test_pruned_net_scan_matches_every_cell_oracle(monkeypatch, case):
     # nets whose last grid moves a gap numerator far less than D per step:
     # the cone skips most cells, and the report must equal a full pass of
-    # the kernel over every cell, for 1 and 3 threads
+    # the kernel over every cell, and a rerun must repeat it, work counters
+    # included
     _, pat, degree, nets, tied = case
     leading = Fraction(1, pat.universe)
     full = _every_cell_gap(pat, leading, degree, nets)
@@ -433,9 +425,9 @@ def test_pruned_net_scan_matches_every_cell_oracle(monkeypatch, case):
         assert pattern_gap(pat, leading, degree, coeffs) == Fraction(worst, D)
     scanned = _record_kernel_rows(monkeypatch)
     reports = []
-    for threads in (1, 3):
+    for _ in range(2):
         scanned.clear()
-        rep = verify_hitting_net(pat, leading, degree, "auto", nets, threads=threads)
+        rep = verify_hitting_net(pat, leading, degree, "auto", nets)
         reports.append(rep)
         evaluated = set(scanned)
         # each cell goes to the kernel at most once, and some never do
@@ -444,7 +436,8 @@ def test_pruned_net_scan_matches_every_cell_oracle(monkeypatch, case):
         assert all(g < worst for us, g in full.items() if us not in evaluated)
         assert set(top) <= evaluated
     assert reports[0].to_dict() == reports[1].to_dict()
-    rep = reports[0]
+    assert (reports[0].kernel_rows, reports[0].sorted_rows) == (rep.kernel_rows,
+                                                                rep.sorted_rows)
     assert rep.tested == nets.total_cells
     assert rep.worst_gap_exact == (worst, D)
     assert rep.worst_coeffs_exact == tuple((u, s) for u in top[0])
@@ -661,15 +654,6 @@ def test_net_certificate_bounds_the_exact_supremum(n, universe):
         assert gap <= sup <= gap + _net_slack(pat, nets) <= Fraction(rep.epsilon_guaranteed) < 1
 
 
-def test_net_threads_agree_with_serial():
-    universe = 257
-    pat = thin_pattern(12, universe, seed=4)
-    nets = build_nets(2, universe, 0.8)
-    serial = verify_hitting_net(pat, Fraction(1, universe), 2, "auto", nets, threads=1)
-    threaded = verify_hitting_net(pat, Fraction(1, universe), 2, "auto", nets, threads=4)
-    assert serial.to_dict() == threaded.to_dict()
-
-
 @pytest.mark.parametrize("degree, universe, n", [
     (2, 67, 64), (3, 71, 64), (2, 64, 64), (3, 64, 64), (2, 67, 1), (3, 64, 2),
 ], ids=["2-67", "3-71", "2-64", "3-64", "2-67-one-point", "3-64-two-point"])
@@ -736,58 +720,46 @@ def test_kernel_rows_match_fraction_oracle(degree, universe, n):
         assert Fraction(gap, D) == oracle[row]
 
 
-def _scan_sampled(kernel, blocks, threads):
-    """``patterns._scan`` as the sampled verifier runs it: each worker pulls
+def _scan_sampled(kernel, blocks):
+    """``patterns._scan`` as the sampled verifier runs it: the worker pulls
     the next block of rows and certifies it whole."""
     blocks = iter(blocks)
-    return patterns._scan(kernel, threads, lambda worker: next(blocks, None),
+    return patterns._scan(kernel, lambda worker: next(blocks, None),
                           patterns._Worker.certify)
 
 
 def _witness(found):
-    """The fields of a scan that must not depend on the thread count."""
+    """The fields of a scan that name its witness: the gap, the coefficients
+    and the number of rows tested."""
     return found["worst_gap_exact"], found["worst_coeffs_exact"], found["tested"]
 
 
 def test_scan_keeps_few_blocks_in_flight():
-    # workers pull blocks as they free up, so a threaded scan holds at most
-    # about two blocks per thread however many the stream has
-    universe, threads = 257, 4
+    # the scan pulls a block only once the last one is scanned, so it holds
+    # one drawn block at a time however many the stream has
+    universe = 257
     pat = thin_pattern(12, universe, seed=4)
     kernel = patterns._ExactKernel(pat, Fraction(1, universe), 2)
-    lock = threading.Lock()
     count = {"yielded": 0, "finished": 0, "peak": 0}
     candidate_gaps = kernel.candidate_gaps
 
     def counting_gaps(u, buffers, floor):
         found = candidate_gaps(u, buffers, floor)
-        with lock:
-            count["finished"] += 1
+        count["finished"] += 1
         return found
 
     def blocks():
         rng = np.random.default_rng(0)
         for _ in range(300):
-            with lock:
-                count["yielded"] += 1
-                count["peak"] = max(count["peak"], count["yielded"] - count["finished"])
+            count["yielded"] += 1
+            count["peak"] = max(count["peak"], count["yielded"] - count["finished"])
             yield rng.integers(0, 1 << kernel.s, size=(50, 1), dtype=np.uint64)
 
-    serial = _scan_sampled(kernel, blocks(), 1)
     kernel.candidate_gaps = counting_gaps
-    count.update(yielded=0, peak=0)
-    # more threads than cores and frequent switches: a block lost or scanned
-    # twice by racing workers would change the count of tested rows
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threaded = _scan_sampled(kernel, blocks(), threads)
-    finally:
-        sys.setswitchinterval(interval)
-    # the rows sorted depend on how the blocks fell to the threads
-    assert _witness(threaded) == _witness(serial) and threaded["tested"] == 300 * 50
+    found = _scan_sampled(kernel, blocks())
+    assert found["tested"] == 300 * 50
     assert count["finished"] == count["yielded"] == 300
-    assert 1 <= count["peak"] <= 2 * threads
+    assert count["peak"] == 1
 
 
 def _slow_phase(b):
@@ -947,8 +919,8 @@ def test_candidate_gaps_keeps_rows_whose_cap_reaches_their_floor():
 
 
 def _check_tied_rows(leading):
-    """Scans, with 1 and 2 threads, blocks of rows of a degree-3 kernel on k
-    in {0, 1, 2} whose best gap 9W - 1 (W = D/16) equals their cap.
+    """Scans blocks of rows of a degree-3 kernel on k in {0, 1, 2} whose
+    best gap 9W - 1 (W = D/16) equals their cap.
 
     The points of a row lie at 0, x_1 and x_2 over D. With x_1 = 9W - 1 and
     x_2 in [9W, 16W) the gap is 9W - 1 and equals the row's cap, so all these
@@ -995,10 +967,9 @@ def _check_tied_rows(leading):
     assert [r for r in rows if oracle[r] == best] == [r for r in rows if r in ties]
     assert max(oracle.values()) == best
     u = np.array(rows, dtype=np.uint64)
-    for threads in (1, 2):
-        found = _scan_sampled(kernel, np.array_split(u, 16), threads)
-        assert _witness(found) == ((9 * W - 1, D), tuple((x, s) for x in ties[0]), len(rows))
-        assert len(ties) <= found["sorted_rows"] < len(rows)
+    found = _scan_sampled(kernel, np.array_split(u, 16))
+    assert _witness(found) == ((9 * W - 1, D), tuple((x, s) for x in ties[0]), len(rows))
+    assert len(ties) <= found["sorted_rows"] < len(rows)
 
 
 def test_scan_prune_keeps_tied_rows():
@@ -1024,6 +995,7 @@ def test_sampled_deterministic_and_exact():
     a = verify_hitting_sampled(pat, Fraction(1, universe), 2, 0.9, 500, seed=21)
     b = verify_hitting_sampled(pat, Fraction(1, universe), 2, 0.9, 500, seed=21)
     assert a.to_dict() == b.to_dict()
+    assert (a.kernel_rows, a.sorted_rows) == (b.kernel_rows, b.sorted_rows)
     num, den = a.worst_gap_exact
     (u, s), = a.worst_coeffs_exact
     oracle = pattern_gap(pat, Fraction(1, universe), 2, (Fraction(u, 1 << s),))
@@ -1033,35 +1005,16 @@ def test_sampled_deterministic_and_exact():
 def test_sampled_ties_go_to_the_smallest_coefficients():
     # a one-point pattern has gap 1 for every row, so every row ties and the
     # witness is the lexicographically smallest row of the whole stream,
-    # which is the same however it is cut into blocks or spread over threads
+    # which is the same however it is cut into blocks
     pat = Pattern((3,), 11)
     samples = patterns.block_rows(1) + 5
-    reports = [verify_hitting_sampled(pat, Fraction(1, 11), 3, 0.5, samples,
-                                      seed=7, threads=t) for t in (1, 2)]
-    s = reports[0].worst_coeffs_exact[0][1]
+    rep = verify_hitting_sampled(pat, Fraction(1, 11), 3, 0.5, samples, seed=7)
+    s = rep.worst_coeffs_exact[0][1]
     drawn = np.random.default_rng(7).integers(0, 1 << s, size=(samples, 2),
                                               dtype=np.uint64)
     smallest = min(map(tuple, drawn.tolist()))
-    for rep in reports:
-        assert rep.worst_gap == 1.0 and rep.tested == samples
-        assert tuple(u for u, _ in rep.worst_coeffs_exact) == smallest
-
-
-def test_threads_outnumber_items():
-    # 5 samples make one block and a 4-cell net one segment, so two of the
-    # three workers pull nothing and end with no best; the report is the
-    # serial one
-    universe = 257
-    pat, leading = thin_pattern(12, universe, seed=1), Fraction(1, universe)
-    nets = build_nets(2, universe, 0.5, max_cells=4)
-    assert nets.total_cells <= 4
-    for verify in (lambda t: verify_hitting_sampled(pat, leading, 2, 0.9, 5, seed=3, threads=t),
-                   lambda t: verify_hitting_net(pat, leading, 2, "auto", nets, threads=t)):
-        serial, threaded = verify(1), verify(3)
-        assert threaded.to_dict() == serial.to_dict()
-        assert (threaded.kernel_rows, threaded.sorted_rows) == (serial.kernel_rows,
-                                                                serial.sorted_rows)
-    assert serial.tested == nets.total_cells
+    assert rep.worst_gap == 1.0 and rep.tested == samples
+    assert tuple(u for u, _ in rep.worst_coeffs_exact) == smallest
 
 
 def test_sampled_equal_spacing_floor():
