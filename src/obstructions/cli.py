@@ -245,8 +245,9 @@ def _cmd_construct(args) -> int:
         if universe < args.n:
             raise ValueError(f"--Q: cannot thin to --n {args.n} indices out of {universe}")
         seed = args.seed
-        pattern = thin_pattern(args.n, universe, seed)
         leading = Fraction(1, universe)
+        # calibration thins its own patterns, this seed's first
+        pattern = None if args.calibrate else thin_pattern(args.n, universe, seed)
 
     reports = {}
     epsilon_verified = None
@@ -255,7 +256,7 @@ def _cmd_construct(args) -> int:
     if args.calibrate:
         t_scan = time.perf_counter()
         cal = calibrate_sampled(
-            pattern.n, degree, pattern.universe, seed=args.seed,
+            args.n, degree, universe, seed=args.seed,
             n_samples=args.samples, retries=args.retries,
             epsilon_target=args.target_epsilon,
         )

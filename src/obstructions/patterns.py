@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+import sys
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -263,8 +264,9 @@ def build_nets(degree: int, universe: int, epsilon: float,
     """The net closest to the recipe within max_cells cells: grid i steps by
     floor(mesh_i * 2^s), capped at 2^s, with mesh_i = epsilon / (100 * p * Q^i)
     / scale and s the kernel's fixed-point bits for Q. The scale shrinks by
-    0.1% while whole points overshoot max_cells; only a step below 2^-s is
-    refused."""
+    0.1% while whole points overshoot max_cells. Refused: a step below
+    2^-s, and a degree whose finest grid's 100 p Q^(p-1) / epsilon points
+    leave float range."""
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must be in (0, 1)")
     if universe < 2:
@@ -272,12 +274,19 @@ def build_nets(degree: int, universe: int, epsilon: float,
     if max_cells < 1:
         raise ValueError(f"net cell budget (--net-cells) must be >= 1, got {max_cells}")
     s = _scale_bits(universe)
+    finest = Fraction(100 * degree * universe ** (degree - 1)) / Fraction(epsilon)
+    if degree > 1 and finest > sys.float_info.max:
+        raise BudgetError(
+            f"degree p = {degree} at Q = {universe}: the k^{degree - 1} grid's "
+            f"100 p Q^{degree - 1} / epsilon points leave float range"
+        )
     scale = scale_for_budget(degree, universe, epsilon, max_cells)
     while True:
         steps = []
         for i in range(1, degree):
             mesh = epsilon / (100 * degree * universe ** i) / scale
-            step = min(int(mesh * (1 << s)), 1 << s)
+            # a mesh of 1 or more is the one point 0, however large it is
+            step = 1 << s if mesh >= 1 else int(mesh * (1 << s))
             if step < 1:
                 raise BudgetError(
                     f"the k^{i} grid needs mesh {mesh:.3g}, below the exact "
@@ -319,9 +328,9 @@ def _scale_bits(denominator: int) -> int:
     return s
 
 
-# one (n, rows) uint64 scratch buffer of the exact kernel is about this size,
-# small enough that a block's buffers and the kernel's tiles stay in cache
-# across its stages
+# a block of the exact kernel is sized so that one of its (n, rows) uint64
+# arrays is about this many bytes, small enough that the kernel's scratch
+# and tiles stay in cache across the block's stages
 _BLOCK_BYTES = 1 << 18
 
 # buckets per row of the gap bound; a row's occupancy fits in 16 bits
@@ -409,28 +418,27 @@ class _ExactKernel:
         self.big = np.uint64(self.denominator)
         self.caps = np.array([(E + 2) * (self.denominator >> 4) - 1
                               for E in range(_BUCKETS + 1)], dtype=np.uint64)
-
-    def buffers(self):
-        """The scratch arrays the scan reuses for every block, each shaped
-        (n, rows): the positions (uint64), the bucket bits (uint16) and, from
-        degree 3 on, one uint64 term of the multiply-accumulate."""
+        # scratch reused by every block, each (n, rows): the positions, the
+        # bucket bits and, from degree 3 on, one term of the
+        # multiply-accumulate
         shape = (self.n, self.rows)
-        return (np.empty(shape, dtype=np.uint64), np.empty(shape, dtype=np.uint16),
-                np.empty(shape, dtype=np.uint64) if len(self.kpows) > 1 else None)
+        self.pos = np.empty(shape, dtype=np.uint64)
+        self.bits = np.empty(shape, dtype=np.uint16)
+        self.term = np.empty(shape, dtype=np.uint64) if degree > 2 else None
 
-    def positions(self, u: np.ndarray, buffers) -> np.ndarray:
+    def positions(self, u: np.ndarray) -> np.ndarray:
         """The positions pos_k (see the class) of the points of every row of
-        u, shape (n, rows), in a view of the first buffer.
+        u, shape (n, rows), in a view of the kernel's positions scratch.
 
         u has shape (rows, degree-1), dtype uint64, with at most self.rows
         rows."""
         rows = u.shape[0]
-        pos = buffers[0][:, :rows]
+        pos = self.pos[:, :rows]
         if not self.kpows:
             pos.fill(0)
         for d, (kp, coeff) in enumerate(zip(self.kpows, np.ascontiguousarray(u.T))):
             if d:
-                pos += np.multiply(kp[:, :rows], coeff, out=buffers[2][:, :rows])
+                pos += np.multiply(kp[:, :rows], coeff, out=self.term[:, :rows])
             else:
                 np.multiply(kp[:, :rows], coeff, out=pos)
         pos += self.phase_tile[:, :rows]
@@ -460,7 +468,7 @@ class _ExactKernel:
         np.minimum(pos, scratch, out=pos)
         return pos
 
-    def candidate_gaps(self, u: np.ndarray, buffers, floor):
+    def candidate_gaps(self, u: np.ndarray, floor):
         """(keep, bounds): the indices of the rows of u whose cap is at least
         floor (an int, or an array with one floor per row), and an upper
         bound on every row's max-gap numerator over D, as uint64: the exact
@@ -470,14 +478,14 @@ class _ExactKernel:
         one gathered copy of their positions. That copy is column-major
         (each row's points contiguous, as the sort along points wants), and
         so is the scratch that ``exact`` and the gaps between neighbours
-        use: a view of the positions buffer, no longer needed."""
-        pos = self.positions(u, buffers)
-        bounds = self.row_caps(pos, buffers[1][:, :u.shape[0]])
+        use: a view of the positions scratch, no longer needed."""
+        pos = self.positions(u)
+        bounds = self.row_caps(pos, self.bits[:, :u.shape[0]])
         keep = np.flatnonzero(bounds >= floor)
         if not len(keep):
             return keep, bounds
         kept = pos[:, keep]
-        scratch = np.ndarray(kept.shape, np.uint64, buffer=buffers[0], order="F")
+        scratch = np.ndarray(kept.shape, np.uint64, buffer=self.pos, order="F")
         self.exact(kept, scratch)
         kept.sort(axis=0)
         # the wrap gap D - last + first, which lies in (0, D]; initial=0
@@ -488,30 +496,25 @@ class _ExactKernel:
         return keep, bounds
 
 
-class _Worker:
-    """The scan's one worker: its scratch buffers, its best (gap,
-    coefficient tuple) so far, the cells it certified, the rows it sent to
-    the kernel and those it sorted, and a one-block queue of rows for the
-    kernel."""
+class _Scan:
+    """One exact scan: its best (gap, coefficient tuple) so far, the cells
+    it certified, the rows it sent to the kernel and those it sorted, and a
+    one-block queue of rows for the kernel. The best starts at (0, ()):
+    every gap numerator is at least 1, so every row outranks it."""
 
     def __init__(self, kernel: _ExactKernel):
         self.kernel = kernel
-        self.buffers = kernel.buffers()
-        self.best = None
+        self.best = (0, ())
         self.cells = self.kernel_rows = self.sorted_rows = 0
         self.queue = np.empty((kernel.rows, len(kernel.kpows)), dtype=np.uint64)
         self.queued = 0
-
-    @property
-    def floor(self) -> int:
-        return 0 if self.best is None else self.best[0]
 
     def evaluate(self, u: np.ndarray) -> np.ndarray:
         """Runs the kernel on the rows of u (at most kernel.rows) with the
         best gap as floor, keeps the best, and returns the rows' gap bounds
         (``candidate_gaps``). A row that ties the best is sorted too, and
         ties go to the smallest coefficient tuple."""
-        keep, bounds = self.kernel.candidate_gaps(u, self.buffers, self.floor)
+        keep, bounds = self.kernel.candidate_gaps(u, self.best[0])
         self.kernel_rows += u.shape[0]
         self.sorted_rows += len(keep)
         if len(keep):
@@ -521,7 +524,7 @@ class _Worker:
             if len(top) > 1 and u.shape[1]:
                 top = top[np.lexsort(u[top].T[::-1])]
             found = (int(gap), tuple(int(x) for x in u[top[0]]))
-            self.best = found if self.best is None else max(self.best, found, key=_rank)
+            self.best = max(self.best, found, key=_rank)
         return bounds
 
     def certify(self, u: np.ndarray) -> None:
@@ -545,6 +548,19 @@ class _Worker:
         if self.queued:
             self.evaluate(self.queue[:self.queued])
             self.queued = 0
+
+    def witness(self) -> dict:
+        """Flushes the queue and returns the witness as HittingReport
+        fields. The best is the max gap with ties broken by the smallest
+        coefficient tuple (``_rank``), whatever the order in which the rows
+        were scanned."""
+        self.flush()
+        gap, coeffs = self.best
+        return dict(tested=self.cells,
+                    worst_gap_exact=(gap, self.kernel.denominator),
+                    worst_coeffs_exact=tuple((u, self.kernel.s) for u in coeffs),
+                    sorted_rows=self.sorted_rows,
+                    kernel_rows=self.kernel_rows)
 
 
 # the longest stride between two coarse cells of the net scan
@@ -574,18 +590,20 @@ class _Cone:
     bounds ub_a and ub_e (``candidate_gaps``: exact where the kernel sorted
     the row, its cap otherwise), cell c's gap is at most
     min(ub_a + lip r, ub_e + lip (span - r)). A cell whose bound is below
-    the worker's best gap cannot hold the witness, and is certified without
+    the scan's best gap cannot hold the witness, and is certified without
     the kernel; every cell whose gap reaches the best, a tie included,
     still goes to the kernel. So the witness and its smallest-tuple
     tie-break are those of a scan of every cell, at every stride.
 
-    ``pull`` and ``scan`` are the item source and the work of ``_scan``.
-    The worker pulls a segment of one run: every stride-th cell from the
-    first, plus the last, are coarse, at most kernel.rows of them, and go to
-    the kernel in one block. The interior cells whose cone reaches the best
-    are queued and sent to the kernel in full blocks. The stride is
-    m = clamp(floor((2 best - 3D/8) / lip), 1, 64), and 1 until a best
-    exists: a coarse row whose longest empty bucket run is one bucket has
+    ``scan`` walks each run in segments, at the stride m its best allows
+    when the segment starts. A segment's coarse cells are every m-th from
+    its first, plus its last, min(first + (kernel.rows - 1) m, size - 1)
+    with size the last grid's, at most kernel.rows of them, and go to the
+    kernel in one block. The interior
+    cells whose cone reaches the best are queued and sent to the kernel in
+    full blocks. The stride is m = clamp(floor((2 best - 3D/8) / lip), 1,
+    64), which is 1 while the best is 0, before any row is scanned: a
+    coarse row whose longest empty bucket run is one bucket has
     cap 3D/16 - 1, and the cone of two such rows m steps apart peaks at
     about 3D/16 + lip m/2 <= best. Only the number of kernel rows depends
     on m.
@@ -603,8 +621,7 @@ class _Cone:
         self.kernel = kernel
         self.steps, self.sizes = nets.steps, nets.sizes
         self.run = self.sizes[-1] if self.sizes else 1
-        self.cells = nets.total_cells
-        self.next = 0
+        self.runs = nets.total_cells // self.run
         D = kernel.denominator
         # the indices are sorted and nonnegative: k^i spreads from the ends
         lo, hi = pattern.indices[0], pattern.indices[-1]
@@ -616,22 +633,9 @@ class _Cone:
         # bucket run is one bucket
         self.room = 3 * (D >> 3)
 
-    def stride(self, best) -> int:
-        """The stride m for a worker whose best is best (None before any)."""
-        if best is None:
-            return 1
-        return max(1, min(_MAX_STRIDE, (2 * best[0] - self.room) // self.lip))
-
-    def pull(self, worker: _Worker):
-        """The next segment (first cell, end, stride) at the stride the
-        worker's best allows, or None once every cell is pulled."""
-        lo = self.next
-        if lo >= self.cells:
-            return None
-        m = self.stride(worker.best)
-        hi = min(lo + (self.kernel.rows - 1) * m + 1, (lo // self.run + 1) * self.run)
-        self.next = hi
-        return lo, hi, m
+    def stride(self, best: int) -> int:
+        """The stride m at best gap numerator best."""
+        return max(1, min(_MAX_STRIDE, (2 * best - self.room) // self.lip))
 
     def rows(self, run: int, ts: np.ndarray) -> np.ndarray:
         """The coefficient rows of the cells of a run at last digits ts."""
@@ -661,48 +665,31 @@ class _Cone:
         shift = np.repeat(first - (np.cumsum(count) - count), count)
         return (np.arange(len(shift)) + shift).view(np.uint64)
 
-    def scan(self, worker: _Worker, segment) -> None:
-        """Certifies the cells of a segment: the coarse ones with the
-        kernel, the interior ones by their cone or by queuing them."""
-        lo, hi, m = segment
-        run, first = divmod(lo, self.run)
-        last = first + hi - lo - 1
-        # first, first + m, first + 2m, ... and the last cell
-        ts = np.arange(first, last + m, m, dtype=np.uint64)
-        ts[-1] = last
-        bounds = worker.evaluate(self.rows(run, ts))
-        worker.cells += hi - lo
-        if m > 1:
-            inner = self.interior(ts, bounds, worker.floor)
-            if len(inner):
-                worker.submit(self.rows(run, inner))
+    def scan(self, scan: _Scan) -> None:
+        """Certifies every cell of the net into scan, segment by segment:
+        the coarse cells with the kernel, the interior ones by their cone or
+        by queuing them."""
+        for run in range(self.runs):
+            first = 0
+            while first < self.run:
+                m = self.stride(scan.best[0])
+                last = min(first + (self.kernel.rows - 1) * m, self.run - 1)
+                # first, first + m, first + 2m, ... and the last cell
+                ts = np.arange(first, last + m, m, dtype=np.uint64)
+                ts[-1] = last
+                bounds = scan.evaluate(self.rows(run, ts))
+                scan.cells += last + 1 - first
+                if m > 1:
+                    inner = self.interior(ts, bounds, scan.best[0])
+                    if len(inner):
+                        scan.submit(self.rows(run, inner))
+                first = last + 1
 
 
 def _rank(found):
     """Order (gap, coefficients) by larger gap, then by smaller tuple."""
     gap, coeffs = found
     return gap, tuple(-x for x in coeffs)
-
-
-def _scan(kernel: _ExactKernel, pull, work) -> dict:
-    """The one exact scan, returning the witness as HittingReport fields.
-
-    One worker calls pull(worker) for its next item and work(worker, item)
-    on it, until pull returns None; then it runs the kernel on its queued
-    rows. The best is the max gap with ties broken by the smallest
-    coefficient tuple (``_rank``), whatever the order in which the items
-    were scanned.
-    """
-    worker = _Worker(kernel)
-    while (item := pull(worker)) is not None:
-        work(worker, item)
-    worker.flush()
-    best_gap, best_u = worker.best
-    return dict(tested=worker.cells,
-                worst_gap_exact=(best_gap, kernel.denominator),
-                worst_coeffs_exact=tuple((u, kernel.s) for u in best_u),
-                sorted_rows=worker.sorted_rows,
-                kernel_rows=worker.kernel_rows)
 
 
 def float_up(x: Fraction) -> float:
@@ -765,8 +752,8 @@ def verify_hitting_net(pattern: Pattern, leading: Fraction, degree: int,
     transfer margin.
 
     Certifies every cell of the integer grids of ``nets`` as given: tested
-    equals nets.total_cells, the cells certified. ``_scan`` runs the
-    kernel, with a ``_Cone``'s pull and scan, only on the cells
+    equals nets.total_cells, the cells certified. A ``_Cone`` scans the
+    net into one ``_Scan``, which runs the kernel only on the cells
     (kernel_rows) that the cone cannot prove below a gap already found,
     2.2 M of the 10^7-cell net of the seed-0 n = 32 pattern, so the witness
     and its tie-break are those of a scan of every cell. By the cone's
@@ -787,7 +774,9 @@ def verify_hitting_net(pattern: Pattern, leading: Fraction, degree: int,
     if (nets.degree, nets.universe, nets.scale_bits) != (degree, pattern.universe, kernel.s):
         raise ValueError("net spec does not match the pattern")
     cone = _Cone(kernel, pattern, nets)
-    found = _scan(kernel, cone.pull, cone.scan)
+    scan = _Scan(kernel)
+    cone.scan(scan)
+    found = scan.witness()
     gap = Fraction(*found["worst_gap_exact"])
     # lengths above 1 are meaningless on the circle; a clamped guarantee of
     # 1 means the net was too coarse to certify anything
@@ -821,11 +810,12 @@ def verify_hitting_sampled(pattern: Pattern, leading: Fraction, degree: int,
         raise ValueError(f"samples (--samples) must be >= 1, got {n_samples}")
     rng = np.random.default_rng(seed)
     kernel = _ExactKernel(pattern, leading, degree)
-    # drawn lazily, one block per pull, so one block exists at a time
-    blocks = (rng.integers(0, 1 << kernel.s, dtype=np.uint64,
-                           size=(min(kernel.rows, n_samples - lo), degree - 1))
-              for lo in range(0, n_samples, kernel.rows))
-    found = _scan(kernel, lambda worker: next(blocks, None), _Worker.certify)
+    scan = _Scan(kernel)
+    # one block drawn at a time, certified before the next is drawn
+    for lo in range(0, n_samples, kernel.rows):
+        scan.certify(rng.integers(0, 1 << kernel.s, dtype=np.uint64,
+                                  size=(min(kernel.rows, n_samples - lo), degree - 1)))
+    found = scan.witness()
     return HittingReport(
         mode="sampled",
         epsilon=float(epsilon),

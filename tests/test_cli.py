@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import obstructions
+from obstructions import cli, patterns
 from obstructions.cli import _PATTERN_KEYS, _build_parser, main
 from obstructions.patterns import (Pattern, _sample_seed, block_rows,
                                    verify_hitting_sampled)
@@ -109,6 +110,25 @@ def test_verify_net_budget_error_names_the_flags_that_help(tmp_path, capsys):
     assert code == 2
     assert "lower --net-cells" in err
     assert "--budget" not in err and "--resolution-scale" not in err
+
+
+def test_calibrate_thins_each_seed_once(tmp_path, monkeypatch):
+    # construct --calibrate leaves the thinning to calibrate_sampled: one
+    # pattern per attempt, the first at --seed
+    seeds = []
+    thin = patterns.thin_pattern
+
+    def counting(n, universe, seed):
+        seeds.append(seed)
+        return thin(n, universe, seed)
+
+    monkeypatch.setattr(patterns, "thin_pattern", counting)
+    monkeypatch.setattr(cli, "thin_pattern", counting)
+    code, payload = run(["construct", "--mode", "thinned", "--n", "12", "--Q", "257",
+                         "--calibrate", "--retries", "3", "--samples", "300", "--seed", "5",
+                         "--pattern-out", str(tmp_path / "pat.json")], tmp_path)
+    assert code == 0 and seeds == [5, 6, 7]
+    assert [a["seed"] for a in payload["reports"]["calibration"]["attempts"]] == seeds
 
 
 def test_calibrated_epsilon_passes_on_its_own_stream(tmp_path):
@@ -599,6 +619,8 @@ PATTERN_OUT_OF_RANGE = {"indices": [], "Q": -1, "provenance": 7, "p": 0,
       "--samples", "10"], "--pattern @patnum0: 'A_num'"),
     (["nocopy", "--pattern", "@patnum0", "--epsilon", "0.99", "--samples", "10"],
      "--pattern @patnum0: 'A_num'"),
+    (["verify", "--pattern", "@patp200", "--method", "net", "--epsilon", "auto",
+      "--net-cells", "1000"], "degree p = 200 at Q = 64"),
     *((["verify", "--pattern", f"@range_{key}", "--method", "sampled",
         "--epsilon", "0.9", "--samples", "10"], f"--pattern @range_{key}: {key!r}")
       for key in _PATTERN_KEYS),
@@ -635,6 +657,7 @@ PATTERN_OUT_OF_RANGE = {"indices": [], "Q": -1, "provenance": 7, "p": 0,
         "bertrand-past-2^62", "bertrand-power-past-int-str-limit",
         "bertrand-power-past-memory", "density-out-of-memory", "nocopy-out-of-memory",
         "verify-sampled-pattern-A-num-zero", "nocopy-pattern-A-num-zero",
+        "verify-net-pattern-p-beyond-float-range",
         *(f"pattern-{key}-out-of-range" for key in _PATTERN_KEYS)])
 def test_bad_input_exits_2_naming_the_flag(tmp_path, capsys, argv, flag):
     files = {**_pattern_files(tmp_path), "svg": str(tmp_path / "f.svg"),
@@ -655,7 +678,7 @@ def test_bad_input_exits_2_naming_the_flag(tmp_path, capsys, argv, flag):
                              ("patepsneg", "epsilon_verified", -0.5),
                              ("patepszero", "epsilon_verified", 0),
                              ("patQ0", "Q", 0), ("patlead", "A_num", 3),
-                             ("patnum0", "A_num", 0),
+                             ("patnum0", "A_num", 0), ("patp200", "p", 200),
                              ("pateps99", "epsilon_verified", 0.99),
                              ("patepsnan", "epsilon_verified", math.nan),
                              *((f"range_{key}", key, PATTERN_OUT_OF_RANGE[key])

@@ -228,8 +228,8 @@ def test_build_nets_budget_error_names_term():
 
 
 def test_build_nets_budget_error_names_the_flags_that_help():
-    # the only refusal left is a step below the kernel's resolution, which a
-    # smaller cell budget fixes
+    # a step below the kernel's resolution is refused naming the fix, a
+    # smaller cell budget
     for degree, universe, budget in ((2, 1 << 50, 10 ** 7), (3, 1 << 40, 10 ** 7)):
         with pytest.raises(BudgetError) as err:
             build_nets(degree, universe, 0.5, max_cells=budget)
@@ -238,6 +238,19 @@ def test_build_nets_budget_error_names_the_flags_that_help():
         assert "--resolution-scale" not in str(err.value)
     with pytest.raises(ValueError, match="--net-cells"):
         build_nets(2, 101, 0.5, max_cells=0)
+
+
+def test_build_nets_refuses_grids_beyond_float_range():
+    # 100 p Q^(p-1) / epsilon points on the finest grid leave float range:
+    # refused naming p and Q, not an OverflowError or a division by zero
+    for degree, universe, eps in ((200, 64, 0.5), (52, 1048583, 0.5), (2, 64, 1e-307)):
+        with pytest.raises(BudgetError, match=f"p = {degree} at Q = {universe}"):
+            build_nets(degree, universe, eps, max_cells=1000)
+    # just inside float range, the coarse grids' meshes pass 2^1024 and
+    # clamp to one point each
+    for degree, universe in ((169, 64), (51, 1048583)):
+        nets = build_nets(degree, universe, 0.5, max_cells=1000)
+        assert nets.steps[0] == 1 << nets.scale_bits and nets.total_cells <= 1000
 
 
 def test_scale_for_budget():
@@ -333,9 +346,9 @@ def _record_kernel_rows(monkeypatch) -> list:
     rows = []
     candidate_gaps = patterns._ExactKernel.candidate_gaps
 
-    def recording(kernel, u, buffers, floor):
+    def recording(kernel, u, floor):
         rows.extend(map(tuple, u.tolist()))
-        return candidate_gaps(kernel, u, buffers, floor)
+        return candidate_gaps(kernel, u, floor)
 
     monkeypatch.setattr(patterns._ExactKernel, "candidate_gaps", recording)
     return rows
@@ -378,8 +391,7 @@ def _every_cell_gap(pattern, leading, degree, nets) -> dict:
     kernel = patterns._ExactKernel(pattern, leading, degree)
     u = np.array(list(itertools.product(*map(range, nets.sizes))),
                  dtype=np.uint64) * np.array(nets.steps, dtype=np.uint64)
-    buffers = kernel.buffers()
-    gaps = np.concatenate([kernel.candidate_gaps(u[lo:lo + kernel.rows], buffers, 0)[1]
+    gaps = np.concatenate([kernel.candidate_gaps(u[lo:lo + kernel.rows], 0)[1]
                            for lo in range(0, len(u), kernel.rows)])
     return dict(zip(map(tuple, u.tolist()), gaps.tolist()))
 
@@ -466,7 +478,7 @@ def test_cone_sums_do_not_wrap_at_largest_denominator(monkeypatch):
     oracle = {(t,): pattern_gap(pat, leading, 2, [Fraction(t, 1 << 8)])
               for t in range(256)}
     worst = max(oracle.values())
-    m = cone.stride((int(worst * D), ()))
+    m = cone.stride(int(worst * D))
     assert 2 <= m < patterns._MAX_STRIDE
     # lip m within 2% of its bound 2 best - 3D/8 <= 13D/8, where the cone
     # sums of two one-bucket rows pass 2^63: signed sums would wrap
@@ -494,7 +506,7 @@ def test_cone_interior_matches_integer_oracle_at_the_stride_cap():
     cone = patterns._Cone(kernel, pat, nets)
     m = patterns._MAX_STRIDE
     cone.lip = 13 * D // 8 // m
-    assert cone.stride((D, ())) == m
+    assert cone.stride(D) == m
     top = int(kernel.caps[-1])
     assert top == 18 * (D >> 4) - 1
     rng = np.random.default_rng(3)
@@ -513,6 +525,18 @@ def test_cone_interior_matches_integer_oracle_at_the_stride_cap():
             got = cone.interior(np.array(ts, dtype=np.uint64),
                                 np.array(bounds, dtype=np.uint64), best)
             assert got.tolist() == want
+
+
+def test_readme_net_work_counters():
+    # the README's seed-0 n = 32 net at 10^7 cells; the work counters pin the
+    # cone's pruning, which the reports leave out
+    universe = bertrand_prime(32, 2)
+    pat = thin_pattern(32, universe, seed=0)
+    nets = build_nets(2, universe, 0.5, max_cells=10 ** 7)
+    rep = verify_hitting_net(pat, Fraction(1, universe), 2, "auto", nets)
+    assert rep.tested == nets.total_cells == 9_990_021
+    assert (rep.kernel_rows, rep.sorted_rows) == (2_193_165, 1_285)
+    assert rep.epsilon_guaranteed == 0.5084076727858957
 
 
 def test_net_requires_exact_leading():
@@ -659,7 +683,7 @@ def test_net_certificate_bounds_the_exact_supremum(n, universe):
 ], ids=["2-67", "3-71", "2-64", "3-64", "2-67-one-point", "3-64-two-point"])
 def test_kernel_rows_match_fraction_oracle(degree, universe, n):
     # every row's exact gap, over one full block and a short one that reuses
-    # its buffers, against the rational definition; with an odd universe a
+    # the kernel's scratch, against the rational definition; with an odd universe a
     # row puts a point on D - 1, with a power of two a row puts one on D
     # itself, which the wrapping reduce must send to 0
     leading = Fraction(1, universe)
@@ -703,13 +727,12 @@ def test_kernel_rows_match_fraction_oracle(degree, universe, n):
     pick[:len(special)] = pick[-len(special):] = range(len(special))
     u = distinct[pick]
     assert len(u) % kernel.rows != 0
-    buffers = kernel.buffers()
-    got = np.concatenate([kernel.candidate_gaps(u[lo:lo + kernel.rows], buffers, 0)[1]
+    got = np.concatenate([kernel.candidate_gaps(u[lo:lo + kernel.rows], 0)[1]
                           for lo in range(0, len(u), kernel.rows)])
     assert len(got) == len(u)
     # every cap is below 2D, so a floor of 2D keeps no row, and the bounds
     # it returns, the caps, are at least the exact gaps
-    keep, caps = kernel.candidate_gaps(u[:kernel.rows], buffers, 2 * D)
+    keep, caps = kernel.candidate_gaps(u[:kernel.rows], 2 * D)
     assert keep.size == 0 and caps.dtype == np.uint64
     assert (caps < 2 * D).all() and (caps >= got[:kernel.rows]).all()
     oracle = {}
@@ -721,11 +744,12 @@ def test_kernel_rows_match_fraction_oracle(degree, universe, n):
 
 
 def _scan_sampled(kernel, blocks):
-    """``patterns._scan`` as the sampled verifier runs it: the worker pulls
-    the next block of rows and certifies it whole."""
-    blocks = iter(blocks)
-    return patterns._scan(kernel, lambda worker: next(blocks, None),
-                          patterns._Worker.certify)
+    """The scan as the sampled verifier runs it: each block of rows
+    certified whole, then the witness."""
+    scan = patterns._Scan(kernel)
+    for u in blocks:
+        scan.certify(u)
+    return scan.witness()
 
 
 def _witness(found):
@@ -734,32 +758,42 @@ def _witness(found):
     return found["worst_gap_exact"], found["worst_coeffs_exact"], found["tested"]
 
 
-def test_scan_keeps_few_blocks_in_flight():
-    # the scan pulls a block only once the last one is scanned, so it holds
-    # one drawn block at a time however many the stream has
+def test_scan_keeps_few_blocks_in_flight(monkeypatch):
+    # the sampled verifier draws a block only once the last one has been
+    # through the kernel, so it holds one drawn block at a time however many
+    # it draws
     universe = 257
     pat = thin_pattern(12, universe, seed=4)
-    kernel = patterns._ExactKernel(pat, Fraction(1, universe), 2)
-    count = {"yielded": 0, "finished": 0, "peak": 0}
-    candidate_gaps = kernel.candidate_gaps
+    leading = Fraction(1, universe)
+    monkeypatch.setattr(patterns, "_BLOCK_BYTES", 8 * pat.n * 50)
+    want = verify_hitting_sampled(pat, leading, 2, 0.9, 300 * 50, seed=7)
+    count = {"drawn": 0, "finished": 0, "peak": 0}
+    candidate_gaps = patterns._ExactKernel.candidate_gaps
+    default_rng = np.random.default_rng
 
-    def counting_gaps(u, buffers, floor):
-        found = candidate_gaps(u, buffers, floor)
+    def counting_gaps(kernel, u, floor):
+        found = candidate_gaps(kernel, u, floor)
         count["finished"] += 1
         return found
 
-    def blocks():
-        rng = np.random.default_rng(0)
-        for _ in range(300):
-            count["yielded"] += 1
-            count["peak"] = max(count["peak"], count["yielded"] - count["finished"])
-            yield rng.integers(0, 1 << kernel.s, size=(50, 1), dtype=np.uint64)
+    class CountingRng:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
 
-    kernel.candidate_gaps = counting_gaps
-    found = _scan_sampled(kernel, blocks())
-    assert found["tested"] == 300 * 50
-    assert count["finished"] == count["yielded"] == 300
+        def integers(self, *args, **kwargs):
+            count["drawn"] += 1
+            count["peak"] = max(count["peak"], count["drawn"] - count["finished"])
+            return self.rng.integers(*args, **kwargs)
+
+    monkeypatch.setattr(patterns._ExactKernel, "candidate_gaps", counting_gaps)
+    monkeypatch.setattr(np.random, "default_rng", CountingRng)
+    rep = verify_hitting_sampled(pat, leading, 2, 0.9, 300 * 50, seed=7)
+    assert rep.tested == 300 * 50 == rep.kernel_rows
+    assert count["finished"] == count["drawn"] == 300
     assert count["peak"] == 1
+    # counting changes nothing the verifier reports
+    assert rep.to_dict() == want.to_dict()
+    assert (rep.kernel_rows, rep.sorted_rows) == (want.kernel_rows, want.sorted_rows)
 
 
 def _slow_phase(b):
@@ -874,9 +908,8 @@ def test_kernel_caps_bound_its_rows(degree, universe):
     rng = np.random.default_rng(universe)
     u = rng.integers(0, 1 << s, size=(300, degree - 1), dtype=np.uint64)
     u[0] = 0
-    buffers = kernel.buffers()
-    pos = kernel.positions(u, buffers).copy()
-    caps = kernel.row_caps(pos, buffers[1][:, :len(u)])
+    pos = kernel.positions(u).copy()
+    caps = kernel.row_caps(pos, np.empty(pos.shape, dtype=np.uint16))
     vals = kernel.exact(pos.copy(), np.empty_like(pos))
     for coeffs, q, row, cap in zip(u.tolist(), pos.T.tolist(), vals.T.tolist(),
                                    caps.tolist()):
@@ -906,8 +939,7 @@ def test_candidate_gaps_keeps_rows_whose_cap_reaches_their_floor():
     # floors at, just above and just below each cap, at the gap, and 0
     floors = [[cap, cap + 1, cap - 1, gap, 0][i % 5]
               for i, (gap, _, cap, _) in enumerate(oracle)]
-    keep, bounds = kernel.candidate_gaps(u, kernel.buffers(),
-                                         np.array(floors, dtype=np.uint64))
+    keep, bounds = kernel.candidate_gaps(u, np.array(floors, dtype=np.uint64))
     want = [i for i, (cap, f) in enumerate(zip(caps, floors)) if cap >= f]
     assert keep.tolist() == want and 0 < len(want) < len(u)
     # the exact gap of each kept row, the cap of every other
