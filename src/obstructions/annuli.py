@@ -58,6 +58,17 @@ class AnnulusSpec:
                 "epsilon": self.epsilon, "parity": self.parity}
 
 
+# the Monte Carlo and no-copy loops work over tiles of about this many
+# elements per (rows, width) array, 512 KB of float64, so that a tile and
+# its temporaries stay in cache across all their passes
+_TILE_ELEMENTS = 1 << 16
+
+
+def tile_rows(width: int) -> int:
+    """Rows per tile of a (rows, width) working array, at least 256."""
+    return max(256, _TILE_ELEMENTS // width)
+
+
 def _dist_to_z(values: np.ndarray) -> np.ndarray:
     """Exact distance of each float to Z (v - rint(v) never rounds), so
     v and -v are at the same distance bit for bit."""
@@ -241,7 +252,10 @@ def density(spec: AnnulusSpec, R: float, method: str = "monte-carlo",
 
     exact-slice (even p, d <= 2): integrates the exact one-variable measure
     over a midpoint grid in the remaining coordinates. monte-carlo: uniform
-    samples with per-block child seeds, so block order never matters.
+    samples with per-block child seeds, so block order never matters; each
+    2^18-sample block is drawn and tested in tiles of tile_rows(d) rows,
+    which continue the block's one stream, so the hits are those of one
+    (2^18, d) draw per block.
 
     Monte Carlo precision guard: the computed F = |x|_p^p (or a signed power
     sum) is within B = (p + q + d - 1) 2^-53 d (R/2)^p, q = max(p - 1, 2), of
@@ -297,17 +311,19 @@ def density(spec: AnnulusSpec, R: float, method: str = "monte-carlo",
                           f"can move across a band edge is not below the sampling "
                           f"error {0.5 / math.sqrt(samples):.1e}; lower --R")
     start = time.perf_counter()
-    ss = np.random.SeedSequence(seed)
     block = 1 << 18
-    n_blocks = -(-samples // block)
-    children = ss.spawn(n_blocks)
-    hits, drawn = 0, 0
-    for child in children:
-        take = min(block, samples - drawn)
+    children = np.random.SeedSequence(seed).spawn(-(-samples // block))
+    pts = np.empty((min(tile_rows(d), samples), d))
+    hits = 0
+    for b, child in enumerate(children):
         rng = np.random.default_rng(child)
-        pts = (rng.random((take, spec.dimension)) - 0.5) * R
-        hits += int(members(spec, pts).sum())
-        drawn += take
+        take = min(block, samples - b * block)
+        for lo in range(0, take, len(pts)):
+            tile = pts[:min(len(pts), take - lo)]
+            rng.random(out=tile)
+            tile -= 0.5
+            tile *= R
+            hits += int(members(spec, tile).sum())
     frac = hits / samples
     return DensityReport(
         R=R, fraction=frac, target=target, target_kind=kind,
@@ -495,8 +511,12 @@ def no_copy_check(spec: AnnulusSpec, pattern: Pattern, leading: Fraction,
     one (the B_l k^l terms, of total size <= d M^p); 2^-48 covers the float64
     mod-1 and comparison steps. A copy is decided when its direct margin
     max_k (dist_k - w) lies farther than that bound from 0, and any undecided
-    copy raises BudgetError. A route mismatch is a polynomial margin of the
-    other sign that its own bound decides.
+    copy raises BudgetError; when the bound reaches max(w, 1/2 - w), which
+    no margin can exceed, it is raised before either route runs. A route
+    mismatch is a polynomial margin of the other sign that its own bound
+    decides. Both routes run over tiles of tile_rows(len(ks)) placements,
+    one (tile, len(ks)) array per stage reused by every tile, and give the
+    margins of whole-array passes bit for bit.
     """
     if pattern_epsilon is not None and pattern_epsilon > spec.epsilon:
         raise ValueError(
@@ -508,7 +528,12 @@ def no_copy_check(spec: AnnulusSpec, pattern: Pattern, leading: Fraction,
     p, d = spec.exponent, spec.dimension
     w = spec.band_halfwidth
     ks = np.asarray(pattern.indices, dtype=float)
+    k_powers = [ks ** l for l in range(p)]
     lead_vals = PolySeqSpec(p, leading).values(pattern.indices)
+    rows = min(tile_rows(len(ks)), placements_per_scale)
+    vals, term, tmp = np.empty((3, rows, len(ks)))
+    F, T = np.empty((2, rows, len(ks)), dtype=np.longdouble)
+    poly_margins, margins = np.empty((2, placements_per_scale))
 
     children = np.random.SeedSequence(seed).spawn(len(j_list))
     per_scale = []
@@ -522,43 +547,58 @@ def no_copy_check(spec: AnnulusSpec, pattern: Pattern, leading: Fraction,
         vs = sample_lp_sphere(rng, placements_per_scale, d, p)
         magnitude = (np.abs(xs).max() + r * np.abs(ks).max() * np.abs(vs).max()) ** p
         spread = d * (4 * p + d + 5) * magnitude  # times eps, the routes' error
-
-        # polynomial route: j*k^p is an integer and drops mod 1, the leading
-        # rational term comes from the exact table, the rest from the
-        # binomial coefficients of each placement (constant term included,
-        # it aligns the values with the membership band). t - floor(t) is
-        # t % 1.0 bit for bit on every finite double, without fmod
-        start = time.perf_counter()
-        coeffs, _, sgn = reduction_coefficients(xs, vs, r, p)
-        vals = np.broadcast_to(lead_vals, (placements_per_scale, len(ks))).copy()
-        for l, B_l in enumerate(coeffs):
-            term = B_l[:, None] * ks ** l
-            vals += term - np.floor(term)
-            vals -= np.floor(vals)
-        poly_margins = (_dist_to_z(vals) - w).max(axis=1)
-        poly_s += time.perf_counter() - start
-
-        # direct route in extended precision, F summed one coordinate at a
-        # time over (chunk, len(ks)) arrays
-        start = time.perf_counter()
-        rk = np.longdouble(r) * ks
-        margins = np.empty(placements_per_scale)
-        chunk = 2048
-        for lo in range(0, placements_per_scale, chunk):
-            hi = min(lo + chunk, placements_per_scale)
-            X = xs[lo:hi].astype(np.longdouble)
-            V = vs[lo:hi].astype(np.longdouble)
-            F = np.zeros((hi - lo, len(ks)), dtype=np.longdouble)
-            for i in range(d):
-                term = (X[:, i, None] + rk * V[:, i, None]) ** p
-                if p % 2:
-                    term *= sgn[lo:hi, i, None]
-                F += term
-            margins[lo:hi] = (_dist_to_z(F).astype(float) - w).max(axis=1)
-        direct_s += time.perf_counter() - start
-
         bound = spread * float(np.finfo(np.longdouble).eps) + 2.0 ** -48
-        undecided = int((np.abs(margins) <= bound).sum())
+        # a margin max_k (dist_k - w) lies in [-w, 1/2 - w], so a bound this
+        # large leaves every copy undecided, and neither route need run
+        undecided = placements_per_scale
+        if bound < max(w, 0.5 - w):
+            rk = np.longdouble(r) * ks
+            for lo in range(0, placements_per_scale, rows):
+                hi = min(lo + rows, placements_per_scale)
+                v, t, u = vals[:hi - lo], term[:hi - lo], tmp[:hi - lo]
+                Fh, Th = F[:hi - lo], T[:hi - lo]
+
+                # polynomial route: j*k^p is an integer and drops mod 1, the
+                # leading rational term comes from the exact table, the rest
+                # from the binomial coefficients of each placement (constant
+                # term included, it aligns the values with the membership
+                # band). t - floor(t) is t % 1.0 bit for bit on every finite
+                # double, without fmod; x - w is monotone in x, so it is
+                # taken after the row max
+                start = time.perf_counter()
+                coeffs, _, sgn = reduction_coefficients(xs[lo:hi], vs[lo:hi], r, p)
+                v[...] = lead_vals
+                for B_l, k_l in zip(coeffs, k_powers):
+                    np.multiply(B_l[:, None], k_l, out=t)
+                    t -= np.floor(t, out=u)
+                    v += t
+                    v -= np.floor(v, out=u)
+                v -= np.rint(v, out=u)
+                np.abs(v, out=v).max(axis=1, out=poly_margins[lo:hi])
+                poly_margins[lo:hi] -= w
+                poly_s += time.perf_counter() - start
+
+                # direct route in extended precision: F is the first
+                # coordinate's term plus the others in coordinate order, and
+                # the float cast of F - rint F comes before abs, as rounding
+                # is sign-symmetric
+                start = time.perf_counter()
+                X, V = xs[lo:hi].astype(np.longdouble), vs[lo:hi].astype(np.longdouble)
+                for i in range(d):
+                    Y = Th if i else Fh
+                    np.multiply(rk, V[:, i, None], out=Y)
+                    Y += X[:, i, None]
+                    Y **= p
+                    if p % 2:
+                        Y *= sgn[:, i, None]
+                    if i:
+                        Fh += Y
+                Fh -= np.rint(Fh, out=Th)
+                t[...] = Fh
+                np.abs(t, out=t).max(axis=1, out=margins[lo:hi])
+                margins[lo:hi] -= w
+                direct_s += time.perf_counter() - start
+            undecided = int((np.abs(margins) <= bound).sum())
         if undecided:
             raise BudgetError(
                 f"no-copy check at j={j}: max |F| <= {magnitude:.3g} gives a rounding "

@@ -15,6 +15,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from .annuli import tile_rows
 from .torus import Residues, max_circular_gap
 
 EQUALITY_TOL = 1e-12
@@ -354,10 +355,19 @@ def copy_sampler_check(d: int, n: int, j: int, placements: int,
     xs = (rng.random((placements, d)) - 0.5) * 2 * L
     axes = rng.integers(0, d, size=placements)
     signs = rng.integers(0, 2, size=placements) * 2 - 1
-    base = xs.sum(axis=1)
-    vals = base[:, None] + (signs * r)[:, None] * ks[None, :]
-    inside = vals % 1.0 < 1.0 - eps
-    violate = inside.all(axis=1)
+    base, steps = xs.sum(axis=1), signs * r
+    # the coordinate sums base + sigma r k, tile by tile; x - floor(x) is
+    # x % 1.0 bit for bit on every finite double
+    vals, floors = np.empty((2, tile_rows(len(ks)), len(ks)))
+    inside = np.empty(vals.shape, dtype=bool)
+    violate = np.empty(placements, dtype=bool)
+    for lo in range(0, placements, len(vals)):
+        hi = min(lo + len(vals), placements)
+        v, ins = vals[:hi - lo], inside[:hi - lo]
+        np.multiply(steps[lo:hi, None], ks, out=v)
+        v += base[lo:hi, None]
+        v -= np.floor(v, out=floors[:hi - lo])
+        np.less(v, 1.0 - eps, out=ins).all(axis=1, out=violate[lo:hi])
     idx = np.nonzero(violate)[0][:5]
     first = tuple(
         {"x": [float(c) for c in xs[i]], "axis": int(axes[i]) + 1,

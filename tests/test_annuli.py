@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 from itertools import permutations, product
@@ -8,7 +9,9 @@ import pytest
 from obstructions import (
     AnnulusSpec,
     BudgetError,
+    NoCopyReport,
     Pattern,
+    PolySeqSpec,
     bertrand_prime,
     density,
     erdos_turan_bound,
@@ -21,6 +24,8 @@ from obstructions import (
     sample_lp_sphere,
     thin_pattern,
 )
+from obstructions import annuli
+from obstructions.annuli import tile_rows
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +336,35 @@ def test_density_refusal_threshold_covers_the_products():
         density(AnnulusSpec(d, p, 0.1), 0.99 * threshold, samples=samples)
 
 
+def _whole_array_hits(spec, R, seed, samples):
+    """Monte Carlo hits as one (take, d) draw per 2^18-sample block gives
+    them: the loop that tiled density must reproduce."""
+    block = 1 << 18
+    children = np.random.SeedSequence(seed).spawn(-(-samples // block))
+    hits, drawn = 0, 0
+    for child in children:
+        take = min(block, samples - drawn)
+        pts = (np.random.default_rng(child).random((take, spec.dimension)) - 0.5) * R
+        hits += int(members(spec, pts).sum())
+        drawn += take
+    return hits
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_density_tiles_match_one_draw_per_block(d, p):
+    # two blocks, the second one partial, and a partial tile in each block
+    # whose 2^18 samples tile_rows(d) does not divide
+    samples = (1 << 18) + 12_345
+    rep = density(AnnulusSpec(d, p, 0.3), 20, samples=samples, seed=d)
+    hits = _whole_array_hits(AnnulusSpec(d, p, 0.3), 20, d, samples)
+    frac = hits / samples
+    want = dataclasses.replace(
+        rep, fraction=frac, detail={"samples": samples, "hits": hits},
+        std_error=math.sqrt(max(frac * (1 - frac), 1e-300) / samples))
+    assert rep.to_dict() == want.to_dict()
+
+
 def test_density_monotone_in_epsilon():
     # same seed, same samples: shrinking the band can only lose points
     fracs = []
@@ -467,9 +501,15 @@ def test_no_copy_full_set_above_et_bound():
     assert rep.route_mismatches == 0
 
 
-def test_no_copy_refuses_copies_its_precision_cannot_decide():
+def test_no_copy_refuses_copies_its_precision_cannot_decide(monkeypatch):
     # p = 3 on Q = 16,777,259: |F| ~ 4e21 leaves longdouble no fractional
-    # bits, so the margins are noise and must not be reported as violations
+    # bits, so the margins are noise and must not be reported as violations.
+    # The bound 1.9e4 is above max(w, 1/2 - w), which no margin exceeds, so
+    # every copy is undecided and neither route runs
+    def unreachable(*args):
+        raise AssertionError("a route ran on copies no margin can decide")
+
+    monkeypatch.setattr(annuli, "reduction_coefficients", unreachable)
     q = bertrand_prime(8, 3)
     pat = thin_pattern(8, q, seed=0)
     with pytest.raises(BudgetError) as err:
@@ -477,6 +517,86 @@ def test_no_copy_refuses_copies_its_precision_cannot_decide():
                       [1, 2, 3, 4], 1000)
     msg = str(err.value)
     assert "max |F|" in msg and "bound" in msg and "w = 0.15" in msg
+    assert "1000 of 1000 copies are undecided" in msg
+
+
+def _whole_array_no_copy(spec, pattern, leading, j_list, placements, seed):
+    """no_copy_check's report as whole-array passes over all placements of a
+    scale compute it: the polynomial route over one (placements, len(ks))
+    array, the direct one from a zero F over (2048, len(ks)) chunks."""
+    p, d, w = spec.exponent, spec.dimension, spec.band_halfwidth
+    ks = np.asarray(pattern.indices, dtype=float)
+    lead_vals = PolySeqSpec(p, leading).values(pattern.indices)
+    per_scale, mismatches = [], 0
+    for j, child in zip(j_list, np.random.SeedSequence(seed).spawn(len(j_list))):
+        r = (float(leading) + j) ** (1.0 / p)
+        rng = np.random.default_rng(child)
+        L = 10.0 * r
+        xs = (rng.random((placements, d)) - 0.5) * 2 * L
+        vs = sample_lp_sphere(rng, placements, d, p)
+        magnitude = (np.abs(xs).max() + r * np.abs(ks).max() * np.abs(vs).max()) ** p
+        spread = d * (4 * p + d + 5) * magnitude
+        coeffs, _, sgn = annuli.reduction_coefficients(xs, vs, r, p)
+        vals = np.broadcast_to(lead_vals, (placements, len(ks))).copy()
+        for l, B_l in enumerate(coeffs):
+            term = B_l[:, None] * ks ** l
+            vals += term - np.floor(term)
+            vals -= np.floor(vals)
+        poly_margins = (np.abs(vals - np.rint(vals)) - w).max(axis=1)
+        rk = np.longdouble(r) * ks
+        margins = np.empty(placements)
+        for lo in range(0, placements, 2048):
+            hi = min(lo + 2048, placements)
+            X = xs[lo:hi].astype(np.longdouble)
+            V = vs[lo:hi].astype(np.longdouble)
+            F = np.zeros((hi - lo, len(ks)), dtype=np.longdouble)
+            for i in range(d):
+                term = (X[:, i, None] + rk * V[:, i, None]) ** p
+                if p % 2:
+                    term *= sgn[lo:hi, i, None]
+                F += term
+            margins[lo:hi] = (np.abs(F - np.rint(F)).astype(float) - w).max(axis=1)
+        bound = spread * float(np.finfo(np.longdouble).eps) + 2.0 ** -48
+        assert not (np.abs(margins) <= bound).any()
+        inside = margins < 0
+        poly_bound = spread * float(np.finfo(float).eps) + 2.0 ** -48
+        mismatches += int(((np.abs(poly_margins) > poly_bound)
+                           & ((poly_margins < 0) != inside)).sum())
+        per_scale.append({"j": int(j), "scale": r, "placements": placements,
+                          "violations": int(inside.sum()),
+                          "worst_margin": float(margins.min())})
+    return NoCopyReport(
+        epsilon=spec.epsilon, placements_total=placements * len(j_list),
+        violations_total=sum(s["violations"] for s in per_scale),
+        per_scale=tuple(per_scale),
+        worst_margin=min(s["worst_margin"] for s in per_scale),
+        route_mismatches=mismatches).to_dict()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_no_copy_tiles_match_whole_array_passes(d):
+    # placements around one tile, and over several; epsilon 0.05 lets some
+    # copies inside the set, so violations and worst margins below 0 count
+    q = bertrand_prime(20, 2)
+    pat = thin_pattern(20, q, seed=4)
+    spec = AnnulusSpec(d, 2, 0.05)
+    T = tile_rows(len(pat.indices))
+    for placements in (1, T - 1, T, T + 1, 400):
+        got = no_copy_check(spec, pat, Fraction(1, q), [1, 3], placements, seed=d)
+        want = _whole_array_no_copy(spec, pat, Fraction(1, q), [1, 3], placements, d)
+        assert got.to_dict() == want, (d, placements)
+
+
+@pytest.mark.parametrize("p, d", [(3, 3), (4, 2)])
+def test_no_copy_tiles_match_whole_array_passes_beyond_p2(p, d):
+    # a universe of 101 keeps the rounding bound far below w at p = 3, 4,
+    # and the signed sums of odd p go through the direct route's sign step
+    pat = thin_pattern(20, 101, seed=1)
+    spec = AnnulusSpec(d, p, 0.05)
+    T = tile_rows(len(pat.indices))
+    got = no_copy_check(spec, pat, Fraction(1, 101), [1, 2], T + 7, seed=p)
+    want = _whole_array_no_copy(spec, pat, Fraction(1, 101), [1, 2], T + 7, p)
+    assert got.to_dict() == want
 
 
 def test_no_copy_epsilon_consistency_check():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obstructions import (
+    CopyCheckReport,
     clarkson_check,
     copy_sampler_check,
     cross_configuration,
@@ -15,6 +16,7 @@ from obstructions import (
     sample_lp_sphere,
     sign_axis_deduction,
 )
+from obstructions.annuli import tile_rows
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +261,43 @@ def test_copy_check_epsilon_zero_documents_sharpness():
     rep = copy_sampler_check(2, 8, 1, 500, seed=1, epsilon=0.0)
     assert rep.violations == 500
     assert rep.first_violations  # witnesses reported
+
+
+def _whole_array_copy_check(d, n, j, placements, seed, epsilon):
+    """copy_sampler_check's report from one (placements, len(ks)) array of
+    coordinate sums reduced with % 1.0; returns it and the violating indices."""
+    _, band = cross_configuration(d, n)
+    eps = band.epsilon if epsilon is None else float(epsilon)
+    r = j + eps
+    ks = np.arange(-1, n - 2 * d + 1, dtype=float)
+    rng = np.random.default_rng(seed)
+    L = 10.0 * r
+    xs = (rng.random((placements, d)) - 0.5) * 2 * L
+    axes = rng.integers(0, d, size=placements)
+    signs = rng.integers(0, 2, size=placements) * 2 - 1
+    vals = xs.sum(axis=1)[:, None] + (signs * r)[:, None] * ks[None, :]
+    violate = (vals % 1.0 < 1.0 - eps).all(axis=1)
+    idx = np.nonzero(violate)[0]
+    first = tuple({"x": [float(c) for c in xs[i]], "axis": int(axes[i]) + 1,
+                   "sign": int(signs[i])} for i in idx[:5])
+    return CopyCheckReport(d=d, n=n, scale_index=j, epsilon=eps,
+                           placements=placements, violations=int(violate.sum()),
+                           first_violations=first), idx
+
+
+def test_copy_check_tiles_match_one_whole_array():
+    # d = 3, n = 12 has 8 points per copy, so a tile holds 8192 placements.
+    # epsilon 0: every placement fits, the last tile is 3 rows and the
+    # witnesses are placements 0-4. epsilon 0.12495 with seed 2: 5 of 20,000
+    # fit, the first in the second tile and the last in the third
+    T = tile_rows(8)
+    for placements, seed, eps, fits in (
+            (T + 3, 1, 0.0, list(range(T + 3))),
+            (20_000, 2, 0.12495, [9032, 10633, 13741, 15824, 18814])):
+        want, idx = _whole_array_copy_check(3, 12, 2, placements, seed, eps)
+        assert list(idx) == fits
+        got = copy_sampler_check(3, 12, 2, placements, seed=seed, epsilon=eps)
+        assert got.to_dict() == want.to_dict()
 
 
 def test_copy_check_report_dict():
