@@ -11,9 +11,12 @@ dyadic u_i/2^s, every point is an integer over the common denominator
 D = b * 2^s; choosing s = 62 - bitlen(b) keeps D and all intermediates
 inside uint64, so the whole scan (nets of 10^7 cells and beyond) runs as
 vectorized integer arithmetic. Only the pruning bound reads rounded values:
-each point's position in units of 2^-64, rounded down by less than one
-unit. Its bucket edges are whole units, so the rounding never moves a point
-out of its bucket, and its caps bound the exact gaps (see ``_ExactKernel``).
+each point's position in units of 2^-w, rounded down by less than one
+unit, where the word w is the smallest of 16, 32 and 64 bits that is at
+least s, so a p = 3 pattern at n = 64 (s = 13) runs its multiply-accumulate
+in uint16. Its bucket edges are whole units, so the rounding never moves a
+point out of its bucket, and its caps bound the exact gaps (see
+``_ExactKernel``).
 A net scan also skips the cells that an exact integer Lipschitz cone proves
 below a gap already found (see ``_Cone``). Every reported gap and witness
 is exact over D.
@@ -369,25 +372,29 @@ class _ExactKernel:
     over the whole block read are stored as full (n, rows) tiles, and those
     the kept rows read as (n, 1) columns.
 
-    Every row of a block gets one wrapping multiply-accumulate, in units of
-    2^-64 of the circle: ``kpows`` holds (k^i mod 2^s) << (64 - s), so the
-    uint64 sum, which wraps mod 2^64, is acc_k << (64 - s) exactly (every
-    bit above the low s of acc_k falls off the top). Adding the ``phase``
-    floor(r_k 2^64 / b) gives pos_k, the point's position rounded down to a
-    whole unit (exact when b divides r_k 2^64). The gap bound reads only the
-    top 4 bits of pos_k; exact numerators are built only for the rows the
-    bound keeps, from their positions less the phase.
+    Positions live in the word: w bits, the smallest of 16, 32 and 64 that
+    is at least s (s >= 8), and ``word`` is its unsigned dtype. Every row of
+    a block gets one wrapping multiply-accumulate in the word, in units of
+    2^-w of the circle: ``kpows`` holds (k^i mod 2^s) << (w - s), so the
+    sum, which wraps mod 2^w, is acc_k << (w - s) exactly (every bit above
+    the low s of acc_k falls off the top). Adding the ``phase``
+    floor(r_k 2^w / b) gives pos_k = (acc_k 2^(w-s) + floor(r_k 2^w / b))
+    mod 2^w, the point's position rounded down to a whole unit: acc_k
+    2^(w-s) is an integer as w >= s, so pos_k = floor(2^w x_k / D) (exact
+    when b divides r_k 2^w). The gap bound reads only the top 4 bits of
+    pos_k; exact numerators are built only for the rows the bound keeps,
+    from their positions less the phase.
 
-    Why the bound holds. Bucket j is [j 2^60, (j + 1) 2^60) in units of
-    2^-64. Its edges are whole units, so rounding a point down by less than
-    one unit never moves it across an edge: the bucket of pos_k, its top 4
-    bits, is exactly the bucket floor(16 x_k / D) of the exact point. Let E
-    be the longest circular run of empty buckets of a row. If a point x lies
-    in bucket i and the next point y in bucket i + e + 1, with e <= E empty
-    buckets between, then y - x < (e + 2) 2^60 units; the wrap gap from the
-    last point to the first is bounded the same way with the run taken
-    through bucket 15 to bucket 0. A unit is D/2^64 of a numerator over D,
-    and 16 divides D (s >= 8), so every exact gap numerator is below
+    Why the bound holds. Bucket j is [j 2^(w-4), (j + 1) 2^(w-4)) in units
+    of 2^-w. Its edges are whole units, so rounding a point down by less
+    than one unit never moves it across an edge: the bucket of pos_k, its
+    top 4 bits, is exactly the bucket floor(16 x_k / D) of the exact point.
+    Let E be the longest circular run of empty buckets of a row. If a point
+    x lies in bucket i and the next point y in bucket i + e + 1, with e <= E
+    empty buckets between, then y - x < (e + 2) 2^(w-4) units; the wrap gap
+    from the last point to the first is bounded the same way with the run
+    taken through bucket 15 to bucket 0. A unit is D/2^w of a numerator over
+    D, and 16 divides D (s >= 8), so every exact gap numerator is below
     (E + 2) D/16, hence at most caps[E] = (E + 2) D/16 - 1; a one-point row
     (E = 15, gap D) is covered too. The 17 caps are built once in Python
     ints; all lie below 18 D/16 < 2^63.
@@ -401,19 +408,24 @@ class _ExactKernel:
         self.denominator = b << self.s
         self.n = len(ks)
         self.rows = block_rows(self.n)
-        self.shift = np.uint64(64 - self.s)
+        w = next(w for w in (16, 32, 64) if w >= self.s)
+        self.word = np.dtype(f"uint{w}")
+        # every scalar of a pass over the word is of the word's type, so
+        # that numpy keeps the pass in the word
+        self.shift = self.word.type(w - self.s)
+        self.bucket_shift = self.word.type(w - 4)
 
-        def column(values):
-            return np.array(values, dtype=np.uint64)[:, None]
+        def column(values, dtype=self.word):
+            return np.array(values, dtype=dtype)[:, None]
 
         def tile(col):
             return np.repeat(col, self.rows, axis=1)
 
-        self.kpows = [tile(column([pow(k, i, 1 << self.s) << (64 - self.s) for k in ks]))
+        self.kpows = [tile(column([pow(k, i, 1 << self.s) << (w - self.s) for k in ks]))
                       for i in range(1, degree)]
-        self.phase = column([(r << 64) // b for r in lead.nums])
+        self.phase = column([(r << w) // b for r in lead.nums])
         self.phase_tile = tile(self.phase)
-        self.lead = column([r << self.s for r in lead.nums])
+        self.lead = column([r << self.s for r in lead.nums], np.uint64)
         self.b = np.uint64(b)
         self.big = np.uint64(self.denominator)
         self.caps = np.array([(E + 2) * (self.denominator >> 4) - 1
@@ -422,21 +434,23 @@ class _ExactKernel:
         # bucket bits and, from degree 3 on, one term of the
         # multiply-accumulate
         shape = (self.n, self.rows)
-        self.pos = np.empty(shape, dtype=np.uint64)
+        self.pos = np.empty(shape, dtype=self.word)
         self.bits = np.empty(shape, dtype=np.uint16)
-        self.term = np.empty(shape, dtype=np.uint64) if degree > 2 else None
+        self.term = np.empty(shape, dtype=self.word) if degree > 2 else None
 
     def positions(self, u: np.ndarray) -> np.ndarray:
         """The positions pos_k (see the class) of the points of every row of
         u, shape (n, rows), in a view of the kernel's positions scratch.
 
         u has shape (rows, degree-1), dtype uint64, with at most self.rows
-        rows."""
+        rows. Each coefficient is below 2^s <= 2^w, so its column is cast to
+        the word without loss."""
         rows = u.shape[0]
         pos = self.pos[:, :rows]
         if not self.kpows:
             pos.fill(0)
-        for d, (kp, coeff) in enumerate(zip(self.kpows, np.ascontiguousarray(u.T))):
+        coeffs = np.ascontiguousarray(u.T, dtype=self.word)
+        for d, (kp, coeff) in enumerate(zip(self.kpows, coeffs)):
             if d:
                 pos += np.multiply(kp[:, :rows], coeff, out=self.term[:, :rows])
             else:
@@ -447,26 +461,30 @@ class _ExactKernel:
     def row_caps(self, pos: np.ndarray, bits: np.ndarray) -> np.ndarray:
         """caps[E] of every row (column) of positions, as uint64; bits, a
         uint16 array shaped like pos, is overwritten."""
-        np.right_shift(pos, np.uint64(60), out=bits, casting="unsafe")
+        np.right_shift(pos, self.bucket_shift, out=bits, casting="unsafe")
         np.left_shift(np.uint16(1), bits, out=bits)
         return self.caps[_empty_runs()[np.bitwise_or.reduce(bits, axis=0)]]
 
     def exact(self, pos: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-        """pos, columns of positions, turned in place into the exact
-        numerators over D; scratch, shaped like pos, is overwritten.
+        """The exact numerators over D, as uint64, of pos, columns of
+        positions in the word, which is overwritten; they are built in pos
+        itself when the word is uint64, else in a widened copy of it.
+        scratch, a uint64 array shaped like pos, is overwritten.
 
-        Subtracting the phase gives back acc_k << (64 - s) exactly, since
-        the sum wrapped mod 2^64. Then each value v = r_k 2^s + b acc_k lies
-        below D + D = 2D < 2^63 (D < 2^62 by the choice of s), so one
-        wrapping subtraction reduces it mod D: if v < D, v - D wraps to at
-        least 2^64 - D > 2^63 > v and min keeps v."""
+        Subtracting the phase gives back acc_k << (w - s) exactly, since
+        the sum wrapped mod 2^w, and shifting gives acc_k; both in the word.
+        Then each value v = r_k 2^s + b acc_k, in uint64, lies below D + D =
+        2D < 2^63 (D < 2^62 by the choice of s), so one wrapping subtraction
+        reduces it mod D: if v < D, v - D wraps to at least 2^64 - D > 2^63
+        > v and min keeps v."""
         pos -= self.phase
         pos >>= self.shift
-        pos *= self.b
-        pos += self.lead
-        np.subtract(pos, self.big, out=scratch)
-        np.minimum(pos, scratch, out=pos)
-        return pos
+        vals = pos.astype(np.uint64, copy=False)
+        vals *= self.b
+        vals += self.lead
+        np.subtract(vals, self.big, out=scratch)
+        np.minimum(vals, scratch, out=vals)
+        return vals
 
     def candidate_gaps(self, u: np.ndarray, floor):
         """(keep, bounds): the indices of the rows of u whose cap is at least
@@ -474,19 +492,23 @@ class _ExactKernel:
         bound on every row's max-gap numerator over D, as uint64: the exact
         gap for a kept row, its cap for any other. A row left out has a gap
         below its floor, so a row whose gap reaches its floor is always
-        kept. Only the rows kept get exact numerators, built and sorted in
+        kept. Only the rows kept get exact numerators, built and sorted from
         one gathered copy of their positions. That copy is column-major
         (each row's points contiguous, as the sort along points wants), and
         so is the scratch that ``exact`` and the gaps between neighbours
-        use: a view of the positions scratch, no longer needed."""
+        use: a view of the positions scratch, no longer needed, when the
+        word is uint64, else an array of its own."""
         pos = self.positions(u)
         bounds = self.row_caps(pos, self.bits[:, :u.shape[0]])
         keep = np.flatnonzero(bounds >= floor)
         if not len(keep):
             return keep, bounds
         kept = pos[:, keep]
-        scratch = np.ndarray(kept.shape, np.uint64, buffer=self.pos, order="F")
-        self.exact(kept, scratch)
+        if self.word == np.uint64:
+            scratch = np.ndarray(kept.shape, np.uint64, buffer=self.pos, order="F")
+        else:
+            scratch = np.empty(kept.shape, np.uint64, order="F")
+        kept = self.exact(kept, scratch)
         kept.sort(axis=0)
         # the wrap gap D - last + first, which lies in (0, D]; initial=0
         # covers one-point patterns, whose only gap is the wrap

@@ -39,6 +39,18 @@ def sieve(limit):
     return flags
 
 
+# universes whose fixed-point part s = 62 - bitlen(b) fits a narrow word:
+# (id, b, w) with w the word the kernel must choose, the smallest of 16, 32
+# and 64 that is at least s; at s = 16 and s = 32 the word shifts by 0
+_NARROW = [
+    ("s13-w16", bertrand_prime(64, 3), 16),
+    ("s16-w16", bertrand_prime(50, 3), 16),
+    ("s17-w32", bertrand_prime(48, 3), 32),
+    ("s29-w32", bertrand_prime(16, 3), 32),
+    ("s32-w32", bertrand_prime(13, 3), 32),
+]
+
+
 # ---------------------------------------------------------------------------
 # primality and Bertrand
 
@@ -355,7 +367,8 @@ def _record_kernel_rows(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("degree, universe, sizes", [(3, 13, (13, 17)),
-                                                     (4, 11, (5, 6, 7))])
+                                                     (4, 11, (5, 6, 7)),
+                                                     (2, _NARROW[0][1], (97,))])
 def test_net_scans_every_cell_against_fraction_oracle(monkeypatch, degree,
                                                       universe, sizes):
     # the gap at every grid point (t_1 w_1, ...) / 2^s in Fractions; the scan
@@ -404,9 +417,13 @@ def _doubled(pattern: Pattern, universe: int) -> Pattern:
 
 def _pruning_cases():
     # (id, pattern, degree, nets, whether the max sits at two or more cells)
-    q6, q8 = bertrand_prime(6, 2), bertrand_prime(8, 2)
+    q6, q8, q13 = bertrand_prime(6, 2), bertrand_prime(8, 2), _NARROW[0][1]
     s29, s8 = patterns._scale_bits(29), patterns._scale_bits(q8)
     return [
+        # s = 13, the uint16 word, on indices below 2^10 so that a step moves
+        # a gap numerator by less than D/8
+        ("s13-w16", Pattern(thin_pattern(12, 1000, seed=4).indices, q13), 2,
+         NetSpec(2, q13, 13, (1,)), False),
         ("thinned-6", thin_pattern(6, q6, seed=1), 2, build_nets(2, q6, 0.5, 50_000), False),
         ("degree-3", thin_pattern(6, 29, seed=3), 3,
          NetSpec(3, 29, s29, (-(-(1 << s29) // 3), -(-(1 << s29) // 20_000))), False),
@@ -678,35 +695,49 @@ def test_net_certificate_bounds_the_exact_supremum(n, universe):
         assert gap <= sup <= gap + _net_slack(pat, nets) <= Fraction(rep.epsilon_guaranteed) < 1
 
 
-@pytest.mark.parametrize("degree, universe, n", [
-    (2, 67, 64), (3, 71, 64), (2, 64, 64), (3, 64, 64), (2, 67, 1), (3, 64, 2),
-], ids=["2-67", "3-71", "2-64", "3-64", "2-67-one-point", "3-64-two-point"])
-def test_kernel_rows_match_fraction_oracle(degree, universe, n):
+@pytest.mark.parametrize("degree, universe, n, w", [
+    (2, 67, 64, 64), (3, 71, 64, 64), (2, 64, 64, 64), (3, 64, 64, 64), (2, 67, 1, 64),
+    (3, 64, 2, 64), *((degree, b, 64, w) for degree, (_, b, w) in zip((3, 2, 3, 2, 3), _NARROW)),
+], ids=["2-67", "3-71", "2-64", "3-64", "2-67-one-point", "3-64-two-point",
+        *(i for i, _, _ in _NARROW)])
+def test_kernel_rows_match_fraction_oracle(degree, universe, n, w):
     # every row's exact gap, over one full block and a short one that reuses
     # the kernel's scratch, against the rational definition; with an odd universe a
     # row puts a point on D - 1, with a power of two a row puts one on D
-    # itself, which the wrapping reduce must send to 0
-    leading = Fraction(1, universe)
+    # itself, which the wrapping reduce must send to 0. The universes of a
+    # narrow word are too large for a thinned index to reach D - 1 by
+    # chance: there the leading numerator is -2^-s mod universe, the slow
+    # phase residue when w = s, and k = 1 is added to the pattern, so that
+    # k = 1 reaches it.
     s = patterns._scale_bits(universe)
     D = universe << s
+    narrow = w < 64
+    leading = Fraction(-pow(2, -s, universe) % universe if narrow else 1, universe)
     edge = Fraction(D - 1, D) if universe % 2 else Fraction(0)
 
     def edge_row(k):
         # the point is (r 2^s + universe * acc) / D with acc = sum_i u_i k^i mod 2^s
-        r = k ** degree % universe
+        r = leading.numerator * k ** degree % universe
         want = ((universe - r) << s) - (universe % 2)
         if k % 2 and r and want % universe == 0:
             acc = want // universe
             return [acc * pow(k, -1, 1 << s) % (1 << s)] + [0] * (degree - 2)
         return None
 
-    # 64 thinned indices, or the first n of the indices that can reach the edge
-    pat = thin_pattern(64, universe, seed=1) if n == 64 else Pattern(
-        tuple(k for k in range(universe) if edge_row(k))[:n], universe)
+    # 64 thinned indices (63 and k = 1 at a narrow word), or the first n of
+    # the indices that can reach the edge
+    if narrow:
+        pat = Pattern(tuple(sorted({1, *thin_pattern(63, universe, seed=1).indices})),
+                      universe)
+    elif n == 64:
+        pat = thin_pattern(64, universe, seed=1)
+    else:
+        pat = Pattern(tuple(k for k in range(universe) if edge_row(k))[:n], universe)
     assert pat.n == n
     kernel = patterns._ExactKernel(pat, leading, degree)
     dims = degree - 1
     assert (kernel.s, kernel.denominator) == (s, D)
+    assert kernel.word == np.dtype(f"uint{w}")
     special = [[0] * dims, [(1 << s) - 1] * dims]
     for k in pat.indices:
         row = edge_row(k)
@@ -796,32 +827,48 @@ def test_scan_keeps_few_blocks_in_flight(monkeypatch):
     assert (rep.kernel_rows, rep.sorted_rows) == (want.kernel_rows, want.sorted_rows)
 
 
-def _slow_phase(b):
-    """The residue r over an odd b with r 2^64 mod b = b - 1: the kernel's
-    phase floor(r 2^64 / b) is then rounded down by (b - 1)/b of a unit of
-    2^-64, the most it can be. 0 for an even b, whose test needs none."""
-    return (b - 1) * pow(2, -64, b) % b if b % 2 else 0
+def test_narrow_universes_choose_the_narrowest_word():
+    # the scale bits of each universe, and the word of a kernel over it:
+    # its positions, tiles and scratch, and every scalar its passes use
+    for (_, b, w), s in zip(_NARROW, (13, 16, 17, 29, 32)):
+        assert patterns._scale_bits(b) == s
+        kernel = patterns._ExactKernel(Pattern((1, 2)), Fraction(1, b), 3)
+        assert kernel.word == np.dtype(f"uint{w}")
+        arrays = [*kernel.kpows, kernel.phase, kernel.phase_tile, kernel.pos, kernel.term]
+        assert {a.dtype for a in arrays} == {kernel.word}
+        assert kernel.shift.dtype == kernel.bucket_shift.dtype == kernel.word
+        u = np.ones((3, 2), dtype=np.uint64)
+        assert kernel.positions(u).dtype == kernel.word
+    assert patterns._ExactKernel(Pattern((1,)), Fraction(1, 1_048_583), 2).word == np.uint64
 
 
-def _cap_oracle(points, b, s):
+def _slow_phase(b, w):
+    """The residue r over an odd b with r 2^w mod b = b - 1: the kernel's
+    phase floor(r 2^w / b) in a w-bit word is then rounded down by (b - 1)/b
+    of a unit of 2^-w, the most it can be. 0 for an even b, whose test needs
+    none."""
+    return (b - 1) * pow(2, -w, b) % b if b % 2 else 0
+
+
+def _cap_oracle(points, b, s, w):
     """(max gap numerator, E, cap, positions) of one row in Python ints.
 
     Each point is (r, acc): its leading residue r over b and acc =
     sum_i u_i k^i mod 2^s, so its exact numerator over D = b 2^s is
-    (r 2^s + b acc) mod D. Its position is pos = acc 2^(64-s) +
-    floor(r 2^64 / b) mod 2^64 in units of 2^-64; E is the longest circular
-    run of the 16 buckets pos >> 60 that no point occupies, and the cap is
-    (E + 2) D/16 - 1.
+    (r 2^s + b acc) mod D. Its position in a w-bit word (w >= s) is pos =
+    acc 2^(w-s) + floor(r 2^w / b) mod 2^w in units of 2^-w; E is the
+    longest circular run of the 16 buckets pos >> (w - 4) that no point
+    occupies, and the cap is (E + 2) D/16 - 1.
     """
     D = b << s
     xs = [((r << s) + b * acc) % D for r, acc in points]
     gap = max_circular_gap([Fraction(x, D) for x in xs]) * D
-    pos = [((acc << (64 - s)) + (r << 64) // b) % (1 << 64) for r, acc in points]
+    pos = [((acc << (w - s)) + (r << w) // b) % (1 << w) for r, acc in points]
     for x, q in zip(xs, pos):
         # the position is the exact point rounded down to a whole unit, so
         # its top 4 bits are the exact point's bucket
-        assert q == (x << 64) // D and q >> 60 == 16 * x // D
-    occupied = {q >> 60 for q in pos}
+        assert q == (x << w) // D and q >> (w - 4) == 16 * x // D
+    occupied = {q >> (w - 4) for q in pos}
     runs = [0]
     for j in range(32):
         runs.append(0 if j % 16 in occupied else runs[-1] + 1)
@@ -838,18 +885,21 @@ def test_empty_runs_table_matches_brute_force():
         assert table[mask] == want, mask
 
 
-@pytest.mark.parametrize("b", [1, 3, 7, 1_048_583], ids=["b1", "b3", "b7", "b1048583"])
-def test_gap_caps_bound_every_gap(b):
+@pytest.mark.parametrize("b, w", [(1, 64), (3, 64), (7, 64), (1_048_583, 64),
+                                  *((b, w) for _, b, w in _NARROW)],
+                         ids=["b1", "b3", "b7", "b1048583", *(i for i, _, _ in _NARROW)])
+def test_gap_caps_bound_every_gap(b, w):
     # rows of exact numerators over D = b 2^s, each point split into its
-    # leading residue r and its acc; the kernel's caps, read from the 2^-64
+    # leading residue r and its acc; the kernel's caps, read from the 2^-w
     # positions, bound every gap and the bound is attained. With b = 1 every
     # phase is exact; for b > 1 the points beside the bucket edges carry the
     # residue whose phase is rounded down the most. 1,048,583 is the
     # Bertrand prime above 2^20 (n = 32, p = 2).
-    r_slow = _slow_phase(b)
+    r_slow = _slow_phase(b, w)
     kernel = patterns._ExactKernel(Pattern((1,)), Fraction(r_slow or 1, b), 2)
     s, D = kernel.s, kernel.denominator
-    assert D == b << s and D % 16 == 0 and (r_slow << 64) % b == (b - 1) % b
+    assert kernel.word == np.dtype(f"uint{w}")
+    assert D == b << s and D % 16 == 0 and (r_slow << w) % b == (b - 1) % b
     W = D // 16
 
     def split(x):
@@ -877,45 +927,50 @@ def test_gap_caps_bound_every_gap(b):
              for n in (1, 2, 3, 5, 8, 40) for _ in range(6)]
     for n in sorted({len(r) for r in rows}):
         same = [r for r in rows if len(r) == n]
-        oracle = [_cap_oracle([split(x) for x in row], b, s) for row in same]
-        pos = np.array([o[3] for o in oracle], dtype=np.uint64).T.copy()
+        oracle = [_cap_oracle([split(x) for x in row], b, s, w) for row in same]
+        pos = np.array([o[3] for o in oracle], dtype=kernel.word).T.copy()
         caps = kernel.row_caps(pos, np.empty(pos.shape, dtype=np.uint16))
         for row, cap, (gap, E, want, _) in zip(same, caps.tolist(), oracle):
             assert cap == want == kernel.caps[E], row
             assert gap <= cap, row
     # two points 9W - 1 apart leave 7 empty buckets, and the gap is the cap
-    gap, E, cap, _ = _cap_oracle([split(0), split(9 * W - 1)], b, s)
+    gap, E, cap, _ = _cap_oracle([split(0), split(9 * W - 1)], b, s, w)
     assert E == 7 and gap == cap
-    gap, E, cap, _ = _cap_oracle([split(above[0]), split(below[9])], b, s)
+    gap, E, cap, _ = _cap_oracle([split(above[0]), split(below[9])], b, s, w)
     assert E == 7 and cap - b < gap <= cap
 
 
-@pytest.mark.parametrize("degree, universe", [(2, 64), (3, 101), (2, 1_048_583)])
-def test_kernel_caps_bound_its_rows(degree, universe):
+@pytest.mark.parametrize("degree, universe, w", [
+    (2, 64, 64), (3, 101, 64), (2, 1_048_583, 64),
+    *((degree, b, w) for degree, (_, b, w) in zip((3, 2, 3, 2, 3), _NARROW)),
+], ids=["2-64", "3-101", "2-1048583", *(i for i, _, _ in _NARROW)])
+def test_kernel_caps_bound_its_rows(degree, universe, w):
     # the kernel's positions, exact residues and caps, row by row,
     # against Python ints and the rational points; for an odd universe the
     # leading numerator is the residue whose phase is rounded down the most,
     # and k = 1 in the pattern takes it
     b = universe
-    leading = Fraction(_slow_phase(b) or 1, b)
+    leading = Fraction(_slow_phase(b, w) or 1, b)
     pat = Pattern(tuple({0, 1, *thin_pattern(20, universe, seed=3).indices}), universe)
     kernel = patterns._ExactKernel(pat, leading, degree)
     s, D = kernel.s, kernel.denominator
     lead = PolySeqSpec(degree, leading).residues(pat.indices)
-    assert lead.D == b and D == b << s
+    assert lead.D == b and D == b << s and kernel.word == np.dtype(f"uint{w}")
     if b % 2:
-        assert (lead.nums[pat.indices.index(1)] << 64) % b == b - 1
+        assert (lead.nums[pat.indices.index(1)] << w) % b == b - 1
     rng = np.random.default_rng(universe)
     u = rng.integers(0, 1 << s, size=(300, degree - 1), dtype=np.uint64)
     u[0] = 0
+    u[1] = (1 << s) - 1
     pos = kernel.positions(u).copy()
     caps = kernel.row_caps(pos, np.empty(pos.shape, dtype=np.uint16))
-    vals = kernel.exact(pos.copy(), np.empty_like(pos))
+    vals = kernel.exact(pos.copy(), np.empty(pos.shape, dtype=np.uint64))
+    assert pos.dtype == kernel.word and vals.dtype == np.uint64
     for coeffs, q, row, cap in zip(u.tolist(), pos.T.tolist(), vals.T.tolist(),
                                    caps.tolist()):
         accs = [sum(c * k ** i for i, c in enumerate(coeffs, start=1)) % (1 << s)
                 for k in pat.indices]
-        gap, E, want, oracle_pos = _cap_oracle(list(zip(lead.nums, accs)), b, s)
+        gap, E, want, oracle_pos = _cap_oracle(list(zip(lead.nums, accs)), b, s, w)
         assert q == oracle_pos and cap == want
         spec = PolySeqSpec(degree, leading, tuple(Fraction(x, 1 << s) for x in coeffs))
         assert [Fraction(x, D) for x in row] == [spec.value_at(k) for k in pat.indices]
@@ -934,7 +989,7 @@ def test_candidate_gaps_keeps_rows_whose_cap_reaches_their_floor():
     rng = np.random.default_rng(5)
     u = rng.integers(0, 1 << s, size=(400, 1), dtype=np.uint64)
     oracle = [_cap_oracle([(r, x * k % (1 << s)) for r, k in zip(lead.nums, pat.indices)],
-                          universe, s) for x in u[:, 0].tolist()]
+                          universe, s, 64) for x in u[:, 0].tolist()]
     caps = [o[2] for o in oracle]
     # floors at, just above and just below each cap, at the gap, and 0
     floors = [[cap, cap + 1, cap - 1, gap, 0][i % 5]
@@ -1197,6 +1252,26 @@ def test_calibration_logs_attempts_and_stops_early():
                              epsilon_target=1e-9)
     assert not cal2.achieved and len(cal2.attempts) == 3
     assert cal2.epsilon_min == min(w for _, w in cal2.attempts)
+
+
+@pytest.mark.parametrize("n, w, gap, coeffs, sorted_rows", [
+    (64, 16, (481400609717074162, 2305843009213865984), ((3728, 13), (3182, 13)), 6_596),
+    (16, 32, (1341350530537824704, 2305843017266757632),
+     ((81940788, 29), (244706484, 29)), 6_197),
+    (13, 32, (2267418595712911472, 3503536846346911744),
+     ((274699740, 32), (1742889869, 32)), 7_631),
+], ids=["n64-s13-w16", "n16-s29-w32", "n13-s32-w32"])
+def test_calibration_work_counters_at_each_word(n, w, gap, coeffs, sorted_rows):
+    # calibration in the narrow words, p = 3 (s = 13, 29 and 32): the
+    # witness and the work counters, read when the kernel ran every word in
+    # uint64, which the reports leave out
+    universe = bertrand_prime(n, 3)
+    cal = calibrate_sampled(n, 3, universe, seed=0, n_samples=30_000, retries=3)
+    kernel = patterns._ExactKernel(cal.pattern, Fraction(1, universe), 3)
+    assert kernel.word == np.dtype(f"uint{w}")
+    assert cal.report.worst_gap_exact == gap
+    assert cal.report.worst_coeffs_exact == coeffs
+    assert (cal.kernel_rows, cal.sorted_rows) == (90_000, sorted_rows)
 
 
 @pytest.mark.parametrize("gaps, best", [((((1 << 53) + 1, 1 << 54), (1, 2)), 1),
