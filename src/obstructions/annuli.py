@@ -75,23 +75,6 @@ def _dist_to_z(values: np.ndarray) -> np.ndarray:
     return np.abs(values - np.rint(values))
 
 
-# numpy sums a row of fewer than 8 floats left to right, and pairs the
-# terms of a longer one
-_SEQUENTIAL_SUM = 7
-
-
-def _row_sums(a: np.ndarray) -> np.ndarray:
-    """a.sum(axis=1) bit for bit for a 2-D float array: its columns added
-    left to right to +0, which is numpy's order and costs a fraction of its
-    reduction over a narrow axis, up to 7 columns; numpy's sum beyond."""
-    if a.shape[1] > _SEQUENTIAL_SUM:
-        return a.sum(axis=1)
-    total = a[:, 0] + 0.0
-    for j in range(1, a.shape[1]):
-        total += a[:, j]
-    return total
-
-
 def member(spec: AnnulusSpec, x: Sequence[float]) -> bool:
     """Membership predicate; float ties resolve toward non-membership."""
     return bool(members(spec, np.asarray(x, dtype=float)[None, :])[0])
@@ -109,7 +92,7 @@ def members(spec: AnnulusSpec, points: np.ndarray) -> np.ndarray:
     for _ in range(spec.exponent - 2):
         powers *= pts
     if spec.parity == "even":
-        return _dist_to_z(_row_sums(powers)) < w
+        return _dist_to_z(powers.sum(axis=1)) < w
     ok = np.ones(len(pts), dtype=bool)
     # sigma and -sigma give negated sums at the same distance to Z, so
     # sigma_1 = +1 covers all 2^d sign vectors

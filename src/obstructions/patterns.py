@@ -432,9 +432,12 @@ class _ExactKernel:
                               for E in range(_BUCKETS + 1)], dtype=np.uint64)
         # scratch reused by every block, each (n, rows): the positions, the
         # bucket bits and, from degree 3 on, one term of the
-        # multiply-accumulate
+        # multiply-accumulate. The positions sit at the front of a uint64
+        # buffer of that shape, which also backs the uint64 scratch of the
+        # kept rows once their positions are gathered
         shape = (self.n, self.rows)
-        self.pos = np.empty(shape, dtype=self.word)
+        self.buffer = np.empty(shape, dtype=np.uint64)
+        self.pos = np.ndarray(shape, self.word, buffer=self.buffer)
         self.bits = np.empty(shape, dtype=np.uint16)
         self.term = np.empty(shape, dtype=self.word) if degree > 2 else None
 
@@ -496,18 +499,14 @@ class _ExactKernel:
         one gathered copy of their positions. That copy is column-major
         (each row's points contiguous, as the sort along points wants), and
         so is the scratch that ``exact`` and the gaps between neighbours
-        use: a view of the positions scratch, no longer needed, when the
-        word is uint64, else an array of its own."""
+        use, a view of the buffer behind the positions, no longer needed."""
         pos = self.positions(u)
         bounds = self.row_caps(pos, self.bits[:, :u.shape[0]])
         keep = np.flatnonzero(bounds >= floor)
         if not len(keep):
             return keep, bounds
         kept = pos[:, keep]
-        if self.word == np.uint64:
-            scratch = np.ndarray(kept.shape, np.uint64, buffer=self.pos, order="F")
-        else:
-            scratch = np.empty(kept.shape, np.uint64, order="F")
+        scratch = np.ndarray(kept.shape, np.uint64, buffer=self.buffer, order="F")
         kept = self.exact(kept, scratch)
         kept.sort(axis=0)
         # the wrap gap D - last + first, which lies in (0, D]; initial=0

@@ -66,27 +66,6 @@ def test_members_vectorized_consistency():
     assert all(vec[i] == member(spec, pts[i]) for i in range(len(pts)))
 
 
-@pytest.mark.parametrize("d", range(1, 13))
-def test_row_sums_match_numpy_sum_bit_for_bit(d):
-    # even-p membership sums each row with _row_sums, which adds columns
-    # left to right up to 7 of them: the bits of numpy's sum over axis 1 at
-    # every width, on rows of powers spread over 40 binary orders, so that
-    # another order of the adds would round differently. Past 7 columns
-    # numpy pairs the terms, and column adds would not give its bits.
-    rng = np.random.default_rng(d)
-    rows = (rng.random((100_000, d)) * 50) ** 2
-    rows *= np.exp2(rng.integers(-20, 20, size=rows.shape))
-    # numpy's sum starts from +0, so a row of -0s sums to +0
-    rows[0] = -0.0
-    rows[1, 0] = -0.0
-    want = rows.sum(axis=1)
-    assert (annuli._row_sums(rows).view(np.uint64) == want.view(np.uint64)).all()
-    total = rows[:, 0] + 0.0
-    for j in range(1, d):
-        total += rows[:, j]
-    assert (total.view(np.uint64) == want.view(np.uint64)).all() == (d <= 7)
-
-
 def product_power(x, p):
     """x^p as the p - 1 left-to-right products ((x x) x) ... x."""
     powers = x * x
