@@ -36,7 +36,6 @@ from .patterns import (
     Pattern,
     PolySeqSpec,
     bertrand_prime,
-    block_rows,
     build_nets,
     calibrate_sampled,
     elementary_pattern,
@@ -207,13 +206,14 @@ def _int_list(token: str) -> list:
             f"{token!r} is not a comma-separated list of integers") from None
 
 
-def _scan_counters(cells: int, kernel_rows: int, sorted_rows: int, n: int,
-                   seconds: float) -> dict:
+def _scan_counters(cells: int, kernel_rows: int, sorted_rows: int,
+                   block_rows: int, seconds: float) -> dict:
     """Volatile counters of an exact gap scan, for the report's meta block:
     kernel_rows counts the cells the kernel evaluated, sorted_rows those
-    whose exact gap it computed."""
+    whose exact gap it computed, block_rows the scan's rows per kernel
+    block."""
     return {"cells": cells, "kernel_rows": kernel_rows, "sorted_rows": sorted_rows,
-            "block_rows": block_rows(n),
+            "block_rows": block_rows,
             "cells_per_s": cells / seconds if seconds > 0 else None}
 
 
@@ -266,8 +266,10 @@ def _cmd_construct(args) -> int:
         epsilon_verified = float_up(Fraction(*cal.report.worst_gap_exact))
         reports["calibration"] = cal.to_dict()
         passed = cal.achieved
+        # every attempt has the same n, universe and degree, hence word and
+        # block rows
         counters = _scan_counters(len(cal.attempts) * cal.n_samples, cal.kernel_rows,
-                                  cal.sorted_rows, pattern.n,
+                                  cal.sorted_rows, cal.report.block_rows,
                                   time.perf_counter() - t_scan)
     elif args.epsilon is not None:
         rep = verify_hitting_sampled(
@@ -323,8 +325,8 @@ def _cmd_verify(args) -> int:
         rep = verify_hitting_sampled(pattern, leading, degree, float(epsilon),
                                      n_samples=args.samples, seed=args.seed)
         reports = {"hitting": rep.to_dict()}
-    counters = _scan_counters(rep.tested, rep.kernel_rows, rep.sorted_rows, pattern.n,
-                              time.perf_counter() - t_scan)
+    counters = _scan_counters(rep.tested, rep.kernel_rows, rep.sorted_rows,
+                              rep.block_rows, time.perf_counter() - t_scan)
     config = {
         "pattern": args.pattern, "method": args.method, "epsilon": epsilon,
         "samples": args.samples, "seed": args.seed,

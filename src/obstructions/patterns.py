@@ -331,18 +331,19 @@ def _scale_bits(denominator: int) -> int:
     return s
 
 
-# a block of the exact kernel is sized so that one of its (n, rows) uint64
-# arrays is about this many bytes, small enough that the kernel's scratch
-# and tiles stay in cache across the block's stages
+# a block of the exact kernel is sized so that one of its (n, rows) arrays
+# in the kernel's word is about this many bytes, small enough that the
+# kernel's scratch and tiles stay in cache across the block's stages
 _BLOCK_BYTES = 1 << 18
 
 # buckets per row of the gap bound; a row's occupancy fits in 16 bits
 _BUCKETS = 16
 
 
-def block_rows(n: int) -> int:
-    """Coefficient rows per kernel block for an n-point pattern."""
-    return max(1, _BLOCK_BYTES // (8 * n))
+def block_rows(n: int, itemsize: int = 8) -> int:
+    """Coefficient rows per kernel block for an n-point pattern whose
+    positions are words of itemsize bytes (8, uint64, by default)."""
+    return max(1, _BLOCK_BYTES // (itemsize * n))
 
 
 @functools.cache
@@ -368,9 +369,13 @@ class _ExactKernel:
     r_k/b is the leading term's residue and acc_k = sum_i u_i k^i mod 2^s;
     its exact numerator over D = b * 2^s is (r_k 2^s + b acc_k) mod D. A
     block is laid out point-major, one (n, rows) array per stage, so every
-    elementwise pass runs along rows; the per-point constants the passes
-    over the whole block read are stored as full (n, rows) tiles, and those
-    the kept rows read as (n, 1) columns.
+    elementwise pass runs along rows, and has ``rows = block_rows(n,
+    itemsize)`` rows, so that one such array in the word (below) is about
+    _BLOCK_BYTES: 2,048 rows at n = 64 in uint16, 512 in uint64. The
+    per-point constants the passes over the whole block read are stored as
+    full (n, rows) tiles, and those the kept rows read as (n, 1) columns.
+    ``block`` is the pass over every row of a block (positions and caps);
+    ``gaps`` then sorts chosen rows of that block, as often as asked.
 
     Positions live in the word: w bits, the smallest of 16, 32 and 64 that
     is at least s (s >= 8), and ``word`` is its unsigned dtype. Every row of
@@ -407,9 +412,9 @@ class _ExactKernel:
         self.s = _scale_bits(b)
         self.denominator = b << self.s
         self.n = len(ks)
-        self.rows = block_rows(self.n)
         w = next(w for w in (16, 32, 64) if w >= self.s)
         self.word = np.dtype(f"uint{w}")
+        self.rows = block_rows(self.n, self.word.itemsize)
         # every scalar of a pass over the word is of the word's type, so
         # that numpy keeps the pass in the word
         self.shift = self.word.type(w - self.s)
@@ -430,16 +435,16 @@ class _ExactKernel:
         self.big = np.uint64(self.denominator)
         self.caps = np.array([(E + 2) * (self.denominator >> 4) - 1
                               for E in range(_BUCKETS + 1)], dtype=np.uint64)
-        # scratch reused by every block, each (n, rows): the positions, the
-        # bucket bits and, from degree 3 on, one term of the
-        # multiply-accumulate. The positions sit at the front of a uint64
-        # buffer of that shape, which also backs the uint64 scratch of the
-        # kept rows once their positions are gathered
+        # scratch reused by every block, each (n, rows): the positions, in
+        # the word, and one uint64 buffer that backs in turn the block pass's
+        # term of the multiply-accumulate (from degree 3 on, in the word),
+        # its bucket bits (uint16), each dead once the next stage has run,
+        # and the uint64 scratch of the kept rows in ``gaps``
         shape = (self.n, self.rows)
-        self.buffer = np.empty(shape, dtype=np.uint64)
-        self.pos = np.ndarray(shape, self.word, buffer=self.buffer)
-        self.bits = np.empty(shape, dtype=np.uint16)
-        self.term = np.empty(shape, dtype=self.word) if degree > 2 else None
+        self.pos = np.empty(shape, dtype=self.word)
+        self.wide = np.empty(shape, dtype=np.uint64)
+        self.term = np.ndarray(shape, self.word, buffer=self.wide) if degree > 2 else None
+        self.bits = np.ndarray(shape, np.uint16, buffer=self.wide)
 
     def positions(self, u: np.ndarray) -> np.ndarray:
         """The positions pos_k (see the class) of the points of every row of
@@ -489,31 +494,42 @@ class _ExactKernel:
         np.minimum(vals, scratch, out=vals)
         return vals
 
-    def candidate_gaps(self, u: np.ndarray, floor):
-        """(keep, bounds): the indices of the rows of u whose cap is at least
-        floor (an int, or an array with one floor per row), and an upper
-        bound on every row's max-gap numerator over D, as uint64: the exact
-        gap for a kept row, its cap for any other. A row left out has a gap
-        below its floor, so a row whose gap reaches its floor is always
-        kept. Only the rows kept get exact numerators, built and sorted from
-        one gathered copy of their positions. That copy is column-major
-        (each row's points contiguous, as the sort along points wants), and
-        so is the scratch that ``exact`` and the gaps between neighbours
-        use, a view of the buffer behind the positions, no longer needed."""
+    def block(self, u: np.ndarray) -> np.ndarray:
+        """The block pass over the rows of u (at most self.rows): the caps
+        of every row, as uint64, an upper bound on its max-gap numerator
+        over D. The rows' positions stay in the positions scratch for
+        ``gaps`` until the next block."""
         pos = self.positions(u)
-        bounds = self.row_caps(pos, self.bits[:, :u.shape[0]])
-        keep = np.flatnonzero(bounds >= floor)
-        if not len(keep):
-            return keep, bounds
-        kept = pos[:, keep]
-        scratch = np.ndarray(kept.shape, np.uint64, buffer=self.buffer, order="F")
+        return self.row_caps(pos, self.bits[:, :u.shape[0]])
+
+    def gaps(self, keep: np.ndarray) -> np.ndarray:
+        """The exact max-gap numerators over D, as uint64, of the rows keep
+        (indices) of the last block, built and sorted from one gathered copy
+        of their positions; the positions are left as they are. That copy is
+        column-major (each row's points contiguous, as the sort along points
+        wants), and so is the scratch that ``exact`` and the gaps between
+        neighbours use, a view of the front of ``wide``."""
+        kept = self.pos[:, keep]
+        scratch = np.ndarray(kept.shape, np.uint64, buffer=self.wide, order="F")
         kept = self.exact(kept, scratch)
         kept.sort(axis=0)
         # the wrap gap D - last + first, which lies in (0, D]; initial=0
         # covers one-point patterns, whose only gap is the wrap
         wrap = kept[0] - kept[-1] + self.big
         inner = np.subtract(kept[1:], kept[:-1], out=scratch[1:])
-        bounds[keep] = np.maximum(inner.max(axis=0, initial=0), wrap)
+        return np.maximum(inner.max(axis=0, initial=0), wrap)
+
+    def candidate_gaps(self, u: np.ndarray, floor):
+        """(keep, bounds): the indices of the rows of u whose cap is at least
+        floor (an int, or an array with one floor per row), and an upper
+        bound on every row's max-gap numerator over D, as uint64: the exact
+        gap for a kept row, its cap for any other. A row left out has a gap
+        below its floor, so a row whose gap reaches its floor is always
+        kept. ``block`` then ``gaps`` of the kept rows."""
+        bounds = self.block(u)
+        keep = np.flatnonzero(bounds >= floor)
+        if len(keep):
+            bounds[keep] = self.gaps(keep)
         return keep, bounds
 
 
@@ -521,37 +537,68 @@ class _Scan:
     """One exact scan: its best (gap, coefficient tuple) so far, the cells
     it certified, the rows it sent to the kernel and those it sorted, and a
     one-block queue of rows for the kernel. The best starts at (0, ()):
-    every gap numerator is at least 1, so every row outranks it."""
+    every gap numerator is at least 1, so every row outranks it.
 
-    def __init__(self, kernel: _ExactKernel):
+    rows is the scan's block size, the kernel's by default. A net passes
+    the uint64 size ``block_rows(n)`` at every word for its segments and
+    queue: its stride is set once a segment and its floor once a block, so
+    longer blocks would send it more cells (at s = 13, a net of 8,192 cells
+    ran every cell at stride 1)."""
+
+    def __init__(self, kernel: _ExactKernel, rows: Optional[int] = None):
         self.kernel = kernel
+        self.rows = rows or kernel.rows
         self.best = (0, ())
         self.cells = self.kernel_rows = self.sorted_rows = 0
-        self.queue = np.empty((kernel.rows, len(kernel.kpows)), dtype=np.uint64)
+        self.queue = np.empty((self.rows, len(kernel.kpows)), dtype=np.uint64)
         self.queued = 0
 
-    def evaluate(self, u: np.ndarray) -> np.ndarray:
-        """Runs the kernel on the rows of u (at most kernel.rows) with the
-        best gap as floor, keeps the best, and returns the rows' gap bounds
-        (``candidate_gaps``). A row that ties the best is sorted too, and
-        ties go to the smallest coefficient tuple."""
-        keep, bounds = self.kernel.candidate_gaps(u, self.best[0])
-        self.kernel_rows += u.shape[0]
+    def keep_best(self, u: np.ndarray, keep: np.ndarray, gaps: np.ndarray) -> None:
+        """Counts the rows keep of u as sorted and keeps the best of them,
+        given their exact gaps; ties go to the smallest coefficient tuple."""
         self.sorted_rows += len(keep)
         if len(keep):
-            gaps = bounds[keep]
             gap = gaps.max()
             top = keep[gaps == gap]
             if len(top) > 1 and u.shape[1]:
                 top = top[np.lexsort(u[top].T[::-1])]
             found = (int(gap), tuple(int(x) for x in u[top[0]]))
             self.best = max(self.best, found, key=_rank)
+
+    def evaluate(self, u: np.ndarray) -> np.ndarray:
+        """Runs the kernel on the rows of u (at most self.rows) with the
+        best gap as floor, keeps the best, and returns the rows' gap bounds
+        (``candidate_gaps``). A row that ties the best is sorted too."""
+        keep, bounds = self.kernel.candidate_gaps(u, self.best[0])
+        self.kernel_rows += u.shape[0]
+        self.keep_best(u, keep, bounds[keep])
         return bounds
+
+    def run(self, u: np.ndarray) -> None:
+        """Runs the kernel on the rows of u (at most self.rows), where no
+        caller reads their bounds: the rows whose cap is the block's largest
+        are sorted first, which raises the floor to max(best, their max
+        gap), and then only the other rows whose cap reaches that floor. A
+        row left out has gap <= cap < floor <= the block's max gap, so it is
+        neither the block's best nor tied with it, and the best is that of
+        ``evaluate``."""
+        caps = self.kernel.block(u)
+        self.kernel_rows += u.shape[0]
+        keep = np.flatnonzero(caps >= self.best[0])
+        if not len(keep):
+            return
+        caps = caps[keep]
+        top = caps.max()
+        first = keep[caps == top]
+        self.keep_best(u, first, self.kernel.gaps(first))
+        rest = keep[(caps >= self.best[0]) & (caps < top)]
+        if len(rest):
+            self.keep_best(u, rest, self.kernel.gaps(rest))
 
     def certify(self, u: np.ndarray) -> None:
         """Certifies every row of u by running the kernel on it."""
         self.cells += u.shape[0]
-        self.evaluate(u)
+        self.run(u)
 
     def submit(self, u: np.ndarray) -> None:
         """Queues the rows of u, running the kernel on the queue each time
@@ -567,7 +614,7 @@ class _Scan:
     def flush(self) -> None:
         """Runs the kernel on the queued rows."""
         if self.queued:
-            self.evaluate(self.queue[:self.queued])
+            self.run(self.queue[:self.queued])
             self.queued = 0
 
     def witness(self) -> dict:
@@ -581,7 +628,8 @@ class _Scan:
                     worst_gap_exact=(gap, self.kernel.denominator),
                     worst_coeffs_exact=tuple((u, self.kernel.s) for u in coeffs),
                     sorted_rows=self.sorted_rows,
-                    kernel_rows=self.kernel_rows)
+                    kernel_rows=self.kernel_rows,
+                    block_rows=self.rows)
 
 
 # the longest stride between two coarse cells of the net scan
@@ -618,16 +666,15 @@ class _Cone:
 
     ``scan`` walks each run in segments, at the stride m its best allows
     when the segment starts. A segment's coarse cells are every m-th from
-    its first, plus its last, min(first + (kernel.rows - 1) m, size - 1)
-    with size the last grid's, at most kernel.rows of them, and go to the
-    kernel in one block. The interior
-    cells whose cone reaches the best are queued and sent to the kernel in
-    full blocks. The stride is m = clamp(floor((2 best - 3D/8) / lip), 1,
-    64), which is 1 while the best is 0, before any row is scanned: a
-    coarse row whose longest empty bucket run is one bucket has
-    cap 3D/16 - 1, and the cone of two such rows m steps apart peaks at
-    about 3D/16 + lip m/2 <= best. Only the number of kernel rows depends
-    on m.
+    its first, plus its last, min(first + (rows - 1) m, size - 1) with
+    rows the scan's and size the last grid's, at most rows of them, and go
+    to the kernel in one block. The interior cells whose cone reaches the
+    best are queued and sent to the kernel in full blocks. The stride is
+    m = clamp(floor((2 best - 3D/8) / lip), 1, 64), which is 1 while the
+    best is 0, before any row is scanned: a coarse row whose longest empty
+    bucket run is one bucket has cap 3D/16 - 1, and the cone of two such
+    rows m steps apart peaks at about 3D/16 + lip m/2 <= best. Only the
+    number of kernel rows depends on m.
 
     Headroom. Interior cells exist only at m >= 2, where lip m <= 2 best -
     3D/8 <= 13D/8 (best <= D), so lip < D. ``interior`` never forms a cone
@@ -694,7 +741,7 @@ class _Cone:
             first = 0
             while first < self.run:
                 m = self.stride(scan.best[0])
-                last = min(first + (self.kernel.rows - 1) * m, self.run - 1)
+                last = min(first + (scan.rows - 1) * m, self.run - 1)
                 # first, first + m, first + 2m, ... and the last cell
                 ts = np.arange(first, last + m, m, dtype=np.uint64)
                 ts[-1] = last
@@ -737,11 +784,12 @@ class HittingReport:
     slack: float = 0.0
     epsilon_guaranteed: Optional[float] = None
     seed: Optional[int] = None
-    # rows the kernel evaluated, and those whose exact gap it computed:
-    # work counters, neither compared nor emitted here (the CLI shows them
-    # in meta.counters)
+    # rows the kernel evaluated, those whose exact gap it computed, and the
+    # rows per kernel block: work counters, neither compared nor emitted
+    # here (the CLI shows them in meta.counters)
     kernel_rows: Optional[int] = field(default=None, compare=False)
     sorted_rows: Optional[int] = field(default=None, compare=False)
+    block_rows: Optional[int] = field(default=None, compare=False)
 
     @property
     def worst_gap(self) -> float:
@@ -795,7 +843,7 @@ def verify_hitting_net(pattern: Pattern, leading: Fraction, degree: int,
     if (nets.degree, nets.universe, nets.scale_bits) != (degree, pattern.universe, kernel.s):
         raise ValueError("net spec does not match the pattern")
     cone = _Cone(kernel, pattern, nets)
-    scan = _Scan(kernel)
+    scan = _Scan(kernel, block_rows(kernel.n))
     cone.scan(scan)
     found = scan.witness()
     gap = Fraction(*found["worst_gap_exact"])
@@ -832,10 +880,12 @@ def verify_hitting_sampled(pattern: Pattern, leading: Fraction, degree: int,
     rng = np.random.default_rng(seed)
     kernel = _ExactKernel(pattern, leading, degree)
     scan = _Scan(kernel)
-    # one block drawn at a time, certified before the next is drawn
-    for lo in range(0, n_samples, kernel.rows):
+    # one block drawn at a time, certified before the next is drawn; the
+    # generator draws element by element, so the stream, and the witness,
+    # do not depend on the block size
+    for lo in range(0, n_samples, scan.rows):
         scan.certify(rng.integers(0, 1 << kernel.s, dtype=np.uint64,
-                                  size=(min(kernel.rows, n_samples - lo), degree - 1)))
+                                  size=(min(scan.rows, n_samples - lo), degree - 1)))
     found = scan.witness()
     return HittingReport(
         mode="sampled",

@@ -171,8 +171,18 @@ def test_scan_counters_in_meta(tmp_path):
     # cone skips most cells
     assert cal["meta"]["counters"]["kernel_rows"] == 2 * 300
     assert net["meta"]["counters"]["kernel_rows"] < net["meta"]["counters"]["cells"]
-    for field in ("sorted_rows", "kernel_rows"):
+    for field in ("sorted_rows", "kernel_rows", "block_rows"):
         assert field not in net["reports"]["hitting"]
+    # n = 64, p = 3 has s = 13: the kernel runs in uint16, in blocks of
+    # 2^18 / (2 * 64) rows, and the counter gives those rows
+    code, cal64 = run(["construct", "--mode", "thinned", "--n", "64", "--p", "3",
+                       "--calibrate", "--retries", "2", "--samples", "3000",
+                       "--pattern-out", str(tmp_path / "pat64.json")], tmp_path, "cal64.json")
+    assert code == 0
+    counters = cal64["meta"]["counters"]
+    assert counters["block_rows"] == block_rows(64, 2) == 2048
+    assert counters["kernel_rows"] == counters["cells"] == 2 * 3000
+    assert 0 < counters["sorted_rows"] <= counters["kernel_rows"]
 
 
 def test_verify_net_threads_deterministic(tmp_path):

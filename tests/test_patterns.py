@@ -356,13 +356,13 @@ def _record_kernel_rows(monkeypatch) -> list:
     """A list that collects, from here on, every coefficient row the exact
     kernel evaluates."""
     rows = []
-    candidate_gaps = patterns._ExactKernel.candidate_gaps
+    block = patterns._ExactKernel.block
 
-    def recording(kernel, u, floor):
+    def recording(kernel, u):
         rows.extend(map(tuple, u.tolist()))
-        return candidate_gaps(kernel, u, floor)
+        return block(kernel, u)
 
-    monkeypatch.setattr(patterns._ExactKernel, "candidate_gaps", recording)
+    monkeypatch.setattr(patterns._ExactKernel, "block", recording)
     return rows
 
 
@@ -799,11 +799,11 @@ def test_scan_keeps_few_blocks_in_flight(monkeypatch):
     monkeypatch.setattr(patterns, "_BLOCK_BYTES", 8 * pat.n * 50)
     want = verify_hitting_sampled(pat, leading, 2, 0.9, 300 * 50, seed=7)
     count = {"drawn": 0, "finished": 0, "peak": 0}
-    candidate_gaps = patterns._ExactKernel.candidate_gaps
+    block = patterns._ExactKernel.block
     default_rng = np.random.default_rng
 
-    def counting_gaps(kernel, u, floor):
-        found = candidate_gaps(kernel, u, floor)
+    def counting_blocks(kernel, u):
+        found = block(kernel, u)
         count["finished"] += 1
         return found
 
@@ -816,7 +816,7 @@ def test_scan_keeps_few_blocks_in_flight(monkeypatch):
             count["peak"] = max(count["peak"], count["drawn"] - count["finished"])
             return self.rng.integers(*args, **kwargs)
 
-    monkeypatch.setattr(patterns._ExactKernel, "candidate_gaps", counting_gaps)
+    monkeypatch.setattr(patterns._ExactKernel, "block", counting_blocks)
     monkeypatch.setattr(np.random, "default_rng", CountingRng)
     rep = verify_hitting_sampled(pat, leading, 2, 0.9, 300 * 50, seed=7)
     assert rep.tested == 300 * 50 == rep.kernel_rows
@@ -825,6 +825,76 @@ def test_scan_keeps_few_blocks_in_flight(monkeypatch):
     # counting changes nothing the verifier reports
     assert rep.to_dict() == want.to_dict()
     assert (rep.kernel_rows, rep.sorted_rows) == (want.kernel_rows, want.sorted_rows)
+
+
+def _every_row_witness(kernel, blocks) -> tuple:
+    """The best (gap, coefficients), by _rank, of every row of the blocks,
+    each row's exact gap from the kernel at floor 0."""
+    found = [max(zip(kernel.candidate_gaps(u, 0)[1].tolist(), map(tuple, u.tolist())),
+                 key=patterns._rank) for u in blocks]
+    return max(found, key=patterns._rank)
+
+
+@pytest.mark.parametrize("universe, n", [(_NARROW[0][1], 64), (_NARROW[3][1], 16),
+                                         (257, 12)], ids=["s13-w16", "s29-w32", "s53-w64"])
+def test_block_size_does_not_change_sampled_reports(monkeypatch, universe, n):
+    # blocks of 2^12, 2^18 and 2^20 bytes in the word cut one drawn stream
+    # in different places: the report and kernel_rows stay the same, and
+    # the witness is the best, by _rank, of every drawn row's exact gap
+    pat = thin_pattern(n, universe, seed=3)
+    leading = Fraction(1, universe)
+    samples, seed = 5_000, 17
+    reports = []
+    for block_bytes in (1 << 12, 1 << 18, 1 << 20):
+        monkeypatch.setattr(patterns, "_BLOCK_BYTES", block_bytes)
+        kernel = patterns._ExactKernel(pat, leading, 3)
+        rep = verify_hitting_sampled(pat, leading, 3, 0.5, samples, seed=seed)
+        assert rep.block_rows == kernel.rows == block_bytes // (kernel.word.itemsize * n)
+        assert rep.kernel_rows == samples and rep.sorted_rows < samples
+        reports.append(rep)
+    for rep in reports[1:]:
+        assert rep.to_dict() == reports[0].to_dict()
+    u = np.random.default_rng(seed).integers(0, 1 << kernel.s, size=(samples, 2),
+                                             dtype=np.uint64)
+    gap, coeffs = _every_row_witness(kernel, [u[lo:lo + kernel.rows]
+                                              for lo in range(0, samples, kernel.rows)])
+    assert reports[0].worst_gap_exact == (gap, kernel.denominator)
+    assert reports[0].worst_coeffs_exact == tuple((x, kernel.s) for x in coeffs)
+
+
+@pytest.mark.parametrize("universe", [_NARROW[0][1], _NARROW[3][1], 257],
+                         ids=["s13-w16", "s29-w32", "s53-w64"])
+def test_top_cap_class_first_keeps_the_best_and_its_ties(universe):
+    # patterns of 3 to 12 points have coarse caps, so a block's top cap
+    # class often misses its max gap; sorting that class first and then
+    # only the rows whose cap reaches the raised floor still gives the
+    # witness of every row, of each block scanned alone (at floor 0) and of
+    # all blocks in one scan, and a one-point pattern, where every row
+    # ties, gives the smallest row
+    leading = Fraction(1, universe)
+    rng = np.random.default_rng(29)
+    misses = 0
+    for n in range(3, 13):
+        pat = thin_pattern(n, universe, seed=n)
+        kernel = patterns._ExactKernel(pat, leading, 3)
+        blocks = np.array_split(rng.integers(0, 1 << kernel.s, size=(3_000, 2),
+                                             dtype=np.uint64), 30)
+        for u in blocks:
+            caps = kernel.block(u)
+            gaps = kernel.candidate_gaps(u, 0)[1]
+            misses += gaps[caps == caps.max()].max() < gaps.max()
+        for scanned in [[u] for u in blocks] + [blocks]:
+            found = _scan_sampled(kernel, scanned)
+            gap, coeffs = _every_row_witness(kernel, scanned)
+            assert found["worst_gap_exact"] == (gap, kernel.denominator)
+            assert found["worst_coeffs_exact"] == tuple((x, kernel.s) for x in coeffs)
+        assert found["sorted_rows"] < found["kernel_rows"] == found["tested"] == 3_000
+    assert misses > 0
+    kernel = patterns._ExactKernel(Pattern((5,), universe), leading, 3)
+    u = rng.integers(0, 1 << kernel.s, size=(500, 2), dtype=np.uint64)
+    found = _scan_sampled(kernel, np.array_split(u, 7))
+    assert found["worst_gap_exact"] == (kernel.denominator,) * 2
+    assert found["worst_coeffs_exact"] == tuple((x, kernel.s) for x in min(map(tuple, u.tolist())))
 
 
 def test_narrow_universes_choose_the_narrowest_word():
@@ -1094,7 +1164,7 @@ def test_sampled_ties_go_to_the_smallest_coefficients():
     # witness is the lexicographically smallest row of the whole stream,
     # which is the same however it is cut into blocks
     pat = Pattern((3,), 11)
-    samples = patterns.block_rows(1) + 5
+    samples = patterns._ExactKernel(pat, Fraction(1, 11), 3).rows + 5
     rep = verify_hitting_sampled(pat, Fraction(1, 11), 3, 0.5, samples, seed=7)
     s = rep.worst_coeffs_exact[0][1]
     drawn = np.random.default_rng(7).integers(0, 1 << s, size=(samples, 2),
@@ -1255,20 +1325,23 @@ def test_calibration_logs_attempts_and_stops_early():
 
 
 @pytest.mark.parametrize("n, w, gap, coeffs, sorted_rows", [
-    (64, 16, (481400609717074162, 2305843009213865984), ((3728, 13), (3182, 13)), 6_596),
+    (64, 16, (481400609717074162, 2305843009213865984), ((3728, 13), (3182, 13)), 4_581),
     (16, 32, (1341350530537824704, 2305843017266757632),
-     ((81940788, 29), (244706484, 29)), 6_197),
+     ((81940788, 29), (244706484, 29)), 56),
     (13, 32, (2267418595712911472, 3503536846346911744),
-     ((274699740, 32), (1742889869, 32)), 7_631),
+     ((274699740, 32), (1742889869, 32)), 19),
 ], ids=["n64-s13-w16", "n16-s29-w32", "n13-s32-w32"])
 def test_calibration_work_counters_at_each_word(n, w, gap, coeffs, sorted_rows):
     # calibration in the narrow words, p = 3 (s = 13, 29 and 32): the
-    # witness and the work counters, read when the kernel ran every word in
-    # uint64, which the reports leave out
+    # witness and kernel_rows, read when the kernel ran every word in uint64
+    # in blocks of uint64 size, and sorted_rows, read with the blocks sized
+    # in the word and their top cap class sorted first (the reports leave
+    # the counters out)
     universe = bertrand_prime(n, 3)
     cal = calibrate_sampled(n, 3, universe, seed=0, n_samples=30_000, retries=3)
     kernel = patterns._ExactKernel(cal.pattern, Fraction(1, universe), 3)
     assert kernel.word == np.dtype(f"uint{w}")
+    assert cal.report.block_rows == kernel.rows == patterns.block_rows(n, w // 8)
     assert cal.report.worst_gap_exact == gap
     assert cal.report.worst_coeffs_exact == coeffs
     assert (cal.kernel_rows, cal.sorted_rows) == (90_000, sorted_rows)
