@@ -499,7 +499,7 @@ def no_copy_check(spec: AnnulusSpec, pattern: Pattern, leading: Fraction,
     A copy inside the set would put all its defining-function values mod 1
     into one interval of length 1-eps; a pattern whose gap stays below eps
     for every coefficient vector forbids that. Membership of every copy
-    point is evaluated directly (extended precision), and the polynomial
+    point is decided directly (extended precision), and the polynomial
     route is cross-checked; ``pattern_epsilon`` is the length the pattern
     was verified to hit and must not exceed the set's epsilon.
 

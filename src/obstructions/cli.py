@@ -209,7 +209,7 @@ def _int_list(token: str) -> list:
 def _scan_counters(cells: int, kernel_rows: int, sorted_rows: int,
                    block_rows: int, seconds: float) -> dict:
     """Volatile counters of an exact gap scan, for the report's meta block:
-    kernel_rows counts the cells the kernel evaluated, sorted_rows those
+    kernel_rows counts the cells sent to the kernel, sorted_rows those
     whose exact gap it computed, block_rows the scan's rows per kernel
     block."""
     return {"cells": cells, "kernel_rows": kernel_rows, "sorted_rows": sorted_rows,

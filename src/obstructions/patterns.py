@@ -151,7 +151,7 @@ def elementary_pattern(n: int):
 
 @dataclass(frozen=True)
 class PolySeqSpec:
-    """Polynomial A k^p + c_{p-1} k^{p-1} + ... + c_1 k evaluated mod 1.
+    """Polynomial A k^p + c_{p-1} k^{p-1} + ... + c_1 k taken mod 1.
 
     ``leading`` is the degree-p coefficient, an exact rational (a Fraction,
     or an int); ``lower`` holds the coefficients of k^1..k^{p-1} in
@@ -190,7 +190,7 @@ class PolySeqSpec:
 
         D is the lcm of every coefficient's denominator, and each numerator
         is the integer polynomial sum_i a_i k^i, a_i = num_i * (D / den_i),
-        evaluated by Horner's rule in Python ints and reduced into [0, D)
+        computed by Horner's rule in Python ints and reduced into [0, D)
         once.
         """
         coeffs = (*self.lower, self.leading)
@@ -375,7 +375,8 @@ class _ExactKernel:
     per-point constants the passes over the whole block read are stored as
     full (n, rows) tiles, and those the kept rows read as (n, 1) columns.
     ``block`` is the pass over every row of a block (positions and caps);
-    ``gaps`` then sorts chosen rows of that block, as often as asked.
+    ``gaps`` then sorts chosen rows of that block, as often as asked. Every
+    scan runs its blocks through both by ``_Scan.run``.
 
     Positions live in the word: w bits, the smallest of 16, 32 and 64 that
     is at least s (s >= 8), and ``word`` is its unsigned dtype. Every row of
@@ -519,25 +520,13 @@ class _ExactKernel:
         inner = np.subtract(kept[1:], kept[:-1], out=scratch[1:])
         return np.maximum(inner.max(axis=0, initial=0), wrap)
 
-    def candidate_gaps(self, u: np.ndarray, floor):
-        """(keep, bounds): the indices of the rows of u whose cap is at least
-        floor (an int, or an array with one floor per row), and an upper
-        bound on every row's max-gap numerator over D, as uint64: the exact
-        gap for a kept row, its cap for any other. A row left out has a gap
-        below its floor, so a row whose gap reaches its floor is always
-        kept. ``block`` then ``gaps`` of the kept rows."""
-        bounds = self.block(u)
-        keep = np.flatnonzero(bounds >= floor)
-        if len(keep):
-            bounds[keep] = self.gaps(keep)
-        return keep, bounds
-
 
 class _Scan:
     """One exact scan: its best (gap, coefficient tuple) so far, the cells
     it certified, the rows it sent to the kernel and those it sorted, and a
     one-block queue of rows for the kernel. The best starts at (0, ()):
-    every gap numerator is at least 1, so every row outranks it.
+    every gap numerator is at least 1, so every row outranks it. Every
+    block, sampled, queued or a net's coarse cells, goes through ``run``.
 
     rows is the scan's block size, the kernel's by default. A net passes
     the uint64 size ``block_rows(n)`` at every word for its segments and
@@ -554,46 +543,40 @@ class _Scan:
         self.queued = 0
 
     def keep_best(self, u: np.ndarray, keep: np.ndarray, gaps: np.ndarray) -> None:
-        """Counts the rows keep of u as sorted and keeps the best of them,
-        given their exact gaps; ties go to the smallest coefficient tuple."""
+        """Counts the rows keep of u (at least one) as sorted and keeps the
+        best of them, given their exact gaps; ties go to the smallest
+        coefficient tuple."""
         self.sorted_rows += len(keep)
+        gap = gaps.max()
+        top = keep[gaps == gap]
+        if len(top) > 1 and u.shape[1]:
+            top = top[np.lexsort(u[top].T[::-1])]
+        found = (int(gap), tuple(int(x) for x in u[top[0]]))
+        self.best = max(self.best, found, key=_rank)
+
+    def run(self, u: np.ndarray) -> np.ndarray:
+        """Runs the kernel on the rows of u (at most self.rows), keeps the
+        best, and returns an upper bound on every row's max-gap numerator
+        over D, as uint64: the exact gap of a row it sorted, the cap of any
+        other. The rows whose cap reaches the best and is the block's
+        largest are sorted first, which raises the floor to max(best, their
+        max gap), and then only the other rows whose cap reaches that floor.
+        A row left out has gap <= cap < floor <= the final best, so every
+        row whose gap reaches the best, a tie included, is sorted."""
+        bounds = self.kernel.block(u)
+        self.kernel_rows += u.shape[0]
+        keep = np.flatnonzero(bounds >= self.best[0])
         if len(keep):
-            gap = gaps.max()
-            top = keep[gaps == gap]
-            if len(top) > 1 and u.shape[1]:
-                top = top[np.lexsort(u[top].T[::-1])]
-            found = (int(gap), tuple(int(x) for x in u[top[0]]))
-            self.best = max(self.best, found, key=_rank)
-
-    def evaluate(self, u: np.ndarray) -> np.ndarray:
-        """Runs the kernel on the rows of u (at most self.rows) with the
-        best gap as floor, keeps the best, and returns the rows' gap bounds
-        (``candidate_gaps``). A row that ties the best is sorted too."""
-        keep, bounds = self.kernel.candidate_gaps(u, self.best[0])
-        self.kernel_rows += u.shape[0]
-        self.keep_best(u, keep, bounds[keep])
+            caps = bounds[keep]
+            top = caps.max()
+            first = keep[caps == top]
+            bounds[first] = self.kernel.gaps(first)
+            self.keep_best(u, first, bounds[first])
+            rest = keep[(caps >= self.best[0]) & (caps < top)]
+            if len(rest):
+                bounds[rest] = self.kernel.gaps(rest)
+                self.keep_best(u, rest, bounds[rest])
         return bounds
-
-    def run(self, u: np.ndarray) -> None:
-        """Runs the kernel on the rows of u (at most self.rows), where no
-        caller reads their bounds: the rows whose cap is the block's largest
-        are sorted first, which raises the floor to max(best, their max
-        gap), and then only the other rows whose cap reaches that floor. A
-        row left out has gap <= cap < floor <= the block's max gap, so it is
-        neither the block's best nor tied with it, and the best is that of
-        ``evaluate``."""
-        caps = self.kernel.block(u)
-        self.kernel_rows += u.shape[0]
-        keep = np.flatnonzero(caps >= self.best[0])
-        if not len(keep):
-            return
-        caps = caps[keep]
-        top = caps.max()
-        first = keep[caps == top]
-        self.keep_best(u, first, self.kernel.gaps(first))
-        rest = keep[(caps >= self.best[0]) & (caps < top)]
-        if len(rest):
-            self.keep_best(u, rest, self.kernel.gaps(rest))
 
     def certify(self, u: np.ndarray) -> None:
         """Certifies every row of u by running the kernel on it."""
@@ -656,7 +639,7 @@ class _Cone:
     last grid's step), so it moves any gap numerator over D = b 2^s by at
     most lip = spread_d w b, an integer, taken as at least 1. If coarse
     cells a < c < e of one run, r = c - a and span = e - a, have gap
-    bounds ub_a and ub_e (``candidate_gaps``: exact where the kernel sorted
+    bounds ub_a and ub_e (``_Scan.run``'s: exact where the kernel sorted
     the row, its cap otherwise), cell c's gap is at most
     min(ub_a + lip r, ub_e + lip (span - r)). A cell whose bound is below
     the scan's best gap cannot hold the witness, and is certified without
@@ -745,7 +728,7 @@ class _Cone:
                 # first, first + m, first + 2m, ... and the last cell
                 ts = np.arange(first, last + m, m, dtype=np.uint64)
                 ts[-1] = last
-                bounds = scan.evaluate(self.rows(run, ts))
+                bounds = scan.run(self.rows(run, ts))
                 scan.cells += last + 1 - first
                 if m > 1:
                     inner = self.interior(ts, bounds, scan.best[0])
@@ -784,7 +767,7 @@ class HittingReport:
     slack: float = 0.0
     epsilon_guaranteed: Optional[float] = None
     seed: Optional[int] = None
-    # rows the kernel evaluated, those whose exact gap it computed, and the
+    # rows sent to the kernel, those whose exact gap it computed, and the
     # rows per kernel block: work counters, neither compared nor emitted
     # here (the CLI shows them in meta.counters)
     kernel_rows: Optional[int] = field(default=None, compare=False)
@@ -954,7 +937,7 @@ class CalibrationResult:
     pattern_seed: int
     attempts: tuple  # of (seed, worst_gap)
     report: HittingReport  # the best attempt's
-    # rows the kernel evaluated and those it sorted, over every attempt:
+    # rows sent to the kernel and those it sorted, over every attempt:
     # work counters, neither compared nor emitted here (the CLI shows them
     # in meta.counters)
     kernel_rows: int = field(default=0, compare=False)

@@ -397,14 +397,21 @@ def test_net_scans_every_cell_against_fraction_oracle(monkeypatch, degree,
     assert rep.worst_coeffs_exact == tuple((u, s) for u in witness)
 
 
+def _exact_gaps(kernel, u) -> np.ndarray:
+    """The exact max-gap numerator over D of every row of u (at most
+    kernel.rows), as uint64: the kernel's block pass, then every row sorted,
+    as test_kernel_rows_match_fraction_oracle holds it to Fractions."""
+    kernel.block(u)
+    return kernel.gaps(np.arange(len(u)))
+
+
 def _every_cell_gap(pattern, leading, degree, nets) -> dict:
     """The exact gap numerator of every net cell, keyed by its coefficient
-    tuple: the kernel at floor 0, which keeps every row, as
-    test_kernel_rows_match_fraction_oracle holds it to Fractions."""
+    tuple (``_exact_gaps``)."""
     kernel = patterns._ExactKernel(pattern, leading, degree)
     u = np.array(list(itertools.product(*map(range, nets.sizes))),
                  dtype=np.uint64) * np.array(nets.steps, dtype=np.uint64)
-    gaps = np.concatenate([kernel.candidate_gaps(u[lo:lo + kernel.rows], 0)[1]
+    gaps = np.concatenate([_exact_gaps(kernel, u[lo:lo + kernel.rows])
                            for lo in range(0, len(u), kernel.rows)])
     return dict(zip(map(tuple, u.tolist()), gaps.tolist()))
 
@@ -544,16 +551,22 @@ def test_cone_interior_matches_integer_oracle_at_the_stride_cap():
             assert got.tolist() == want
 
 
-def test_readme_net_work_counters():
-    # the README's seed-0 n = 32 net at 10^7 cells; the work counters pin the
-    # cone's pruning, which the reports leave out
+@pytest.mark.parametrize("seed, kernel_rows, sorted_rows, epsilon", [
+    (0, 2_193_165, 264, 0.5084076727858957),
+    (1, 1_571_066, 87, 0.5836175111115178),
+    (2, 2_619_059, 102, 0.5100848780894421),
+], ids=["seed0", "seed1", "seed2"])
+def test_readme_net_work_counters(seed, kernel_rows, sorted_rows, epsilon):
+    # the n = 32 nets at 10^7 cells of pattern seeds 0 to 2 (the README's is
+    # seed 0); the work counters pin the cone's pruning, which the reports
+    # leave out
     universe = bertrand_prime(32, 2)
-    pat = thin_pattern(32, universe, seed=0)
+    pat = thin_pattern(32, universe, seed=seed)
     nets = build_nets(2, universe, 0.5, max_cells=10 ** 7)
     rep = verify_hitting_net(pat, Fraction(1, universe), 2, "auto", nets)
     assert rep.tested == nets.total_cells == 9_990_021
-    assert (rep.kernel_rows, rep.sorted_rows) == (2_193_165, 1_285)
-    assert rep.epsilon_guaranteed == 0.5084076727858957
+    assert (rep.kernel_rows, rep.sorted_rows) == (kernel_rows, sorted_rows)
+    assert rep.epsilon_guaranteed == epsilon
 
 
 def test_net_requires_exact_leading():
@@ -758,13 +771,12 @@ def test_kernel_rows_match_fraction_oracle(degree, universe, n, w):
     pick[:len(special)] = pick[-len(special):] = range(len(special))
     u = distinct[pick]
     assert len(u) % kernel.rows != 0
-    got = np.concatenate([kernel.candidate_gaps(u[lo:lo + kernel.rows], 0)[1]
+    got = np.concatenate([_exact_gaps(kernel, u[lo:lo + kernel.rows])
                           for lo in range(0, len(u), kernel.rows)])
     assert len(got) == len(u)
-    # every cap is below 2D, so a floor of 2D keeps no row, and the bounds
-    # it returns, the caps, are at least the exact gaps
-    keep, caps = kernel.candidate_gaps(u[:kernel.rows], 2 * D)
-    assert keep.size == 0 and caps.dtype == np.uint64
+    # every cap is below 2D and at least the exact gap
+    caps = kernel.block(u[:kernel.rows])
+    assert caps.dtype == np.uint64
     assert (caps < 2 * D).all() and (caps >= got[:kernel.rows]).all()
     oracle = {}
     for row, gap in zip(map(tuple, u.tolist()), got.tolist()):
@@ -829,8 +841,8 @@ def test_scan_keeps_few_blocks_in_flight(monkeypatch):
 
 def _every_row_witness(kernel, blocks) -> tuple:
     """The best (gap, coefficients), by _rank, of every row of the blocks,
-    each row's exact gap from the kernel at floor 0."""
-    found = [max(zip(kernel.candidate_gaps(u, 0)[1].tolist(), map(tuple, u.tolist())),
+    each row's exact gap from ``_exact_gaps``."""
+    found = [max(zip(_exact_gaps(kernel, u).tolist(), map(tuple, u.tolist())),
                  key=patterns._rank) for u in blocks]
     return max(found, key=patterns._rank)
 
@@ -881,7 +893,7 @@ def test_top_cap_class_first_keeps_the_best_and_its_ties(universe):
                                              dtype=np.uint64), 30)
         for u in blocks:
             caps = kernel.block(u)
-            gaps = kernel.candidate_gaps(u, 0)[1]
+            gaps = _exact_gaps(kernel, u)
             misses += gaps[caps == caps.max()].max() < gaps.max()
         for scanned in [[u] for u in blocks] + [blocks]:
             found = _scan_sampled(kernel, scanned)
@@ -1047,32 +1059,66 @@ def test_kernel_caps_bound_its_rows(degree, universe, w):
         assert gap <= cap
 
 
-def test_candidate_gaps_keeps_rows_whose_cap_reaches_their_floor():
-    # one floor per row: a row is kept iff its cap reaches its own floor, and
-    # each kept row's gap is exact
-    universe = 1_048_583
+@pytest.mark.parametrize("degree, universe, n", [(2, 1_048_583, 12), (3, _NARROW[0][1], 5),
+                                                 (3, 101, 3)], ids=["2-1048583", "3-s13", "3-101"])
+def test_run_bounds_are_exact_where_sorted_and_caps_elsewhere(degree, universe, n):
+    # one scan over random blocks, then a block whose top cap class misses
+    # its max gap in a new scan, against the caps and gaps of _cap_oracle
+    # and, for the sorted rows, pattern_gap: every bound is at least its
+    # row's gap, a sorted row's bound is its exact gap, any other row's is
+    # its cap, and every row whose gap reaches the best after the block was
+    # sorted
     leading = Fraction(1, universe)
-    pat = thin_pattern(12, universe, seed=2)
-    kernel = patterns._ExactKernel(pat, leading, 2)
-    s, D = kernel.s, kernel.denominator
-    lead = PolySeqSpec(2, leading).residues(pat.indices)
+    pat = thin_pattern(n, universe, seed=2)
+    kernel = patterns._ExactKernel(pat, leading, degree)
+    s, D, w = kernel.s, kernel.denominator, kernel.word.itemsize * 8
+    lead = PolySeqSpec(degree, leading).residues(pat.indices)
+    sorted_now = []
+    gaps = kernel.gaps
+
+    def recording(keep):
+        sorted_now.extend(keep.tolist())
+        return gaps(keep)
+
+    kernel.gaps = recording
+    found = {}  # (gap, cap) of every row checked
+
+    def check(scan, u):
+        sorted_now.clear()
+        bounds = scan.run(u).tolist()
+        assert len(sorted_now) == len(set(sorted_now))
+        for i, coeffs in enumerate(map(tuple, u.tolist())):
+            accs = [sum(c * k ** j for j, c in enumerate(coeffs, start=1)) % (1 << s)
+                    for k in pat.indices]
+            gap, _, cap, _ = _cap_oracle(list(zip(lead.nums, accs)), universe, s, w)
+            found[coeffs] = gap, cap
+            assert bounds[i] >= gap
+            if i in sorted_now:
+                assert bounds[i] == gap
+                spec = [Fraction(x, 1 << s) for x in coeffs]
+                assert Fraction(gap, D) == pattern_gap(pat, leading, degree, spec)
+            else:
+                assert bounds[i] == cap
+            if gap >= scan.best[0]:
+                assert i in sorted_now
+
+    scan = patterns._Scan(kernel)
     rng = np.random.default_rng(5)
-    u = rng.integers(0, 1 << s, size=(400, 1), dtype=np.uint64)
-    oracle = [_cap_oracle([(r, x * k % (1 << s)) for r, k in zip(lead.nums, pat.indices)],
-                          universe, s, 64) for x in u[:, 0].tolist()]
-    caps = [o[2] for o in oracle]
-    # floors at, just above and just below each cap, at the gap, and 0
-    floors = [[cap, cap + 1, cap - 1, gap, 0][i % 5]
-              for i, (gap, _, cap, _) in enumerate(oracle)]
-    keep, bounds = kernel.candidate_gaps(u, np.array(floors, dtype=np.uint64))
-    want = [i for i, (cap, f) in enumerate(zip(caps, floors)) if cap >= f]
-    assert keep.tolist() == want and 0 < len(want) < len(u)
-    # the exact gap of each kept row, the cap of every other
-    assert bounds.tolist() == [oracle[i][0] if i in want else cap
-                               for i, cap in enumerate(caps)]
-    gaps = bounds[keep]
-    assert all(Fraction(g, D) == pattern_gap(pat, leading, 2, [Fraction(int(u[i, 0]), 1 << s)])
-               for i, g in zip(want, gaps.tolist()))
+    for rows in (400, 1, 250, 400, 37):
+        check(scan, rng.integers(0, 1 << s, size=(rows, degree - 1), dtype=np.uint64))
+    assert scan.sorted_rows < scan.kernel_rows == 1088
+    # some rows were left at a cap above their gap, so the unsorted rows'
+    # bounds are not exact gaps in disguise
+    assert any(gap < cap for gap, cap in found.values())
+    # t, of the largest cap, and r, of the largest gap among the rows of a
+    # smaller cap, with gap_r > gap_t: t alone is the top cap class, and r
+    # is sorted only after the floor has risen to gap_t
+    t = min(found, key=lambda row: (-found[row][1], found[row][0]))
+    r = max((row for row in found if found[row][1] < found[t][1]), key=lambda row: found[row][0])
+    assert found[r][0] > found[t][0]
+    scan = patterns._Scan(kernel)
+    check(scan, np.array([t, r], dtype=np.uint64))
+    assert sorted(sorted_now) == [0, 1] and scan.best == (found[r][0], r)
 
 
 def _check_tied_rows(leading):
