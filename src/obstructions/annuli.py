@@ -384,6 +384,11 @@ class ReductionCertificate:
         }
 
 
+def _signs(v: np.ndarray, p: int) -> np.ndarray:
+    """sigma_i = sign(v_i), +1 at v_i = 0, for odd p; all ones for even p."""
+    return np.ones_like(v) if p % 2 == 0 else np.where(v >= 0, 1.0, -1.0)
+
+
 def reduction_coefficients(x: np.ndarray, v: np.ndarray, r: float,
                            p: int) -> tuple:
     """Coefficients (B_0..B_{p-1}, leading) of the expanded signed power sum.
@@ -396,10 +401,7 @@ def reduction_coefficients(x: np.ndarray, v: np.ndarray, r: float,
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    if p % 2 == 0:
-        signs = np.ones_like(v)
-    else:
-        signs = np.where(v >= 0, 1.0, -1.0)
+    signs = _signs(v, p)
     coeffs = tuple(math.comb(p, l) * r ** l * (signs * x ** (p - l) * v ** l).sum(axis=-1)
                    for l in range(p))
     leading = r ** p * (signs * v ** p).sum(axis=-1)
@@ -467,9 +469,11 @@ class NoCopyReport:
     per_scale: tuple
     worst_margin: float
     route_mismatches: int
-    # wall time of each route: volatile, so not compared or emitted
+    # wall time of each route and the copies the direct route took in
+    # extended precision: volatile, so not compared or emitted
     poly_route_s: float = field(default=0.0, compare=False)
     direct_route_s: float = field(default=0.0, compare=False)
+    extended_copies: int = field(default=0, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -491,6 +495,46 @@ class NoCopyReport:
 _BOX_SCALE = 10.0
 
 
+def _placements(rng: np.random.Generator, count: int, d: int, p: int, r: float,
+                ks: np.ndarray) -> tuple:
+    """One scale's copies as no_copy_check draws them: base points xs in the
+    cube of half-side _BOX_SCALE * r, l^p-unit directions vs, and the
+    magnitude M^p, M = max|x_i| + r * max|k| * max|v_i|, that bounds |F|."""
+    L = _BOX_SCALE * r
+    xs = (rng.random((count, d)) - 0.5) * 2 * L
+    vs = sample_lp_sphere(rng, count, d, p)
+    magnitude = (np.abs(xs).max() + r * np.abs(ks).max() * np.abs(vs).max()) ** p
+    return xs, vs, magnitude
+
+
+def _rounding_bound(magnitude: float, d: int, p: int, dtype) -> float:
+    """d (4p + d + 5) eps M^p + 2^-48, eps being dtype's machine epsilon: how
+    far a margin a route computes in dtype lies from the exact one."""
+    return d * (4 * p + d + 5) * magnitude * float(np.finfo(dtype).eps) + 2.0 ** -48
+
+
+def _direct_margins(X, V, rk, sgn, p: int, w: float, F, T, cast, out) -> None:
+    """Write to out the direct route's margins max_k (dist_k - w) of the
+    copies x + (r k) v, in the precision of X, V, rk and the (rows, len(ks))
+    buffers F and T. F is the first coordinate's term plus the others in
+    coordinate order, and the float cast of F - rint F into the float64
+    buffer cast (F itself at float64) comes before abs, as rounding is
+    sign-symmetric."""
+    for i in range(X.shape[1]):
+        Y = T if i else F
+        np.multiply(rk, V[:, i, None], out=Y)
+        Y += X[:, i, None]
+        Y **= p
+        if p % 2:
+            Y *= sgn[:, i, None]
+        if i:
+            F += Y
+    F -= np.rint(F, out=T)
+    cast[...] = F
+    np.abs(cast, out=cast).max(axis=1, out=out)
+    out -= w
+
+
 def no_copy_check(spec: AnnulusSpec, pattern: Pattern, leading: Fraction,
                   j_list: Sequence[int], placements_per_scale: int,
                   seed: int = 0, pattern_epsilon: Optional[float] = None) -> NoCopyReport:
@@ -499,23 +543,38 @@ def no_copy_check(spec: AnnulusSpec, pattern: Pattern, leading: Fraction,
     A copy inside the set would put all its defining-function values mod 1
     into one interval of length 1-eps; a pattern whose gap stays below eps
     for every coefficient vector forbids that. Membership of every copy
-    point is decided directly (extended precision), and the polynomial
-    route is cross-checked; ``pattern_epsilon`` is the length the pattern
-    was verified to hit and must not exceed the set's epsilon.
+    point is decided directly, and the polynomial route is cross-checked;
+    ``pattern_epsilon`` is the length the pattern was verified to hit and
+    must not exceed the set's epsilon.
 
     Precision guard: with M = max|x_i| + r * max|k| * max|v_i| per scale, a
     route computes each F within d (4p + d + 5) eps M^p + 2^-48, eps being its
-    machine epsilon: longdouble for the direct route (three roundings in
-    Y = x + (r k) v, the p-th power, the d-term sum, added in coordinate
-    order), float64 for the polynomial
+    machine epsilon: longdouble (``bound``) or float64 (``poly_bound``) for
+    the direct route (three roundings in Y = x + (r k) v, the p-th power,
+    the d-term sum, added in coordinate order), float64 for the polynomial
     one (the B_l k^l terms, of total size <= d M^p); 2^-48 covers the float64
-    mod-1 and comparison steps. A copy is decided when its direct margin
-    max_k (dist_k - w) lies farther than that bound from 0, and any undecided
-    copy raises BudgetError; when the bound reaches max(w, 1/2 - w), which
+    mod-1 and comparison steps. A copy is decided when its longdouble margin
+    max_k (dist_k - w) lies farther than ``bound`` from 0, and any undecided
+    copy raises BudgetError; when ``bound`` reaches max(w, 1/2 - w), which
     no margin can exceed, it is raised before either route runs. A route
     mismatch is a polynomial margin of the other sign that its own bound
-    decides. Both routes run over tiles of tile_rows(len(ks)) placements,
-    one (tile, len(ks)) array per stage reused by every tile, and give the
+    decides.
+
+    Screen: the direct route first runs in float64, whose margin m64 lies
+    within delta = poly_bound + bound of the longdouble one, and then redoes
+    in longdouble exactly the copies with |m64| <= delta + bound (their sign
+    or decidedness could differ) or m64 <= min m64 + 2 delta (they could hold
+    the longdouble minimum); the others keep m64. The report reads only the
+    margins' signs, |m| <= bound and their minimum, so it is the all-
+    longdouble report bit for bit: a kept copy has |m_ld| > bound and the
+    sign of m64, and m_ld > min m64 + delta, at least the longdouble margin
+    of the redone copy that holds min m64. Margins lie in [-1/2, 1/2], so
+    rounding the two thresholds moves them by far less than the 2^-48 in
+    each bound. When delta + bound reaches
+    max(w, 1/2 - w), every copy would be redone, and all go to longdouble
+    without the screen. Both routes run over tiles of tile_rows(len(ks))
+    placements, and the redo over tiles of as many redone copies, one
+    (tile, len(ks)) array per stage reused by every tile, and give the
     margins of whole-array passes bit for bit.
     """
     if pattern_epsilon is not None and pattern_epsilon > spec.epsilon:
@@ -534,29 +593,28 @@ def no_copy_check(spec: AnnulusSpec, pattern: Pattern, leading: Fraction,
     vals, term, tmp = np.empty((3, rows, len(ks)))
     F, T = np.empty((2, rows, len(ks)), dtype=np.longdouble)
     poly_margins, margins = np.empty((2, placements_per_scale))
+    redone = np.empty(rows)
 
     children = np.random.SeedSequence(seed).spawn(len(j_list))
     per_scale = []
-    mismatches = 0
+    mismatches = extended = 0
     poly_s = direct_s = 0.0
     for j, child in zip(j_list, children):
         r = _scale(leading, j, p)
-        rng = np.random.default_rng(child)
-        L = _BOX_SCALE * r
-        xs = (rng.random((placements_per_scale, d)) - 0.5) * 2 * L
-        vs = sample_lp_sphere(rng, placements_per_scale, d, p)
-        magnitude = (np.abs(xs).max() + r * np.abs(ks).max() * np.abs(vs).max()) ** p
-        spread = d * (4 * p + d + 5) * magnitude  # times eps, the routes' error
-        bound = spread * float(np.finfo(np.longdouble).eps) + 2.0 ** -48
+        xs, vs, magnitude = _placements(np.random.default_rng(child),
+                                        placements_per_scale, d, p, r, ks)
+        bound = _rounding_bound(magnitude, d, p, np.longdouble)
+        poly_bound = _rounding_bound(magnitude, d, p, float)
+        delta = poly_bound + bound
         # a margin max_k (dist_k - w) lies in [-w, 1/2 - w], so a bound this
         # large leaves every copy undecided, and neither route need run
         undecided = placements_per_scale
         if bound < max(w, 0.5 - w):
-            rk = np.longdouble(r) * ks
+            screen = delta + bound < max(w, 0.5 - w)
+            rk = r * ks
             for lo in range(0, placements_per_scale, rows):
                 hi = min(lo + rows, placements_per_scale)
                 v, t, u = vals[:hi - lo], term[:hi - lo], tmp[:hi - lo]
-                Fh, Th = F[:hi - lo], T[:hi - lo]
 
                 # polynomial route: j*k^p is an integer and drops mod 1, the
                 # leading rational term comes from the exact table, the rest
@@ -578,26 +636,30 @@ def no_copy_check(spec: AnnulusSpec, pattern: Pattern, leading: Fraction,
                 poly_margins[lo:hi] -= w
                 poly_s += time.perf_counter() - start
 
-                # direct route in extended precision: F is the first
-                # coordinate's term plus the others in coordinate order, and
-                # the float cast of F - rint F comes before abs, as rounding
-                # is sign-symmetric
-                start = time.perf_counter()
-                X, V = xs[lo:hi].astype(np.longdouble), vs[lo:hi].astype(np.longdouble)
-                for i in range(d):
-                    Y = Th if i else Fh
-                    np.multiply(rk, V[:, i, None], out=Y)
-                    Y += X[:, i, None]
-                    Y **= p
-                    if p % 2:
-                        Y *= sgn[:, i, None]
-                    if i:
-                        Fh += Y
-                Fh -= np.rint(Fh, out=Th)
-                t[...] = Fh
-                np.abs(t, out=t).max(axis=1, out=margins[lo:hi])
-                margins[lo:hi] -= w
-                direct_s += time.perf_counter() - start
+                if screen:  # the direct route's float64 screen
+                    start = time.perf_counter()
+                    _direct_margins(xs[lo:hi], vs[lo:hi], rk, sgn, p, w, t, u, t,
+                                    margins[lo:hi])
+                    direct_s += time.perf_counter() - start
+
+            # the direct route in extended precision, on the copies the
+            # screen cannot place, or on all of them
+            start = time.perf_counter()
+            if screen:
+                redo = np.flatnonzero((np.abs(margins) <= delta + bound)
+                                      | (margins <= margins.min() + 2 * delta))
+            else:
+                redo = np.arange(placements_per_scale)
+            rk = np.longdouble(r) * ks
+            for lo in range(0, len(redo), rows):
+                sel = redo[lo:lo + rows]
+                n = len(sel)
+                _direct_margins(xs[sel].astype(np.longdouble), vs[sel].astype(np.longdouble),
+                                rk, _signs(vs[sel], p), p, w, F[:n], T[:n], term[:n],
+                                redone[:n])
+                margins[sel] = redone[:n]
+            extended += len(redo)
+            direct_s += time.perf_counter() - start
             undecided = int((np.abs(margins) <= bound).sum())
         if undecided:
             raise BudgetError(
@@ -606,7 +668,6 @@ def no_copy_check(spec: AnnulusSpec, pattern: Pattern, leading: Fraction,
                 f"{undecided} of {placements_per_scale} copies are undecided, as "
                 "the pattern's universe is too large for extended precision")
         inside = margins < 0
-        poly_bound = spread * float(np.finfo(float).eps) + 2.0 ** -48
         mismatches += int(((np.abs(poly_margins) > poly_bound)
                            & ((poly_margins < 0) != inside)).sum())
         per_scale.append({
@@ -626,4 +687,5 @@ def no_copy_check(spec: AnnulusSpec, pattern: Pattern, leading: Fraction,
         route_mismatches=mismatches,
         poly_route_s=poly_s,
         direct_route_s=direct_s,
+        extended_copies=extended,
     )

@@ -8,8 +8,8 @@ passes), and a volatile ``meta`` block (timestamp, wall clock, and the
 cells_per_s, of a discrepancy, residues_s and exact_s, with --M also the
 Erdos-Turan sums' et_terms, et_s and et_terms_per_s, of a Monte Carlo
 density, samples, sign_vectors and samples_per_s, or of a no-copy check,
-placements, poly_route_s and direct_route_s) that is the only part allowed
-to differ between identical reruns. Rationals are
+placements, extended_copies, poly_route_s and direct_route_s) that is the
+only part allowed to differ between identical reruns. Rationals are
 serialized as {num, den} pairs. Output files are written atomically.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed (witness in
@@ -374,8 +374,8 @@ def _cmd_nocopy(args) -> int:
                         seed=args.seed, pattern_epsilon=eps_file)
     config = {"pattern": args.pattern, "d": args.d, "epsilon": spec.epsilon,
               "j_list": args.j_list, "samples": args.samples, "seed": args.seed}
-    counters = {"placements": rep.placements_total, "poly_route_s": rep.poly_route_s,
-                "direct_route_s": rep.direct_route_s}
+    counters = {"placements": rep.placements_total, "extended_copies": rep.extended_copies,
+                "poly_route_s": rep.poly_route_s, "direct_route_s": rep.direct_route_s}
     return _emit_report(args, "nocopy", config,
                         {"spec": spec.to_dict(), "nocopy": rep.to_dict()},
                         rep.passed, t0, counters)

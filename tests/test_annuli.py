@@ -599,6 +599,60 @@ def test_no_copy_tiles_match_whole_array_passes_beyond_p2(p, d):
     assert got.to_dict() == want
 
 
+@pytest.mark.parametrize("n, q, d, eps, j_list, placements, seed", [
+    # n = 64 (Q = 16,777,259): the float64 bound reaches max(w, 1/2 - w), so
+    # every copy goes to longdouble without the screen
+    pytest.param(64, bertrand_prime(64, 2), 2, 0.7, [1, 5], 300, 0, id="skip"),
+    # the screen keeps some copies and redoes more than one tile of others
+    pytest.param(32, bertrand_prime(32, 2), 3, 0.5, [5], 6000, 3, id="redo-over-tiles"),
+    # 8 indices in Q = 1,048,583 at eps = 0.1: most copies lie inside the
+    # set, and some float64 margins near 0 have the other sign
+    pytest.param(8, bertrand_prime(32, 2), 2, 0.1, [1, 2], 1000, 1,
+                 id="float64-signs-differ"),
+])
+def test_no_copy_tiles_match_whole_array_passes_on_screen_paths(n, q, d, eps, j_list,
+                                                                placements, seed):
+    pat = thin_pattern(n, q, seed=seed)
+    spec = AnnulusSpec(d, 2, eps)
+    got = no_copy_check(spec, pat, Fraction(1, q), j_list, placements, seed=seed)
+    want = _whole_array_no_copy(spec, pat, Fraction(1, q), j_list, placements, seed)
+    assert got.to_dict() == want
+    if n == 64:
+        assert got.extended_copies == placements * len(j_list)
+    else:
+        assert 0 < got.extended_copies < placements * len(j_list)
+    if n == 32:
+        assert got.extended_copies > tile_rows(len(pat.indices))
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n, q", [(20, 101), (20, bertrand_prime(20, 2)),
+                                  (32, bertrand_prime(32, 2))])
+def test_no_copy_screen_margins_lie_within_delta_of_longdouble(p, d, n, q):
+    # the screen's lemma: on copies drawn as no_copy_check draws them, the
+    # float64 and longdouble direct routes, each within its own bound of
+    # the exact margin, differ by at most delta = poly_bound + bound
+    pat = thin_pattern(n, q, seed=p)
+    ks = np.asarray(pat.indices, dtype=float)
+    w, count = 0.25, 500
+    F64, T64 = np.empty((2, count, len(ks)))
+    F, T = np.empty((2, count, len(ks)), dtype=np.longdouble)
+    m64, m_ld = np.empty((2, count))
+    leading = Fraction(1, q)
+    for j, child in zip([1, 4], np.random.SeedSequence(d).spawn(2)):
+        r = annuli._scale(leading, j, p)
+        xs, vs, magnitude = annuli._placements(np.random.default_rng(child), count,
+                                               d, p, r, ks)
+        sgn = annuli._signs(vs, p)
+        annuli._direct_margins(xs, vs, r * ks, sgn, p, w, F64, T64, F64, m64)
+        annuli._direct_margins(xs.astype(np.longdouble), vs.astype(np.longdouble),
+                               np.longdouble(r) * ks, sgn, p, w, F, T, F64, m_ld)
+        delta = (annuli._rounding_bound(magnitude, d, p, float)
+                 + annuli._rounding_bound(magnitude, d, p, np.longdouble))
+        assert np.abs(m64 - m_ld).max() <= delta, (j, delta)
+
+
 def test_no_copy_epsilon_consistency_check():
     q = 101
     pat = thin_pattern(20, q, seed=1)
