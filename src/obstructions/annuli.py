@@ -570,12 +570,12 @@ def no_copy_check(spec: AnnulusSpec, pattern: Pattern, leading: Fraction,
     sign of m64, and m_ld > min m64 + delta, at least the longdouble margin
     of the redone copy that holds min m64. Margins lie in [-1/2, 1/2], so
     rounding the two thresholds moves them by far less than the 2^-48 in
-    each bound. When delta + bound reaches
-    max(w, 1/2 - w), every copy would be redone, and all go to longdouble
-    without the screen. Both routes run over tiles of tile_rows(len(ks))
-    placements, and the redo over tiles of as many redone copies, one
-    (tile, len(ks)) array per stage reused by every tile, and give the
-    margins of whole-array passes bit for bit.
+    each bound. When delta + bound reaches max(w, 1/2 - w), which bounds
+    every |m64|, the sign condition alone redoes every copy. Both routes
+    run over tiles of tile_rows(len(ks)) placements, and the redo over
+    tiles of as many redone copies, one (tile, len(ks)) array per stage
+    reused by every tile, and give the margins of whole-array passes bit
+    for bit.
     """
     if pattern_epsilon is not None and pattern_epsilon > spec.epsilon:
         raise ValueError(
@@ -610,7 +610,6 @@ def no_copy_check(spec: AnnulusSpec, pattern: Pattern, leading: Fraction,
         # large leaves every copy undecided, and neither route need run
         undecided = placements_per_scale
         if bound < max(w, 0.5 - w):
-            screen = delta + bound < max(w, 0.5 - w)
             rk = r * ks
             for lo in range(0, placements_per_scale, rows):
                 hi = min(lo + rows, placements_per_scale)
@@ -636,20 +635,17 @@ def no_copy_check(spec: AnnulusSpec, pattern: Pattern, leading: Fraction,
                 poly_margins[lo:hi] -= w
                 poly_s += time.perf_counter() - start
 
-                if screen:  # the direct route's float64 screen
-                    start = time.perf_counter()
-                    _direct_margins(xs[lo:hi], vs[lo:hi], rk, sgn, p, w, t, u, t,
-                                    margins[lo:hi])
-                    direct_s += time.perf_counter() - start
+                # the direct route's float64 screen
+                start = time.perf_counter()
+                _direct_margins(xs[lo:hi], vs[lo:hi], rk, sgn, p, w, t, u, t,
+                                margins[lo:hi])
+                direct_s += time.perf_counter() - start
 
             # the direct route in extended precision, on the copies the
-            # screen cannot place, or on all of them
+            # screen cannot place
             start = time.perf_counter()
-            if screen:
-                redo = np.flatnonzero((np.abs(margins) <= delta + bound)
-                                      | (margins <= margins.min() + 2 * delta))
-            else:
-                redo = np.arange(placements_per_scale)
+            redo = np.flatnonzero((np.abs(margins) <= delta + bound)
+                                  | (margins <= margins.min() + 2 * delta))
             rk = np.longdouble(r) * ks
             for lo in range(0, len(redo), rows):
                 sel = redo[lo:lo + rows]

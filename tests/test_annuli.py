@@ -573,18 +573,38 @@ def _whole_array_no_copy(spec, pattern, leading, j_list, placements, seed):
         route_mismatches=mismatches).to_dict()
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_no_copy_tiles_match_whole_array_passes(d):
+_PAT20 = thin_pattern(20, bertrand_prime(20, 2), seed=4)
+_T20 = tile_rows(len(_PAT20.indices))
+
+
+@pytest.mark.parametrize("d, pat, eps, j_list, counts, seed, extended", [
     # placements around one tile, and over several; epsilon 0.05 lets some
-    # copies inside the set, so violations and worst margins below 0 count
-    q = bertrand_prime(20, 2)
-    pat = thin_pattern(20, q, seed=4)
-    spec = AnnulusSpec(d, 2, 0.05)
-    T = tile_rows(len(pat.indices))
-    for placements in (1, T - 1, T, T + 1, 400):
-        got = no_copy_check(spec, pat, Fraction(1, q), [1, 3], placements, seed=d)
-        want = _whole_array_no_copy(spec, pat, Fraction(1, q), [1, 3], placements, d)
+    # copies inside the set, so violations and worst margins below 0 count.
+    # Each scale's minimum is redone, and few copies more: at most 800 of the
+    # largest run's 6,554
+    *[pytest.param(d, _PAT20, 0.05, [1, 3], (1, _T20 - 1, _T20, _T20 + 1, 400), d,
+                   (2, 800), id=str(d)) for d in (1, 2, 3)],
+    # n = 64 (Q = 16,777,259): delta + bound reaches max(w, 1/2 - w), so the
+    # sign condition sends every copy to longdouble
+    pytest.param(2, thin_pattern(64, bertrand_prime(64, 2), seed=0), 0.7, [1, 5],
+                 (300,), 0, (600, 600), id="skip"),
+    # the screen keeps some copies and redoes more than one tile of others
+    pytest.param(3, thin_pattern(32, bertrand_prime(32, 2), seed=3), 0.5, [5],
+                 (6000,), 3, (tile_rows(32) + 1, 5999), id="redo-over-tiles"),
+    # 8 indices in Q = 1,048,583 at eps = 0.1: most copies lie inside the
+    # set, and some float64 margins near 0 have the other sign
+    pytest.param(2, thin_pattern(8, bertrand_prime(32, 2), seed=1), 0.1, [1, 2],
+                 (1000,), 1, (2, 1999), id="float64-signs-differ"),
+])
+def test_no_copy_tiles_match_whole_array_passes(d, pat, eps, j_list, counts, seed,
+                                                extended):
+    spec = AnnulusSpec(d, 2, eps)
+    leading = Fraction(1, pat.universe)
+    for placements in counts:
+        got = no_copy_check(spec, pat, leading, j_list, placements, seed=seed)
+        want = _whole_array_no_copy(spec, pat, leading, j_list, placements, seed)
         assert got.to_dict() == want, (d, placements)
+        assert extended[0] <= got.extended_copies <= extended[1], placements
 
 
 @pytest.mark.parametrize("p, d", [(3, 3), (4, 2)])
@@ -597,32 +617,6 @@ def test_no_copy_tiles_match_whole_array_passes_beyond_p2(p, d):
     got = no_copy_check(spec, pat, Fraction(1, 101), [1, 2], T + 7, seed=p)
     want = _whole_array_no_copy(spec, pat, Fraction(1, 101), [1, 2], T + 7, p)
     assert got.to_dict() == want
-
-
-@pytest.mark.parametrize("n, q, d, eps, j_list, placements, seed", [
-    # n = 64 (Q = 16,777,259): the float64 bound reaches max(w, 1/2 - w), so
-    # every copy goes to longdouble without the screen
-    pytest.param(64, bertrand_prime(64, 2), 2, 0.7, [1, 5], 300, 0, id="skip"),
-    # the screen keeps some copies and redoes more than one tile of others
-    pytest.param(32, bertrand_prime(32, 2), 3, 0.5, [5], 6000, 3, id="redo-over-tiles"),
-    # 8 indices in Q = 1,048,583 at eps = 0.1: most copies lie inside the
-    # set, and some float64 margins near 0 have the other sign
-    pytest.param(8, bertrand_prime(32, 2), 2, 0.1, [1, 2], 1000, 1,
-                 id="float64-signs-differ"),
-])
-def test_no_copy_tiles_match_whole_array_passes_on_screen_paths(n, q, d, eps, j_list,
-                                                                placements, seed):
-    pat = thin_pattern(n, q, seed=seed)
-    spec = AnnulusSpec(d, 2, eps)
-    got = no_copy_check(spec, pat, Fraction(1, q), j_list, placements, seed=seed)
-    want = _whole_array_no_copy(spec, pat, Fraction(1, q), j_list, placements, seed)
-    assert got.to_dict() == want
-    if n == 64:
-        assert got.extended_copies == placements * len(j_list)
-    else:
-        assert 0 < got.extended_copies < placements * len(j_list)
-    if n == 32:
-        assert got.extended_copies > tile_rows(len(pat.indices))
 
 
 @pytest.mark.parametrize("p", [2, 3, 4])
