@@ -4,13 +4,14 @@ densities, run no-copy checks, compute discrepancies, render the planar set.
 Reports are schema-stable JSON: a ``config`` echo of every resolved
 parameter, the module reports, a ``pass`` flag (conjunction of sub-report
 passes), and a volatile ``meta`` block (timestamp, wall clock, and the
-``counters`` of a gap scan, cells, kernel_rows, sorted_rows, block_rows and
-cells_per_s, of a discrepancy, residues_s and exact_s, with --M also the
-Erdos-Turan sums' et_terms, et_s and et_terms_per_s, of a Monte Carlo
-density, samples, sign_vectors and samples_per_s, or of a no-copy check,
-placements, extended_copies, poly_route_s and direct_route_s) that is the
-only part allowed to differ between identical reruns. Rationals are
-serialized as {num, den} pairs. Output files are written atomically.
+``counters`` of a gap scan, cells, kernel_rows, sorted_rows, block_rows,
+word_bits and cells_per_s, of a discrepancy, residues_s and exact_s, with
+--M also the Erdos-Turan sums' et_terms, et_s and et_terms_per_s, of a
+Monte Carlo density, samples, sign_vectors and samples_per_s, or of a
+no-copy check, placements, extended_copies, poly_route_s and
+direct_route_s) that is the only part allowed to differ between identical
+reruns. Rationals are serialized as {num, den} pairs. Output files are
+written atomically.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed (witness in
 the report), 2 usage or budget error.
@@ -207,13 +208,13 @@ def _int_list(token: str) -> list:
 
 
 def _scan_counters(cells: int, kernel_rows: int, sorted_rows: int,
-                   block_rows: int, seconds: float) -> dict:
+                   block_rows: int, word_bits: int, seconds: float) -> dict:
     """Volatile counters of an exact gap scan, for the report's meta block:
     kernel_rows counts the cells sent to the kernel, sorted_rows those
     whose exact gap it computed, block_rows the scan's rows per kernel
-    block."""
+    block and word_bits the bits of the kernel's word."""
     return {"cells": cells, "kernel_rows": kernel_rows, "sorted_rows": sorted_rows,
-            "block_rows": block_rows,
+            "block_rows": block_rows, "word_bits": word_bits,
             "cells_per_s": cells / seconds if seconds > 0 else None}
 
 
@@ -266,11 +267,12 @@ def _cmd_construct(args) -> int:
         epsilon_verified = float_up(Fraction(*cal.report.worst_gap_exact))
         reports["calibration"] = cal.to_dict()
         passed = cal.achieved
-        # every attempt has the same n, universe and degree, hence word and
-        # block rows
+        # the best attempt's word and block rows: attempts share n, universe
+        # and degree, so they differ only where a pattern's drift (see
+        # patterns._ExactKernel) picks another word
         counters = _scan_counters(len(cal.attempts) * cal.n_samples, cal.kernel_rows,
                                   cal.sorted_rows, cal.report.block_rows,
-                                  time.perf_counter() - t_scan)
+                                  cal.report.word_bits, time.perf_counter() - t_scan)
     elif args.epsilon is not None:
         rep = verify_hitting_sampled(
             pattern, leading, degree, args.epsilon,
@@ -326,7 +328,8 @@ def _cmd_verify(args) -> int:
                                      n_samples=args.samples, seed=args.seed)
         reports = {"hitting": rep.to_dict()}
     counters = _scan_counters(rep.tested, rep.kernel_rows, rep.sorted_rows,
-                              rep.block_rows, time.perf_counter() - t_scan)
+                              rep.block_rows, rep.word_bits,
+                              time.perf_counter() - t_scan)
     config = {
         "pattern": args.pattern, "method": args.method, "epsilon": epsilon,
         "samples": args.samples, "seed": args.seed,

@@ -11,12 +11,15 @@ dyadic u_i/2^s, every point is an integer over the common denominator
 D = b * 2^s; choosing s = 62 - bitlen(b) keeps D and all intermediates
 inside uint64, so the whole scan (nets of 10^7 cells and beyond) runs as
 vectorized integer arithmetic. Only the pruning bound reads rounded values:
-each point's position in units of 2^-w, rounded down by less than one
-unit, where the word w is the smallest of 16, 32 and 64 bits that is at
-least s, so a p = 3 pattern at n = 64 (s = 13) runs its multiply-accumulate
-in uint16. Its bucket edges are whole units, so the rounding never moves a
-point out of its bucket, and its caps bound the exact gaps (see
-``_ExactKernel``).
+each point's position in units of 2^-w, in a word of 16, 32 or 64 bits.
+A word of at least s bits rounds each point down by less than one unit,
+never across a bucket edge, so a p = 3 pattern at n = 64 (s = 13) runs its
+multiply-accumulate in uint16. A narrower word drops the low s - w bits of
+each coefficient, which leaves each point ahead of its position by less
+than a drift L that the pattern fixes, and is used while L is at most 1/64
+of a bucket: the n = 32, p = 2 net (s = 41) runs in uint32. Either way the
+bound's caps, widened by L where bits were dropped, bound the exact gaps
+(see ``_ExactKernel``).
 A net scan also skips the cells that an exact integer Lipschitz cone proves
 below a gap already found (see ``_Cone``). Every reported gap and witness
 is exact over D.
@@ -339,6 +342,10 @@ _BLOCK_BYTES = 1 << 18
 # buckets per row of the gap bound; a row's occupancy fits in 16 bits
 _BUCKETS = 16
 
+# a word narrower than s bits is used only while the drift it causes is at
+# most 2^(w - _DRIFT_BITS) units, 1/64 of a bucket (see ``_ExactKernel``)
+_DRIFT_BITS = 10
+
 
 def block_rows(n: int, itemsize: int = 8) -> int:
     """Coefficient rows per kernel block for an n-point pattern whose
@@ -369,57 +376,85 @@ class _ExactKernel:
     r_k/b is the leading term's residue and acc_k = sum_i u_i k^i mod 2^s;
     its exact numerator over D = b * 2^s is (r_k 2^s + b acc_k) mod D. A
     block is laid out point-major, one (n, rows) array per stage, so every
-    elementwise pass runs along rows, and has ``rows = block_rows(n,
-    itemsize)`` rows, so that one such array in the word (below) is about
-    _BLOCK_BYTES: 2,048 rows at n = 64 in uint16, 512 in uint64. The
-    per-point constants the passes over the whole block read are stored as
-    full (n, rows) tiles, and those the kept rows read as (n, 1) columns.
-    ``block`` is the pass over every row of a block (positions and caps);
-    ``gaps`` then sorts chosen rows of that block, as often as asked. Every
-    scan runs its blocks through both by ``_Scan.run``.
+    elementwise pass runs along rows, and has ``rows`` rows, by default
+    ``block_rows(n, itemsize)``, so that one such array in the word (below)
+    is about _BLOCK_BYTES: 2,048 rows at n = 64 in uint16, 512 in uint64.
+    The per-point constants the passes over the whole block read are stored
+    as full (n, rows) tiles, and those the kept rows read as (n, 1)
+    columns. ``block`` is the pass over every row of a block (positions and
+    caps); ``gaps`` then sorts chosen rows of that block, as often as asked.
+    Every scan runs its blocks through both by ``_Scan.run``.
 
-    Positions live in the word: w bits, the smallest of 16, 32 and 64 that
-    is at least s (s >= 8), and ``word`` is its unsigned dtype. Every row of
-    a block gets one wrapping multiply-accumulate in the word, in units of
-    2^-w of the circle: ``kpows`` holds (k^i mod 2^s) << (w - s), so the
+    Positions live in the word of w bits, ``word`` its unsigned dtype, in
+    units of 2^-w of the circle. Every row of a block gets one wrapping
+    multiply-accumulate in the word, plus the ``phase`` floor(r_k 2^w / b),
+    and the gap bound reads only the top 4 bits of each position.
+
+    Exact words (w >= s). ``kpows`` holds (k^i mod 2^s) << (w - s), so the
     sum, which wraps mod 2^w, is acc_k << (w - s) exactly (every bit above
-    the low s of acc_k falls off the top). Adding the ``phase``
-    floor(r_k 2^w / b) gives pos_k = (acc_k 2^(w-s) + floor(r_k 2^w / b))
-    mod 2^w, the point's position rounded down to a whole unit: acc_k
-    2^(w-s) is an integer as w >= s, so pos_k = floor(2^w x_k / D) (exact
-    when b divides r_k 2^w). The gap bound reads only the top 4 bits of
-    pos_k; exact numerators are built only for the rows the bound keeps,
-    from their positions less the phase.
+    the low s of acc_k falls off the top), and pos_k = (acc_k 2^(w-s) +
+    floor(r_k 2^w / b)) mod 2^w is the point's position rounded down to a
+    whole unit: acc_k 2^(w-s) is an integer, so pos_k = floor(2^w x_k / D)
+    (exact when b divides r_k 2^w). The kept rows' exact numerators are
+    built from their positions less the phase (``exact``).
+
+    Screened words (w < s). The low g = s - w bits of every coefficient are
+    dropped: ``kpows`` holds k^i mod 2^w, and pos_k = (sum_i (k^i mod 2^w)
+    (u_i >> g) + floor(r_k 2^w / b)) mod 2^w. Write u_i = (u_i >> g) 2^g +
+    l_i, l_i < 2^g, and c_i = k^i mod 2^s. In units, 2^w x_k = r_k 2^w / b +
+    sum_i c_i u_i / 2^g mod 2^w, and sum_i c_i (u_i >> g) = sum_i (k^i mod
+    2^w)(u_i >> g) mod 2^w, so the point lies ahead of pos_k by the phase's
+    rounding plus sum_i c_i l_i / 2^g: by between 0 and the ``drift`` L = 1
+    + sum_i max_k c_i units. The kept rows' exact numerators are rebuilt
+    from their coefficients in uint64 (``numerators``).
+
+    The word is the narrowest of 16, 32 and 64 bits that is exact (w >= s)
+    or has L <= 2^(w - 10), 1/64 of a bucket; it follows from s and the
+    pattern alone. The n = 32, p = 2 net (s = 41, L about 2^20) runs in
+    uint32, a p = 3 pattern at n = 64 (s = 13) in uint16, and the n = 64,
+    p = 2 pattern (L about 2^24) in uint64.
 
     Why the bound holds. Bucket j is [j 2^(w-4), (j + 1) 2^(w-4)) in units
-    of 2^-w. Its edges are whole units, so rounding a point down by less
-    than one unit never moves it across an edge: the bucket of pos_k, its
-    top 4 bits, is exactly the bucket floor(16 x_k / D) of the exact point.
-    Let E be the longest circular run of empty buckets of a row. If a point
-    x lies in bucket i and the next point y in bucket i + e + 1, with e <= E
-    empty buckets between, then y - x < (e + 2) 2^(w-4) units; the wrap gap
-    from the last point to the first is bounded the same way with the run
-    taken through bucket 15 to bucket 0. A unit is D/2^w of a numerator over
-    D, and 16 divides D (s >= 8), so every exact gap numerator is below
-    (E + 2) D/16, hence at most caps[E] = (E + 2) D/16 - 1; a one-point row
-    (E = 15, gap D) is covered too. The 17 caps are built once in Python
-    ints; all lie below 18 D/16 < 2^63.
+    of 2^-w. Let E be the longest circular run of empty buckets of a row's
+    positions. If a position x lies in bucket i and the next one y in
+    bucket i + e + 1, with e <= E empty buckets between, then y - x < (e +
+    2) 2^(w-4) units; the wrap gap from the last position to the first is
+    bounded the same way with the run taken through bucket 15 to bucket 0.
+    A unit is D/2^w of a numerator over D, and 16 divides D (s >= 8), so
+    every gap of the positions, taken as points, is below (E + 2) D/16. In
+    an exact word, rounding a point down by less than one unit never moves
+    it across a bucket edge, a whole unit, so the positions' buckets are the
+    exact points' and every exact gap numerator is at most caps[E] = (E +
+    2) D/16 - 1. In a screened word, every point lies ahead of its position
+    by between 0 and L units, so by ``_Cone``'s move lemma every exact gap
+    exceeds the positions' gap by at most L units, and caps[E] = (E + 2)
+    D/16 - 1 + L (D >> w) (D >> w = b 2^g is a whole number of units). A
+    one-point row (E = 15, gap D) is covered too. The 17 caps are built once
+    in Python ints; all lie below 18 D/16 + D/1024 < 2^63.
     """
 
-    def __init__(self, pattern: Pattern, leading: Fraction, degree: int):
+    def __init__(self, pattern: Pattern, leading: Fraction, degree: int,
+                 rows: Optional[int] = None):
         ks = pattern.indices
         lead = PolySeqSpec(degree, leading).residues(ks)
         b = lead.D
         self.s = _scale_bits(b)
         self.denominator = b << self.s
         self.n = len(ks)
-        w = next(w for w in (16, 32, 64) if w >= self.s)
+        pows = [[pow(k, i, 1 << self.s) for k in ks] for i in range(1, degree)]
+        self.drift = 1 + sum(map(max, pows))
+        w = next(w for w in (16, 32, 64)
+                 if w >= self.s or self.drift <= 1 << (w - _DRIFT_BITS))
         self.word = np.dtype(f"uint{w}")
-        self.rows = block_rows(self.n, self.word.itemsize)
-        # every scalar of a pass over the word is of the word's type, so
-        # that numpy keeps the pass in the word
-        self.shift = self.word.type(w - self.s)
+        self.rows = rows or block_rows(self.n, self.word.itemsize)
+        # the coefficient bits dropped, 0 in an exact word; every scalar of a
+        # pass over the word is of the word's type, so that numpy keeps the
+        # pass in the word
+        self.drop = max(self.s - w, 0)
+        lift = max(w - self.s, 0)
+        self.shift = self.word.type(lift)
         self.bucket_shift = self.word.type(w - 4)
+        self.one = self.word.type(1)
 
         def column(values, dtype=self.word):
             return np.array(values, dtype=dtype)[:, None]
@@ -427,73 +462,98 @@ class _ExactKernel:
         def tile(col):
             return np.repeat(col, self.rows, axis=1)
 
-        self.kpows = [tile(column([pow(k, i, 1 << self.s) << (w - self.s) for k in ks]))
-                      for i in range(1, degree)]
+        self.kpows = [tile(column([(c << lift) % (1 << w) for c in col]))
+                      for col in pows]
         self.phase = column([(r << w) // b for r in lead.nums])
         self.phase_tile = tile(self.phase)
         self.lead = column([r << self.s for r in lead.nums], np.uint64)
+        # k^i mod 2^s in uint64, from which a screened word's kept rows are
+        # rebuilt
+        self.coeff_pows = [column(col, np.uint64) for col in pows]
+        self.mask = np.uint64((1 << self.s) - 1)
         self.b = np.uint64(b)
         self.big = np.uint64(self.denominator)
-        self.caps = np.array([(E + 2) * (self.denominator >> 4) - 1
+        margin = self.drift * (self.denominator >> w) if self.drop else 0
+        self.caps = np.array([(E + 2) * (self.denominator >> 4) - 1 + margin
                               for E in range(_BUCKETS + 1)], dtype=np.uint64)
         # scratch reused by every block, each (n, rows): the positions, in
-        # the word, and one uint64 buffer that backs in turn the block pass's
-        # term of the multiply-accumulate (from degree 3 on, in the word),
-        # its bucket bits (uint16), each dead once the next stage has run,
-        # and the uint64 scratch of the kept rows in ``gaps``
+        # the word, and one uint64 buffer, ``wide``, that backs in turn the
+        # block pass's term of the multiply-accumulate (from degree 3 on) and
+        # its bucket bits, both in the word (``spare``), each dead once the
+        # next stage has run, and the uint64 scratch of the kept rows in
+        # ``gaps``
         shape = (self.n, self.rows)
         self.pos = np.empty(shape, dtype=self.word)
         self.wide = np.empty(shape, dtype=np.uint64)
-        self.term = np.ndarray(shape, self.word, buffer=self.wide) if degree > 2 else None
-        self.bits = np.ndarray(shape, np.uint16, buffer=self.wide)
+        self.spare = np.ndarray(shape, self.word, buffer=self.wide)
 
     def positions(self, u: np.ndarray) -> np.ndarray:
         """The positions pos_k (see the class) of the points of every row of
         u, shape (n, rows), in a view of the kernel's positions scratch.
 
         u has shape (rows, degree-1), dtype uint64, with at most self.rows
-        rows. Each coefficient is below 2^s <= 2^w, so its column is cast to
-        the word without loss."""
+        rows. Each coefficient, less its dropped bits, is below 2^w, so its
+        column is cast to the word without loss."""
         rows = u.shape[0]
         pos = self.pos[:, :rows]
         if not self.kpows:
             pos.fill(0)
+        if self.drop:
+            u = u >> np.uint64(self.drop)
         coeffs = np.ascontiguousarray(u.T, dtype=self.word)
         for d, (kp, coeff) in enumerate(zip(self.kpows, coeffs)):
             if d:
-                pos += np.multiply(kp[:, :rows], coeff, out=self.term[:, :rows])
+                pos += np.multiply(kp[:, :rows], coeff, out=self.spare[:, :rows])
             else:
                 np.multiply(kp[:, :rows], coeff, out=pos)
         pos += self.phase_tile[:, :rows]
         return pos
 
     def row_caps(self, pos: np.ndarray, bits: np.ndarray) -> np.ndarray:
-        """caps[E] of every row (column) of positions, as uint64; bits, a
-        uint16 array shaped like pos, is overwritten."""
-        np.right_shift(pos, self.bucket_shift, out=bits, casting="unsafe")
-        np.left_shift(np.uint16(1), bits, out=bits)
+        """caps[E] of every row (column) of positions, as uint64; bits, an
+        array in the word shaped like pos, is overwritten."""
+        np.right_shift(pos, self.bucket_shift, out=bits)
+        np.left_shift(self.one, bits, out=bits)
         return self.caps[_empty_runs()[np.bitwise_or.reduce(bits, axis=0)]]
+
+    def to_numerators(self, acc: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """The exact numerators over D, in acc, of the points whose acc_k
+        (see the class) acc holds, as uint64 shaped (n, rows); scratch, a
+        uint64 array of that shape, is overwritten.
+
+        Each value v = r_k 2^s + b acc_k lies below D + D = 2D < 2^63 (D <
+        2^62 by the choice of s), so one wrapping subtraction reduces it
+        mod D: if v < D, v - D wraps to at least 2^64 - D > 2^63 > v and min
+        keeps v."""
+        acc *= self.b
+        acc += self.lead
+        np.subtract(acc, self.big, out=scratch)
+        np.minimum(acc, scratch, out=acc)
+        return acc
 
     def exact(self, pos: np.ndarray, scratch: np.ndarray) -> np.ndarray:
         """The exact numerators over D, as uint64, of pos, columns of
-        positions in the word, which is overwritten; they are built in pos
-        itself when the word is uint64, else in a widened copy of it.
+        positions in an exact word, which is overwritten; they are built in
+        pos itself when the word is uint64, else in a widened copy of it.
         scratch, a uint64 array shaped like pos, is overwritten.
 
         Subtracting the phase gives back acc_k << (w - s) exactly, since
-        the sum wrapped mod 2^w, and shifting gives acc_k; both in the word.
-        Then each value v = r_k 2^s + b acc_k, in uint64, lies below D + D =
-        2D < 2^63 (D < 2^62 by the choice of s), so one wrapping subtraction
-        reduces it mod D: if v < D, v - D wraps to at least 2^64 - D > 2^63
-        > v and min keeps v."""
+        the sum wrapped mod 2^w, and shifting gives acc_k; both in the word."""
         pos -= self.phase
         pos >>= self.shift
-        vals = pos.astype(np.uint64, copy=False)
-        vals *= self.b
-        vals += self.lead
-        np.subtract(vals, self.big, out=scratch)
-        np.minimum(vals, scratch, out=vals)
-        return vals
+        return self.to_numerators(pos.astype(np.uint64, copy=False), scratch)
+
+    def numerators(self, u: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """The exact numerators over D, as a new uint64 array shaped like
+        scratch, (n, rows) and column-major, of every row of u, from the
+        coefficients in any word: acc_k = sum_i (k^i mod 2^s) u_i wraps mod
+        2^64, a multiple of 2^s, and is then masked to its low s bits.
+        scratch is overwritten."""
+        acc = np.zeros(scratch.shape, np.uint64, order="F")
+        for kp, coeff in zip(self.coeff_pows, u.T):
+            acc += np.multiply(kp, coeff, out=scratch)
+        acc &= self.mask
+        return self.to_numerators(acc, scratch)
 
     def block(self, u: np.ndarray) -> np.ndarray:
         """The block pass over the rows of u (at most self.rows): the caps
@@ -501,18 +561,21 @@ class _ExactKernel:
         over D. The rows' positions stay in the positions scratch for
         ``gaps`` until the next block."""
         pos = self.positions(u)
-        return self.row_caps(pos, self.bits[:, :u.shape[0]])
+        return self.row_caps(pos, self.spare[:, :u.shape[0]])
 
-    def gaps(self, keep: np.ndarray) -> np.ndarray:
+    def gaps(self, u: np.ndarray, keep: np.ndarray) -> np.ndarray:
         """The exact max-gap numerators over D, as uint64, of the rows keep
-        (indices) of the last block, built and sorted from one gathered copy
-        of their positions; the positions are left as they are. That copy is
-        column-major (each row's points contiguous, as the sort along points
-        wants), and so is the scratch that ``exact`` and the gaps between
-        neighbours use, a view of the front of ``wide``."""
-        kept = self.pos[:, keep]
-        scratch = np.ndarray(kept.shape, np.uint64, buffer=self.wide, order="F")
-        kept = self.exact(kept, scratch)
+        (indices) of the last block, u, built and sorted in one column-major
+        array (each row's points contiguous, as the sort along points
+        wants): in an exact word a gathered copy of their positions, which
+        are left as they are, and in a screened one their rebuilt
+        numerators. ``exact``/``numerators`` and the gaps between neighbours
+        use as scratch a view of the front of ``wide``."""
+        scratch = np.ndarray((self.n, len(keep)), np.uint64, buffer=self.wide, order="F")
+        if self.drop:
+            kept = self.numerators(u[keep], scratch)
+        else:
+            kept = self.exact(self.pos[:, keep], scratch)
         kept.sort(axis=0)
         # the wrap gap D - last + first, which lies in (0, D]; initial=0
         # covers one-point patterns, whose only gap is the wrap
@@ -526,17 +589,12 @@ class _Scan:
     it certified, the rows it sent to the kernel and those it sorted, and a
     one-block queue of rows for the kernel. The best starts at (0, ()):
     every gap numerator is at least 1, so every row outranks it. Every
-    block, sampled, queued or a net's coarse cells, goes through ``run``.
+    block, sampled, queued or a net's coarse cells, goes through ``run``,
+    in blocks of the kernel's rows."""
 
-    rows is the scan's block size, the kernel's by default. A net passes
-    the uint64 size ``block_rows(n)`` at every word for its segments and
-    queue: its stride is set once a segment and its floor once a block, so
-    longer blocks would send it more cells (at s = 13, a net of 8,192 cells
-    ran every cell at stride 1)."""
-
-    def __init__(self, kernel: _ExactKernel, rows: Optional[int] = None):
+    def __init__(self, kernel: _ExactKernel):
         self.kernel = kernel
-        self.rows = rows or kernel.rows
+        self.rows = kernel.rows
         self.best = (0, ())
         self.cells = self.kernel_rows = self.sorted_rows = 0
         self.queue = np.empty((self.rows, len(kernel.kpows)), dtype=np.uint64)
@@ -570,11 +628,11 @@ class _Scan:
             caps = bounds[keep]
             top = caps.max()
             first = keep[caps == top]
-            bounds[first] = self.kernel.gaps(first)
+            bounds[first] = self.kernel.gaps(u, first)
             self.keep_best(u, first, bounds[first])
             rest = keep[(caps >= self.best[0]) & (caps < top)]
             if len(rest):
-                bounds[rest] = self.kernel.gaps(rest)
+                bounds[rest] = self.kernel.gaps(u, rest)
                 self.keep_best(u, rest, bounds[rest])
         return bounds
 
@@ -612,7 +670,8 @@ class _Scan:
                     worst_coeffs_exact=tuple((u, self.kernel.s) for u in coeffs),
                     sorted_rows=self.sorted_rows,
                     kernel_rows=self.kernel_rows,
-                    block_rows=self.rows)
+                    block_rows=self.rows,
+                    word_bits=self.kernel.word.itemsize * 8)
 
 
 # the longest stride between two coarse cells of the net scan
@@ -655,15 +714,18 @@ class _Cone:
     best are queued and sent to the kernel in full blocks. The stride is
     m = clamp(floor((2 best - 3D/8) / lip), 1, 64), which is 1 while the
     best is 0, before any row is scanned: a coarse row whose longest empty
-    bucket run is one bucket has cap 3D/16 - 1, and the cone of two such
+    bucket run is one bucket has cap about 3D/16 (3D/16 - 1 in an exact
+    word, at most D/1024 more in a screened one), and the cone of two such
     rows m steps apart peaks at about 3D/16 + lip m/2 <= best. Only the
     number of kernel rows depends on m.
 
     Headroom. Interior cells exist only at m >= 2, where lip m <= 2 best -
     3D/8 <= 13D/8 (best <= D), so lip < D. ``interior`` never forms a cone
-    sum: it works in int64 on best - ub, which lies in (-18D/16, D] (every
-    bound is at most the largest cap, 18D/16 - 1), on max(best - ub, 1) +
-    lip - 1 < 2D, and on last digits below 2^s. D < 2^62, so all of these
+    sum: it works in int64 on best - ub, which lies in (-18D/16 - L D/2^w,
+    D] (every bound is at most the largest cap, 18D/16 - 1 + L D/2^w, with
+    L D/2^w <= D/1024 the screened words' margin, 0 in an exact word; see
+    ``_ExactKernel``), on max(best - ub, 1) + lip - 1 < 2D, and on last
+    digits below 2^s. D < 2^62, so all of these
     lie inside int64, and a uint64 bound below 2^63 reads the same as an
     int64 one.
     """
@@ -767,12 +829,14 @@ class HittingReport:
     slack: float = 0.0
     epsilon_guaranteed: Optional[float] = None
     seed: Optional[int] = None
-    # rows sent to the kernel, those whose exact gap it computed, and the
-    # rows per kernel block: work counters, neither compared nor emitted
-    # here (the CLI shows them in meta.counters)
+    # rows sent to the kernel, those whose exact gap it computed, the rows
+    # per kernel block and the bits of the kernel's word: work counters,
+    # neither compared nor emitted here (the CLI shows them in
+    # meta.counters)
     kernel_rows: Optional[int] = field(default=None, compare=False)
     sorted_rows: Optional[int] = field(default=None, compare=False)
     block_rows: Optional[int] = field(default=None, compare=False)
+    word_bits: Optional[int] = field(default=None, compare=False)
 
     @property
     def worst_gap(self) -> float:
@@ -822,11 +886,15 @@ def verify_hitting_net(pattern: Pattern, leading: Fraction, degree: int,
     if pattern.universe == 0 or leading != Fraction(1, pattern.universe):
         raise ValueError("net verification expects leading = 1/universe "
                          "with the pattern confined to {0..universe-1}")
-    kernel = _ExactKernel(pattern, leading, degree)
+    # segments of the uint64 size at every word: the stride is set once a
+    # segment and the floor once a block, so longer blocks would send more
+    # cells to the kernel (at s = 13, a net of 8,192 cells ran every cell at
+    # stride 1)
+    kernel = _ExactKernel(pattern, leading, degree, block_rows(pattern.n))
     if (nets.degree, nets.universe, nets.scale_bits) != (degree, pattern.universe, kernel.s):
         raise ValueError("net spec does not match the pattern")
     cone = _Cone(kernel, pattern, nets)
-    scan = _Scan(kernel, block_rows(kernel.n))
+    scan = _Scan(kernel)
     cone.scan(scan)
     found = scan.witness()
     gap = Fraction(*found["worst_gap_exact"])

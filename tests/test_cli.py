@@ -160,18 +160,22 @@ def test_scan_counters_in_meta(tmp_path):
     code, net = run(["verify", "--pattern", str(pat), "--method", "net",
                      "--epsilon", "auto"], tmp_path, "net.json")
     assert code == 0
-    for payload, cells in ((cal, 2 * 300), (net, net["reports"]["hitting"]["tested"])):
+    # Q = 257 runs in the screened uint32 word (see patterns._ExactKernel);
+    # a sampled scan's blocks are sized in it, a net's segments in uint64
+    for payload, cells, rows in ((cal, 2 * 300, block_rows(12, 4)),
+                                 (net, net["reports"]["hitting"]["tested"], block_rows(12))):
         counters = payload["meta"]["counters"]
         assert counters["cells"] == cells
         assert 0 < counters["sorted_rows"] <= counters["kernel_rows"] <= cells
-        assert counters["block_rows"] == block_rows(12)
+        assert counters["block_rows"] == rows
+        assert counters["word_bits"] == 32
         assert counters["cells_per_s"] > 0
     # a sampled scan sends every row to the kernel; this net (Q = 257,
     # 102,801 cells) moves a gap by at most about D/430 per step, so its
     # cone skips most cells
     assert cal["meta"]["counters"]["kernel_rows"] == 2 * 300
     assert net["meta"]["counters"]["kernel_rows"] < net["meta"]["counters"]["cells"]
-    for field in ("sorted_rows", "kernel_rows", "block_rows"):
+    for field in ("sorted_rows", "kernel_rows", "block_rows", "word_bits"):
         assert field not in net["reports"]["hitting"]
     # n = 64, p = 3 has s = 13: the kernel runs in uint16, in blocks of
     # 2^18 / (2 * 64) rows, and the counter gives those rows
@@ -181,6 +185,7 @@ def test_scan_counters_in_meta(tmp_path):
     assert code == 0
     counters = cal64["meta"]["counters"]
     assert counters["block_rows"] == block_rows(64, 2) == 2048
+    assert counters["word_bits"] == 16
     assert counters["kernel_rows"] == counters["cells"] == 2 * 3000
     assert 0 < counters["sorted_rows"] <= counters["kernel_rows"]
 

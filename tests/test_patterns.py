@@ -402,7 +402,7 @@ def _exact_gaps(kernel, u) -> np.ndarray:
     kernel.rows), as uint64: the kernel's block pass, then every row sorted,
     as test_kernel_rows_match_fraction_oracle holds it to Fractions."""
     kernel.block(u)
-    return kernel.gaps(np.arange(len(u)))
+    return kernel.gaps(u, np.arange(len(u)))
 
 
 def _every_cell_gap(pattern, leading, degree, nets) -> dict:
@@ -437,6 +437,12 @@ def _pruning_cases():
         # a power-of-two step puts B + 1/2 on the grid with every B
         ("tied", _doubled(thin_pattern(8, q8 // 2, seed=5), q8), 2,
          NetSpec(2, q8, s8, (1 << (s8 - 15),)), True),
+        # the universes of the n = 32 and n = 16, p = 2 nets, s = 41 and 45,
+        # whose kernels run in the screened uint32 word, on indices below
+        # 1000, at 2^14 cells
+        *((f"s{s}-w32", Pattern(thin_pattern(12, 1000, seed=4).indices, q), 2,
+           NetSpec(2, q, s, (1 << (s - 14),)), False)
+          for q, s in ((bertrand_prime(32, 2), 41), (bertrand_prime(16, 2), 45))),
     ]
 
 
@@ -446,11 +452,13 @@ def test_pruned_net_scan_matches_every_cell_oracle(monkeypatch, case):
     # the cone skips most cells, and the report must equal a full pass of
     # the kernel over every cell, and a rerun must repeat it, work counters
     # included
-    _, pat, degree, nets, tied = case
+    name, pat, degree, nets, tied = case
     leading = Fraction(1, pat.universe)
     full = _every_cell_gap(pat, leading, degree, nets)
     assert len(full) == nets.total_cells
     kernel = patterns._ExactKernel(pat, leading, degree)
+    # every case but s13-w16 runs in the screened uint32 word
+    assert kernel.word == (np.uint16 if name == "s13-w16" else np.uint32)
     assert patterns._Cone(kernel, pat, nets).lip * 8 < kernel.denominator
     worst = max(full.values())
     top = sorted(us for us, g in full.items() if g == worst)
@@ -552,9 +560,9 @@ def test_cone_interior_matches_integer_oracle_at_the_stride_cap():
 
 
 @pytest.mark.parametrize("seed, kernel_rows, sorted_rows, epsilon", [
-    (0, 2_193_165, 264, 0.5084076727858957),
-    (1, 1_571_066, 87, 0.5836175111115178),
-    (2, 2_619_059, 102, 0.5100848780894421),
+    (0, 2_193_184, 320, 0.5084076727858957),
+    (1, 1_571_049, 87, 0.5836175111115178),
+    (2, 2_618_999, 103, 0.5100848780894421),
 ], ids=["seed0", "seed1", "seed2"])
 def test_readme_net_work_counters(seed, kernel_rows, sorted_rows, epsilon):
     # the n = 32 nets at 10^7 cells of pattern seeds 0 to 2 (the README's is
@@ -709,23 +717,26 @@ def test_net_certificate_bounds_the_exact_supremum(n, universe):
 
 
 @pytest.mark.parametrize("degree, universe, n, w", [
-    (2, 67, 64, 64), (3, 71, 64, 64), (2, 64, 64, 64), (3, 64, 64, 64), (2, 67, 1, 64),
-    (3, 64, 2, 64), *((degree, b, 64, w) for degree, (_, b, w) in zip((3, 2, 3, 2, 3), _NARROW)),
+    (2, 67, 64, 32), (3, 71, 64, 32), (2, 64, 64, 16), (3, 64, 64, 32), (2, 67, 1, 16),
+    (3, 64, 2, 16), *((degree, b, 64, w) for degree, (_, b, w) in zip((3, 2, 3, 2, 3), _NARROW)),
+    (2, 1_048_583, 64, 32), (2, 65_537, 64, 32), (3, 4_099, 64, 64),
 ], ids=["2-67", "3-71", "2-64", "3-64", "2-67-one-point", "3-64-two-point",
-        *(i for i, _, _ in _NARROW)])
+        *(i for i, _, _ in _NARROW), "s41-w32", "s45-w32", "s49-w64"])
 def test_kernel_rows_match_fraction_oracle(degree, universe, n, w):
     # every row's exact gap, over one full block and a short one that reuses
     # the kernel's scratch, against the rational definition; with an odd universe a
     # row puts a point on D - 1, with a power of two a row puts one on D
-    # itself, which the wrapping reduce must send to 0. The universes of a
-    # narrow word are too large for a thinned index to reach D - 1 by
-    # chance: there the leading numerator is -2^-s mod universe, the slow
-    # phase residue when w = s, and k = 1 is added to the pattern, so that
-    # k = 1 reaches it.
+    # itself, which the wrapping reduce must send to 0. The small universes
+    # and s41-w32 (the n = 32, p = 2 net's) and s45-w32 (the n = 16 one's)
+    # run in screened words, which drop the low s - w coefficient bits. The
+    # universes above 2^12 are too large for a thinned index to reach D - 1
+    # by chance: there the leading numerator is -2^-s mod universe, the
+    # slow phase residue when w = s, and k = 1 is added to the pattern, so
+    # that k = 1 reaches it.
     s = patterns._scale_bits(universe)
     D = universe << s
-    narrow = w < 64
-    leading = Fraction(-pow(2, -s, universe) % universe if narrow else 1, universe)
+    large = universe > 1 << 12
+    leading = Fraction(-pow(2, -s, universe) % universe if large else 1, universe)
     edge = Fraction(D - 1, D) if universe % 2 else Fraction(0)
 
     def edge_row(k):
@@ -737,9 +748,9 @@ def test_kernel_rows_match_fraction_oracle(degree, universe, n, w):
             return [acc * pow(k, -1, 1 << s) % (1 << s)] + [0] * (degree - 2)
         return None
 
-    # 64 thinned indices (63 and k = 1 at a narrow word), or the first n of
-    # the indices that can reach the edge
-    if narrow:
+    # 64 thinned indices (63 and k = 1 in a large universe), or the first n
+    # of the indices that can reach the edge
+    if large:
         pat = Pattern(tuple(sorted({1, *thin_pattern(63, universe, seed=1).indices})),
                       universe)
     elif n == 64:
@@ -808,7 +819,9 @@ def test_scan_keeps_few_blocks_in_flight(monkeypatch):
     universe = 257
     pat = thin_pattern(12, universe, seed=4)
     leading = Fraction(1, universe)
-    monkeypatch.setattr(patterns, "_BLOCK_BYTES", 8 * pat.n * 50)
+    # blocks of 50 rows in the kernel's word (uint32 here)
+    word = patterns._ExactKernel(pat, leading, 2).word
+    monkeypatch.setattr(patterns, "_BLOCK_BYTES", word.itemsize * pat.n * 50)
     want = verify_hitting_sampled(pat, leading, 2, 0.9, 300 * 50, seed=7)
     count = {"drawn": 0, "finished": 0, "peak": 0}
     block = patterns._ExactKernel.block
@@ -911,17 +924,48 @@ def test_top_cap_class_first_keeps_the_best_and_its_ties(universe):
 
 def test_narrow_universes_choose_the_narrowest_word():
     # the scale bits of each universe, and the word of a kernel over it:
-    # its positions, tiles and scratch, and every scalar its passes use
+    # its positions, tiles and scratch, and every scalar its passes use. A
+    # pattern on k = 1, 1000 has drift L = 1 + 1000 + (10^6 mod 2^s) > 64,
+    # too large for uint16 where s > 16, so it runs in the exact word; on
+    # k = 1, 2 (L = 7) every universe runs in uint16
     for (_, b, w), s in zip(_NARROW, (13, 16, 17, 29, 32)):
         assert patterns._scale_bits(b) == s
-        kernel = patterns._ExactKernel(Pattern((1, 2)), Fraction(1, b), 3)
-        assert kernel.word == np.dtype(f"uint{w}")
-        arrays = [*kernel.kpows, kernel.phase, kernel.phase_tile, kernel.pos, kernel.term]
-        assert {a.dtype for a in arrays} == {kernel.word}
-        assert kernel.shift.dtype == kernel.bucket_shift.dtype == kernel.word
-        u = np.ones((3, 2), dtype=np.uint64)
-        assert kernel.positions(u).dtype == kernel.word
-    assert patterns._ExactKernel(Pattern((1,)), Fraction(1, 1_048_583), 2).word == np.uint64
+        for ks, want in (((1, 1000), w), ((1, 2), 16)):
+            kernel = patterns._ExactKernel(Pattern(ks), Fraction(1, b), 3)
+            assert kernel.word == np.dtype(f"uint{want}")
+            assert kernel.drop == max(s - want, 0)
+            arrays = [*kernel.kpows, kernel.phase, kernel.phase_tile, kernel.pos,
+                      kernel.spare]
+            assert {a.dtype for a in arrays} == {kernel.word}
+            assert kernel.shift.dtype == kernel.bucket_shift.dtype == kernel.word
+            u = np.ones((3, 2), dtype=np.uint64)
+            assert kernel.positions(u).dtype == kernel.word
+
+
+def _drift(ks, degree, s) -> int:
+    """The drift L = 1 + sum_i max_k (k^i mod 2^s), i = 1..degree-1."""
+    return 1 + sum(max(k ** i % (1 << s) for k in ks) for i in range(1, degree))
+
+
+def test_word_rule_drops_bits_while_the_drift_is_small():
+    # the narrowest word that holds s bits or has L <= 2^(w - 10): the
+    # n = 32, p = 2 net's patterns (s = 41, L about 2^20) in uint32, the
+    # n = 64, p = 2 and n = 8, p = 3 ones (L above 2^22) in uint64, and
+    # two points at Q = 1,048,583 (L = 3) in uint16
+    for n, p, w in ((32, 2, 32), (64, 2, 64), (8, 3, 64)):
+        q = bertrand_prime(n, p)
+        for seed in range(3):
+            pat = thin_pattern(n, q, seed)
+            kernel = patterns._ExactKernel(pat, Fraction(1, q), p)
+            assert kernel.drift == _drift(pat.indices, p, kernel.s)
+            assert kernel.word == np.dtype(f"uint{w}") and kernel.s > w // 2
+            assert kernel.drop == max(kernel.s - w, 0)
+    kernel = patterns._ExactKernel(Pattern((1, 2)), Fraction(1, 1_048_583), 2)
+    assert (kernel.s, kernel.drift, kernel.word) == (41, 3, np.uint16)
+    # at the limit L = 2^(w - 10) the word still drops bits, one past it not
+    for K, w in ((63, 16), (64, 32), ((1 << 22) - 1, 32), (1 << 22, 64)):
+        kernel = patterns._ExactKernel(Pattern((1, K)), Fraction(1, 1_048_583), 2)
+        assert kernel.drift == K + 1 and kernel.word == np.dtype(f"uint{w}")
 
 
 def _slow_phase(b, w):
@@ -932,30 +976,44 @@ def _slow_phase(b, w):
     return (b - 1) * pow(2, -w, b) % b if b % 2 else 0
 
 
-def _cap_oracle(points, b, s, w):
+def _cap_oracle(points, b, s, w, drift):
     """(max gap numerator, E, cap, positions) of one row in Python ints.
 
-    Each point is (r, acc): its leading residue r over b and acc =
-    sum_i u_i k^i mod 2^s, so its exact numerator over D = b 2^s is
-    (r 2^s + b acc) mod D. Its position in a w-bit word (w >= s) is pos =
-    acc 2^(w-s) + floor(r 2^w / b) mod 2^w in units of 2^-w; E is the
-    longest circular run of the 16 buckets pos >> (w - 4) that no point
-    occupies, and the cap is (E + 2) D/16 - 1.
+    Each point is (r, k, coeffs): its leading residue r over b, its index k
+    and the coefficients u_i of k^i, i = 1, 2, ...; with acc = sum_i u_i k^i
+    mod 2^s, its exact numerator over D = b 2^s is (r 2^s + b acc) mod D.
+    Its position in a w-bit word, in units of 2^-w, is pos = acc 2^(w-s) +
+    floor(r 2^w / b) mod 2^w where w >= s, and where w < s, with the low
+    g = s - w bits of each coefficient dropped, pos = sum_i (k^i mod 2^w)
+    (u_i >> g) + floor(r 2^w / b) mod 2^w. E is the longest circular run of
+    the 16 buckets pos >> (w - 4) that no point occupies, and the cap is
+    (E + 2) D/16 - 1, plus drift D/2^w where w < s.
     """
-    D = b << s
-    xs = [((r << s) + b * acc) % D for r, acc in points]
+    D, g = b << s, max(s - w, 0)
+    xs, pos = [], []
+    for r, k, coeffs in points:
+        acc = sum(u * k ** i for i, u in enumerate(coeffs, start=1)) % (1 << s)
+        x = ((r << s) + b * acc) % D
+        phase = (r << w) // b
+        if g:
+            q = (sum(k ** i % (1 << w) * (u >> g) for i, u in enumerate(coeffs, start=1))
+                 + phase) % (1 << w)
+            # the point lies ahead of its position by between 0 and drift units
+            assert 0 <= ((x << w) - q * D) % (D << w) < drift * D
+        else:
+            q = ((acc << (w - s)) + phase) % (1 << w)
+            # the position is the exact point rounded down to a whole unit, so
+            # its top 4 bits are the exact point's bucket
+            assert q == (x << w) // D and q >> (w - 4) == 16 * x // D
+        xs.append(x)
+        pos.append(q)
     gap = max_circular_gap([Fraction(x, D) for x in xs]) * D
-    pos = [((acc << (w - s)) + (r << w) // b) % (1 << w) for r, acc in points]
-    for x, q in zip(xs, pos):
-        # the position is the exact point rounded down to a whole unit, so
-        # its top 4 bits are the exact point's bucket
-        assert q == (x << w) // D and q >> (w - 4) == 16 * x // D
     occupied = {q >> (w - 4) for q in pos}
     runs = [0]
     for j in range(32):
         runs.append(0 if j % 16 in occupied else runs[-1] + 1)
     E = min(max(runs), 16)
-    return gap, E, (E + 2) * D // 16 - 1, pos
+    return gap, E, (E + 2) * D // 16 - 1 + (drift * (D >> w) if g else 0), pos
 
 
 def test_empty_runs_table_matches_brute_force():
@@ -967,26 +1025,43 @@ def test_empty_runs_table_matches_brute_force():
         assert table[mask] == want, mask
 
 
-@pytest.mark.parametrize("b, w", [(1, 64), (3, 64), (7, 64), (1_048_583, 64),
-                                  *((b, w) for _, b, w in _NARROW)],
-                         ids=["b1", "b3", "b7", "b1048583", *(i for i, _, _ in _NARROW)])
-def test_gap_caps_bound_every_gap(b, w):
+@pytest.mark.parametrize("b, w, K", [
+    (1, 64, 1 << 22), (3, 64, 1 << 22), (7, 64, 1 << 22), (1_048_583, 64, 1 << 22),
+    *((b, w, 64 if w == 32 else 2) for _, b, w in _NARROW),
+    (1_048_583, 32, (1 << 22) - 1), (1_048_583, 16, 63), (1, 16, 63),
+], ids=["b1", "b3", "b7", "b1048583", *(i for i, _, _ in _NARROW),
+        "b1048583-screened-w32", "b1048583-screened-w16", "b1-screened-w16"])
+def test_gap_caps_bound_every_gap(b, w, K):
     # rows of exact numerators over D = b 2^s, each point split into its
-    # leading residue r and its acc; the kernel's caps, read from the 2^-w
-    # positions, bound every gap and the bound is attained. With b = 1 every
-    # phase is exact; for b > 1 the points beside the bucket edges carry the
-    # residue whose phase is rounded down the most. 1,048,583 is the
-    # Bertrand prime above 2^20 (n = 32, p = 2).
+    # leading residue r and a coefficient at an index k; the kernel's caps,
+    # read from the 2^-w positions, bound every gap. The kernel's pattern
+    # on k = 1, K sets its word through the drift L = 1 + K: K = 2^22 puts
+    # s > 32 in uint64, K = 64 puts s > 16 in uint32, and K = 2^22 - 1 and
+    # 63 put s = 41 in the screened uint32 and uint16 at the rule's limit
+    # L = 2^(w - 10). With b = 1 every phase is exact; for b > 1 the points
+    # beside the bucket edges carry the residue whose phase is rounded down
+    # the most. In an exact word the bound is attained; in a screened one,
+    # points at k = K with every dropped bit set whose positions sit just
+    # below the bucket edges use the margin L D/2^w to within 3 + K/2^g
+    # units of D/2^w. 1,048,583 is the Bertrand prime above 2^20 (n = 32, p = 2).
     r_slow = _slow_phase(b, w)
-    kernel = patterns._ExactKernel(Pattern((1,)), Fraction(r_slow or 1, b), 2)
+    kernel = patterns._ExactKernel(Pattern((1, K)), Fraction(r_slow or 1, b), 2)
     s, D = kernel.s, kernel.denominator
-    assert kernel.word == np.dtype(f"uint{w}")
+    g, L = max(s - w, 0), K + 1
+    assert kernel.word == np.dtype(f"uint{w}") and kernel.drift == L and kernel.drop == g
     assert D == b << s and D % 16 == 0 and (r_slow << w) % b == (b - 1) % b
-    W = D // 16
+    W, U = D // 16, D >> w  # a bucket and a unit, as numerators over D
 
     def split(x):
+        # x as a point at k = 1, whose coefficient is its acc
         r = x * pow(2, -s, b) % b if b > 1 else 0
-        return r, (x - (r << s)) % D // b
+        return r, 1, ((x - (r << s)) % D // b,)
+
+    def drifted(q):
+        # a point at k = K with the slow residue, every dropped bit of its
+        # coefficient set, and position q
+        t = (q - (r_slow << w) // b) * pow(K, -1, 1 << w) % (1 << w)
+        return r_slow, K, ((t << g) | ((1 << g) - 1),)
 
     # the points with the slow residue nearest each edge i W, on either side
     c0 = (r_slow << s) % b
@@ -1007,37 +1082,59 @@ def test_gap_caps_bound_every_gap(b, w):
     ]
     rows += [rng.integers(0, D, size=n).tolist()
              for n in (1, 2, 3, 5, 8, 40) for _ in range(6)]
+    rows = [[split(x) for x in row] for row in rows]
+    if g:
+        # positions just below each edge, the point just past them
+        edge = 1 << (w - 4)
+        rows += [[drifted(i * edge - 1), split(above[i])] for i in range(16)]
+        rows += [[drifted(i * edge - 1) for i in range(16)],
+                 [drifted(i * edge - 1) for i in range(0, 16, 5)]]
+        rows += [[drifted(int(q)) for q in rng.integers(0, 1 << w, size=n)]
+                 + [split(int(x)) for x in rng.integers(0, D, size=n)]
+                 for n in (1, 2, 4) for _ in range(6)]
     for n in sorted({len(r) for r in rows}):
         same = [r for r in rows if len(r) == n]
-        oracle = [_cap_oracle([split(x) for x in row], b, s, w) for row in same]
+        oracle = [_cap_oracle(row, b, s, w, L) for row in same]
         pos = np.array([o[3] for o in oracle], dtype=kernel.word).T.copy()
-        caps = kernel.row_caps(pos, np.empty(pos.shape, dtype=np.uint16))
+        caps = kernel.row_caps(pos, np.empty(pos.shape, dtype=kernel.word))
         for row, cap, (gap, E, want, _) in zip(same, caps.tolist(), oracle):
             assert cap == want == kernel.caps[E], row
             assert gap <= cap, row
-    # two points 9W - 1 apart leave 7 empty buckets, and the gap is the cap
-    gap, E, cap, _ = _cap_oracle([split(0), split(9 * W - 1)], b, s, w)
-    assert E == 7 and gap == cap
-    gap, E, cap, _ = _cap_oracle([split(above[0]), split(below[9])], b, s, w)
-    assert E == 7 and cap - b < gap <= cap
+    if not g:
+        # two points 9W - 1 apart leave 7 empty buckets, and the gap is the cap
+        gap, E, cap, _ = _cap_oracle([split(0), split(9 * W - 1)], b, s, w, L)
+        assert E == 7 and gap == cap
+        gap, E, cap, _ = _cap_oracle([split(above[0]), split(below[9])], b, s, w, L)
+        assert E == 7 and cap - b < gap <= cap
+    else:
+        # 0, and a position at the top of bucket 8 whose point lies nearly L
+        # units further on: 7 empty buckets, and the gap nearly the cap
+        gap, E, cap, _ = _cap_oracle([split(0), drifted(9 * (1 << (w - 4)) - 1)],
+                                     b, s, w, L)
+        assert E == 7 and cap - (3 + (K >> g)) * U < gap <= cap
+        assert cap == 9 * W - 1 + L * U
 
 
 @pytest.mark.parametrize("degree, universe, w", [
-    (2, 64, 64), (3, 101, 64), (2, 1_048_583, 64),
+    (2, 64, 16), (3, 101, 32), (2, 1_048_583, 32), (3, 4_099, 64),
     *((degree, b, w) for degree, (_, b, w) in zip((3, 2, 3, 2, 3), _NARROW)),
-], ids=["2-64", "3-101", "2-1048583", *(i for i, _, _ in _NARROW)])
+], ids=["2-64", "3-101", "2-1048583", "3-4099", *(i for i, _, _ in _NARROW)])
 def test_kernel_caps_bound_its_rows(degree, universe, w):
-    # the kernel's positions, exact residues and caps, row by row,
-    # against Python ints and the rational points; for an odd universe the
-    # leading numerator is the residue whose phase is rounded down the most,
-    # and k = 1 in the pattern takes it
+    # the kernel's positions, exact residues and caps, row by row, against
+    # Python ints and the rational points, in the screened words (2-64,
+    # 3-101, 2-1048583) and the exact ones; for an odd universe the leading
+    # numerator is the residue whose phase is rounded down the most, and
+    # k = 1 in the pattern takes it. The exact residues come from the
+    # coefficients in every word, and from the positions in an exact one.
     b = universe
     leading = Fraction(_slow_phase(b, w) or 1, b)
     pat = Pattern(tuple({0, 1, *thin_pattern(20, universe, seed=3).indices}), universe)
     kernel = patterns._ExactKernel(pat, leading, degree)
     s, D = kernel.s, kernel.denominator
+    L = _drift(pat.indices, degree, s)
     lead = PolySeqSpec(degree, leading).residues(pat.indices)
     assert lead.D == b and D == b << s and kernel.word == np.dtype(f"uint{w}")
+    assert kernel.drift == L and (kernel.drop > 0) == (w < s)
     if b % 2:
         assert (lead.nums[pat.indices.index(1)] << w) % b == b - 1
     rng = np.random.default_rng(universe)
@@ -1045,14 +1142,16 @@ def test_kernel_caps_bound_its_rows(degree, universe, w):
     u[0] = 0
     u[1] = (1 << s) - 1
     pos = kernel.positions(u).copy()
-    caps = kernel.row_caps(pos, np.empty(pos.shape, dtype=np.uint16))
-    vals = kernel.exact(pos.copy(), np.empty(pos.shape, dtype=np.uint64))
+    caps = kernel.row_caps(pos, np.empty(pos.shape, dtype=kernel.word))
+    vals = kernel.numerators(u, np.empty(pos.shape, dtype=np.uint64, order="F"))
     assert pos.dtype == kernel.word and vals.dtype == np.uint64
+    if w >= s:
+        from_pos = kernel.exact(pos.copy(), np.empty(pos.shape, dtype=np.uint64))
+        assert from_pos.dtype == np.uint64 and (from_pos == vals).all()
     for coeffs, q, row, cap in zip(u.tolist(), pos.T.tolist(), vals.T.tolist(),
                                    caps.tolist()):
-        accs = [sum(c * k ** i for i, c in enumerate(coeffs, start=1)) % (1 << s)
-                for k in pat.indices]
-        gap, E, want, oracle_pos = _cap_oracle(list(zip(lead.nums, accs)), b, s, w)
+        points = [(r, k, coeffs) for r, k in zip(lead.nums, pat.indices)]
+        gap, E, want, oracle_pos = _cap_oracle(points, b, s, w, L)
         assert q == oracle_pos and cap == want
         spec = PolySeqSpec(degree, leading, tuple(Fraction(x, 1 << s) for x in coeffs))
         assert [Fraction(x, D) for x in row] == [spec.value_at(k) for k in pat.indices]
@@ -1067,18 +1166,20 @@ def test_run_bounds_are_exact_where_sorted_and_caps_elsewhere(degree, universe, 
     # and, for the sorted rows, pattern_gap: every bound is at least its
     # row's gap, a sorted row's bound is its exact gap, any other row's is
     # its cap, and every row whose gap reaches the best after the block was
-    # sorted
+    # sorted; 2-1048583 and 3-101 run in the screened uint32 word, 3-s13 in
+    # the exact uint16
     leading = Fraction(1, universe)
     pat = thin_pattern(n, universe, seed=2)
     kernel = patterns._ExactKernel(pat, leading, degree)
     s, D, w = kernel.s, kernel.denominator, kernel.word.itemsize * 8
+    L = _drift(pat.indices, degree, s)
     lead = PolySeqSpec(degree, leading).residues(pat.indices)
     sorted_now = []
     gaps = kernel.gaps
 
-    def recording(keep):
+    def recording(u, keep):
         sorted_now.extend(keep.tolist())
-        return gaps(keep)
+        return gaps(u, keep)
 
     kernel.gaps = recording
     found = {}  # (gap, cap) of every row checked
@@ -1088,9 +1189,8 @@ def test_run_bounds_are_exact_where_sorted_and_caps_elsewhere(degree, universe, 
         bounds = scan.run(u).tolist()
         assert len(sorted_now) == len(set(sorted_now))
         for i, coeffs in enumerate(map(tuple, u.tolist())):
-            accs = [sum(c * k ** j for j, c in enumerate(coeffs, start=1)) % (1 << s)
-                    for k in pat.indices]
-            gap, _, cap, _ = _cap_oracle(list(zip(lead.nums, accs)), universe, s, w)
+            points = [(r, k, coeffs) for r, k in zip(lead.nums, pat.indices)]
+            gap, _, cap, _ = _cap_oracle(points, universe, s, w, L)
             found[coeffs] = gap, cap
             assert bounds[i] >= gap
             if i in sorted_now:
@@ -1123,13 +1223,16 @@ def test_run_bounds_are_exact_where_sorted_and_caps_elsewhere(degree, universe, 
 
 def _check_tied_rows(leading):
     """Scans blocks of rows of a degree-3 kernel on k in {0, 1, 2} whose
-    best gap 9W - 1 (W = D/16) equals their cap.
+    best gap 9W - 1 (W = D/16) reaches their cap, which is 9W - 1 in an
+    exact word and at most D/1024 more in a screened one.
 
     The points of a row lie at 0, x_1 and x_2 over D. With x_1 = 9W - 1 and
-    x_2 in [9W, 16W) the gap is 9W - 1 and equals the row's cap, so all these
-    rows tie the best and must still be sorted; the smallest of them comes
-    only after earlier blocks have set the best. Filler rows (x_1 in bucket
-    5, x_2 in bucket 10) have cap 7W - 1 and are pruned. x_1 = 9W - 1 needs
+    x_2 in [9W, 16W) the gap is 9W - 1 and reaches the row's cap, so all
+    these rows tie the best and must still be sorted; the smallest of them
+    comes only after earlier blocks have set the best. Filler rows (x_1 in
+    bucket 5, x_2 in bucket 10) have cap 7W - 1 in an exact word, at most
+    8W - 1 + D/1024 in a screened one (whose positions can fall one bucket
+    below the points'), and are pruned. x_1 = 9W - 1 needs
     r_1 2^s = -1 mod b, which the leading numerator is chosen to give. Each
     other point is rounded down onto one the row can take, at most b - 1
     below its draw for x_1 and 2b - 1 for x_2, which is even; for b = 1
@@ -1140,6 +1243,7 @@ def _check_tied_rows(leading):
     b, s, D = Fraction(leading).denominator, kernel.s, kernel.denominator
     r1, r2 = PolySeqSpec(3, leading).residues((1, 2)).nums
     one, W = 1 << s, D // 16
+    assert (kernel.caps[7] == 9 * W - 1) == (kernel.drop == 0)
 
     def point(t, r, step):
         # the largest point at most t with leading residue r whose acc is a
@@ -1175,17 +1279,32 @@ def _check_tied_rows(leading):
     assert len(ties) <= found["sorted_rows"] < len(rows)
 
 
+def _tie_leading(b):
+    """The leading numerator over b that puts k = 1 at 9W - 1 exactly."""
+    s = patterns._scale_bits(b)
+    return Fraction(-pow(2, -s, b) % b, b)
+
+
 def test_scan_prune_keeps_tied_rows():
-    # leading 1: b = 1, D = 2^61 and every phase is exact
+    # leading 1: b = 1, D = 2^61 and every phase is exact; s = 61 and L = 7
+    # run the kernel in the screened uint16 word
     _check_tied_rows(1)
 
 
 def test_scan_prune_keeps_tied_rows_at_odd_leading():
-    # b = 1,048,583, where the phases are rounded down; the numerator puts
-    # k = 1 at 9W - 1 exactly
-    b = 1_048_583
-    s = patterns._scale_bits(b)
-    _check_tied_rows(Fraction(-pow(2, -s, b) % b, b))
+    # b = 1,048,583, where the phases are rounded down, in the screened
+    # uint16 word too
+    _check_tied_rows(_tie_leading(1_048_583))
+
+
+def test_scan_prune_keeps_tied_rows_in_an_exact_word():
+    # b, the smallest prime above 2^46, has s = 15, so the kernel runs in the
+    # exact uint16 word, where the ties' gap equals their cap
+    b = (1 << 46) + 1
+    while not patterns.is_prime_64(b):
+        b += 2
+    assert patterns._scale_bits(b) == 15
+    _check_tied_rows(_tie_leading(b))
 
 
 # ---------------------------------------------------------------------------
