@@ -59,20 +59,17 @@ class AnnulusSpec:
 
 
 # the Monte Carlo and no-copy loops work over tiles of about this many
-# elements per (rows, width) array, 512 KB of float64, so that a tile and
-# its temporaries stay in cache across all their passes
+# elements per working array, 512 KB of float64, so that a tile and its
+# temporaries stay in cache across all their passes. A Monte Carlo tile holds
+# points as (rows, d); the no-copy and copy tiles are index-major, (len(ks),
+# rows), so that each copy's reduction over its indices runs down axis 0
 _TILE_ELEMENTS = 1 << 16
 
 
 def tile_rows(width: int) -> int:
-    """Rows per tile of a (rows, width) working array, at least 256."""
+    """Rows per tile of a (rows, width) or index-major (width, rows) working
+    array, at least 256."""
     return max(256, _TILE_ELEMENTS // width)
-
-
-def _dist_to_z(values: np.ndarray) -> np.ndarray:
-    """Exact distance of each float to Z (v - rint(v) never rounds), so
-    v and -v are at the same distance bit for bit."""
-    return np.abs(values - np.rint(values))
 
 
 def member(spec: AnnulusSpec, x: Sequence[float]) -> bool:
@@ -80,28 +77,57 @@ def member(spec: AnnulusSpec, x: Sequence[float]) -> bool:
     return bool(members(spec, np.asarray(x, dtype=float)[None, :])[0])
 
 
-def members(spec: AnnulusSpec, points: np.ndarray) -> np.ndarray:
-    """Vectorized membership for a (count, d) array of points."""
+class _Members:
+    """Membership of tiles of up to ``rows`` points, in scratch that every
+    tile reuses.
+
+    x^p is formed by p - 1 left-to-right products, which cost a fraction of
+    libm pow (at p = 2 this is x * x, the same bits as |x|^2). Each defining
+    sum is then one ``powers @ sigma``: at even p the single sign vector
+    (1, ..., 1), at odd p the 2^(d-1) with sigma_1 = +1, as sigma and -sigma
+    give negated sums at the same distance to Z. That distance is taken as
+    |v - rint(v)|, and v - rint(v) never rounds, so v and -v are at the same
+    distance bit for bit. The loop stops once no point of the tile is left.
+    """
+
+    def __init__(self, spec: AnnulusSpec, rows: int):
+        self.spec = spec
+        self.powers = np.empty((rows, spec.dimension))
+        self.f, self.g = np.empty((2, rows))
+        self.below, self.ok = np.empty((2, rows), dtype=bool)
+        self.ones = np.ones(spec.dimension)
+
+    def __call__(self, pts: np.ndarray) -> np.ndarray:
+        """Membership of each row of pts, as a view of the kernel's scratch
+        that the next call overwrites."""
+        n, d = len(pts), self.spec.dimension
+        powers, f, g = self.powers[:n], self.f[:n], self.g[:n]
+        below, ok = self.below[:n], self.ok[:n]
+        np.multiply(pts, pts, out=powers)
+        for _ in range(self.spec.exponent - 2):
+            powers *= pts
+        ok[...] = True
+        sigmas = ((self.ones,) if self.spec.parity == "even" else
+                  (np.asarray((1.0, *rest)) for rest in product((1.0, -1.0), repeat=d - 1)))
+        for sigma in sigmas:
+            if not ok.any():
+                break
+            np.matmul(powers, sigma, out=f)
+            f -= np.rint(f, out=g)
+            np.less(np.abs(f, out=f), self.spec.band_halfwidth, out=below)
+            ok &= below
+        return ok
+
+
+def members(spec: AnnulusSpec, points: np.ndarray,
+            scratch: Optional[_Members] = None) -> np.ndarray:
+    """Vectorized membership for a (count, d) array of points. With a
+    ``_Members`` scratch of at least count rows the result is a view of its
+    buffers, valid until its next call."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != spec.dimension:
         raise ValueError(f"expected shape (count, {spec.dimension})")
-    w = spec.band_halfwidth
-    # x^p as p - 1 left-to-right products, which cost a fraction of libm pow;
-    # at p = 2 this is x * x, the same bits as |x|^2
-    powers = pts * pts
-    for _ in range(spec.exponent - 2):
-        powers *= pts
-    if spec.parity == "even":
-        return _dist_to_z(powers.sum(axis=1)) < w
-    ok = np.ones(len(pts), dtype=bool)
-    # sigma and -sigma give negated sums at the same distance to Z, so
-    # sigma_1 = +1 covers all 2^d sign vectors
-    for rest in product((1.0, -1.0), repeat=spec.dimension - 1):
-        if not ok.any():
-            break
-        f = powers @ np.asarray((1.0, *rest))
-        ok &= _dist_to_z(f) < w
-    return ok
+    return (_Members(spec, len(pts)) if scratch is None else scratch)(pts)
 
 
 def _reflected(start: float, length: float) -> tuple:
@@ -255,15 +281,18 @@ def density(spec: AnnulusSpec, R: float, method: str = "monte-carlo",
     samples with per-block child seeds, so block order never matters; each
     2^18-sample block is drawn and tested in tiles of tile_rows(d) rows,
     which continue the block's one stream, so the hits are those of one
-    (2^18, d) draw per block.
+    (2^18, d) draw per block. One _Members kernel tests every tile in the
+    same scratch.
 
     Monte Carlo precision guard: the computed F = |x|_p^p (or a signed power
     sum) is within B = (p + q + d - 1) 2^-53 d (R/2)^p, q = max(p - 1, 2), of
     the F of the uniform point, to first order in 2^-53. Per coordinate,
     rounding (u - 1/2) R costs up to p 2^-53 (R/2)^p and the p - 1 products
     that form x^p up to (p - 1) 2^-53 (R/2)^p, which q bounds (q = 2 keeps B
-    as it was for a one-ulp power at p = 2, 3); each of the d - 1 additions
-    costs up to 2^-53 d (R/2)^p. Rounding moves
+    as it was for a one-ulp power at p = 2, 3). The sums are powers @ sigma,
+    added in BLAS's order; a +-1 product is exact, so whatever the order,
+    each of the d - 1 additions rounds a partial sum of size at most
+    d (R/2)^p and costs up to 2^-53 d (R/2)^p. Rounding moves
     only the samples within B of a band edge, about a 4B share, as F mod 1
     has two edges per unit. Once 4B reaches the sampling error
     1/(2 sqrt(samples)), BudgetError is raised before any sample is drawn.
@@ -314,6 +343,7 @@ def density(spec: AnnulusSpec, R: float, method: str = "monte-carlo",
     block = 1 << 18
     children = np.random.SeedSequence(seed).spawn(-(-samples // block))
     pts = np.empty((min(tile_rows(d), samples), d))
+    scratch = _Members(spec, len(pts))
     hits = 0
     for b, child in enumerate(children):
         rng = np.random.default_rng(child)
@@ -323,7 +353,7 @@ def density(spec: AnnulusSpec, R: float, method: str = "monte-carlo",
             rng.random(out=tile)
             tile -= 0.5
             tile *= R
-            hits += int(members(spec, tile).sum())
+            hits += int(members(spec, tile, scratch).sum())
     frac = hits / samples
     return DensityReport(
         R=R, fraction=frac, target=target, target_kind=kind,
@@ -515,23 +545,24 @@ def _rounding_bound(magnitude: float, d: int, p: int, dtype) -> float:
 
 def _direct_margins(X, V, rk, sgn, p: int, w: float, F, T, cast, out) -> None:
     """Write to out the direct route's margins max_k (dist_k - w) of the
-    copies x + (r k) v, in the precision of X, V, rk and the (rows, len(ks))
-    buffers F and T. F is the first coordinate's term plus the others in
-    coordinate order, and the float cast of F - rint F into the float64
-    buffer cast (F itself at float64) comes before abs, as rounding is
+    copies x + (r k) v, in the precision of X, V, rk and the index-major
+    (len(ks), rows) buffers F and T, so that the max over k runs down axis
+    0. F is the first coordinate's term plus the others in coordinate order,
+    and the float cast of F - rint F into the float64 (len(ks), rows) buffer
+    cast (F itself at float64) comes before abs, as rounding is
     sign-symmetric."""
     for i in range(X.shape[1]):
         Y = T if i else F
-        np.multiply(rk, V[:, i, None], out=Y)
-        Y += X[:, i, None]
+        np.multiply(rk[:, None], V[:, i], out=Y)
+        Y += X[:, i]
         Y **= p
         if p % 2:
-            Y *= sgn[:, i, None]
+            Y *= sgn[:, i]
         if i:
             F += Y
     F -= np.rint(F, out=T)
     cast[...] = F
-    np.abs(cast, out=cast).max(axis=1, out=out)
+    np.abs(cast, out=cast).max(axis=0, out=out)
     out -= w
 
 
@@ -573,9 +604,10 @@ def no_copy_check(spec: AnnulusSpec, pattern: Pattern, leading: Fraction,
     each bound. When delta + bound reaches max(w, 1/2 - w), which bounds
     every |m64|, the sign condition alone redoes every copy. Both routes
     run over tiles of tile_rows(len(ks)) placements, and the redo over
-    tiles of as many redone copies, one (tile, len(ks)) array per stage
-    reused by every tile, and give the margins of whole-array passes bit
-    for bit.
+    tiles of as many redone copies, one index-major (len(ks), tile) array
+    per stage reused by every tile, and give the margins of whole-array
+    passes bit for bit: products commute exactly, and a max is exact in
+    any order.
     """
     if pattern_epsilon is not None and pattern_epsilon > spec.epsilon:
         raise ValueError(
@@ -590,8 +622,9 @@ def no_copy_check(spec: AnnulusSpec, pattern: Pattern, leading: Fraction,
     k_powers = [ks ** l for l in range(p)]
     lead_vals = PolySeqSpec(p, leading).values(pattern.indices)
     rows = min(tile_rows(len(ks)), placements_per_scale)
-    vals, term, tmp = np.empty((3, rows, len(ks)))
-    F, T = np.empty((2, rows, len(ks)), dtype=np.longdouble)
+    # flat scratch, viewed as contiguous (len(ks), n) arrays for a tile of n
+    vals, term, tmp = np.empty((3, len(ks) * rows))
+    F, T = np.empty((2, len(ks) * rows), dtype=np.longdouble)
     poly_margins, margins = np.empty((2, placements_per_scale))
     redone = np.empty(rows)
 
@@ -613,7 +646,8 @@ def no_copy_check(spec: AnnulusSpec, pattern: Pattern, leading: Fraction,
             rk = r * ks
             for lo in range(0, placements_per_scale, rows):
                 hi = min(lo + rows, placements_per_scale)
-                v, t, u = vals[:hi - lo], term[:hi - lo], tmp[:hi - lo]
+                v, t, u = (a[:len(ks) * (hi - lo)].reshape(len(ks), hi - lo)
+                           for a in (vals, term, tmp))
 
                 # polynomial route: j*k^p is an integer and drops mod 1, the
                 # leading rational term comes from the exact table, the rest
@@ -621,17 +655,17 @@ def no_copy_check(spec: AnnulusSpec, pattern: Pattern, leading: Fraction,
                 # term included, it aligns the values with the membership
                 # band). t - floor(t) is t % 1.0 bit for bit on every finite
                 # double, without fmod; x - w is monotone in x, so it is
-                # taken after the row max
+                # taken after the max over k
                 start = time.perf_counter()
                 coeffs, _, sgn = reduction_coefficients(xs[lo:hi], vs[lo:hi], r, p)
-                v[...] = lead_vals
+                v[...] = lead_vals[:, None]
                 for B_l, k_l in zip(coeffs, k_powers):
-                    np.multiply(B_l[:, None], k_l, out=t)
+                    np.multiply(k_l[:, None], B_l, out=t)
                     t -= np.floor(t, out=u)
                     v += t
                     v -= np.floor(v, out=u)
                 v -= np.rint(v, out=u)
-                np.abs(v, out=v).max(axis=1, out=poly_margins[lo:hi])
+                np.abs(v, out=v).max(axis=0, out=poly_margins[lo:hi])
                 poly_margins[lo:hi] -= w
                 poly_s += time.perf_counter() - start
 
@@ -651,7 +685,8 @@ def no_copy_check(spec: AnnulusSpec, pattern: Pattern, leading: Fraction,
                 sel = redo[lo:lo + rows]
                 n = len(sel)
                 _direct_margins(xs[sel].astype(np.longdouble), vs[sel].astype(np.longdouble),
-                                rk, _signs(vs[sel], p), p, w, F[:n], T[:n], term[:n],
+                                rk, _signs(vs[sel], p), p, w,
+                                *(a[:len(ks) * n].reshape(len(ks), n) for a in (F, T, term)),
                                 redone[:n])
                 margins[sel] = redone[:n]
             extended += len(redo)

@@ -356,18 +356,21 @@ def copy_sampler_check(d: int, n: int, j: int, placements: int,
     axes = rng.integers(0, d, size=placements)
     signs = rng.integers(0, 2, size=placements) * 2 - 1
     base, steps = xs.sum(axis=1), signs * r
-    # the coordinate sums base + sigma r k, tile by tile; x - floor(x) is
+    # the coordinate sums base + sigma r k, tile by tile, index-major
+    # (len(ks), rows) so that all-inside runs down axis 0; x - floor(x) is
     # x % 1.0 bit for bit on every finite double
-    vals, floors = np.empty((2, tile_rows(len(ks)), len(ks)))
-    inside = np.empty(vals.shape, dtype=bool)
+    rows = tile_rows(len(ks))
+    vals, floors = np.empty((2, len(ks) * rows))
+    inside = np.empty(len(ks) * rows, dtype=bool)
     violate = np.empty(placements, dtype=bool)
-    for lo in range(0, placements, len(vals)):
-        hi = min(lo + len(vals), placements)
-        v, ins = vals[:hi - lo], inside[:hi - lo]
-        np.multiply(steps[lo:hi, None], ks, out=v)
-        v += base[lo:hi, None]
-        v -= np.floor(v, out=floors[:hi - lo])
-        np.less(v, 1.0 - eps, out=ins).all(axis=1, out=violate[lo:hi])
+    for lo in range(0, placements, rows):
+        hi = min(lo + rows, placements)
+        v, fl, ins = (a[:len(ks) * (hi - lo)].reshape(len(ks), hi - lo)
+                      for a in (vals, floors, inside))
+        np.multiply(ks[:, None], steps[lo:hi], out=v)
+        v += base[lo:hi]
+        v -= np.floor(v, out=fl)
+        np.logical_and.reduce(np.less(v, 1.0 - eps, out=ins), axis=0, out=violate[lo:hi])
     idx = np.nonzero(violate)[0][:5]
     first = tuple(
         {"x": [float(c) for c in xs[i]], "axis": int(axes[i]) + 1,

@@ -143,10 +143,12 @@ def exact_margins(spec, pts):
 def test_members_match_exact_membership_outside_the_guard():
     # the Monte Carlo guard B of density, with max |x_i| in place of R/2,
     # bounds the rounding of each defining sum: beyond it from every band
-    # edge, the float membership is the exact one. Edge points move by up to
-    # 256 ulps, so that some land just outside B and some inside
+    # edge, the float membership is the exact one, whatever order BLAS adds in.
     rng = np.random.default_rng(21)
-    for d, p, eps in ((2, 3, 0.3), (4, 3, 0.05), (3, 4, 0.2), (2, 5, 0.1)):
+    # edge points move by up to 256 ulps, so that some land just outside B
+    # and some inside. d = 9 lies past numpy's 8-term pairwise cutoff
+    for d, p, eps in ((2, 3, 0.3), (4, 3, 0.05), (3, 4, 0.2), (2, 5, 0.1),
+                      (2, 2, 0.3), (9, 2, 0.2)):
         spec = AnnulusSpec(d, p, eps)
         for pts, near_edge in (((rng.random((1500, d)) - 0.5) * 40, False),
                                (band_edge_points(spec, rng, 1500, ulps=256), True)):
@@ -159,6 +161,26 @@ def test_members_match_exact_membership_outside_the_guard():
             assert decided.sum() > len(pts) // 4
             if near_edge:  # some decided points sit within 4B of an edge
                 assert (decided & (margin < 4 * guard)).any(), (d, p)
+
+
+@pytest.mark.parametrize("d, p", [(2, 2), (3, 3)])
+def test_members_scratch_reuse_matches_fresh_calls(d, p):
+    # one _Members takes three tiles in turn: a full tile all outside the
+    # set (x_1^p = 1/2, so the sign loop stops after its first vector), a
+    # shorter tile and a full one; none may read a stale ok from the last
+    spec = AnnulusSpec(d, p, 0.3)
+    rows = 300
+    kernel = annuli._Members(spec, rows)
+    rng = np.random.default_rng(24)
+    outside = np.zeros((rows, d))
+    outside[:, 0] = 0.5 ** (1.0 / p)
+    tiles = (outside, rng.uniform(-3, 3, (rows // 3, d)), rng.uniform(-3, 3, (rows, d)))
+    for tile in tiles:
+        got = members(spec, tile, kernel).copy()
+        assert (got == members(spec, tile)).all()
+        assert len(got) == len(tile)
+    assert not members(spec, outside).any()
+    assert 0 < got.sum() < rows
 
 
 def test_product_power_within_its_rounding_allowance():
@@ -630,8 +652,8 @@ def test_no_copy_screen_margins_lie_within_delta_of_longdouble(p, d, n, q):
     pat = thin_pattern(n, q, seed=p)
     ks = np.asarray(pat.indices, dtype=float)
     w, count = 0.25, 500
-    F64, T64 = np.empty((2, count, len(ks)))
-    F, T = np.empty((2, count, len(ks)), dtype=np.longdouble)
+    F64, T64 = np.empty((2, len(ks), count))
+    F, T = np.empty((2, len(ks), count), dtype=np.longdouble)
     m64, m_ld = np.empty((2, count))
     leading = Fraction(1, q)
     for j, child in zip([1, 4], np.random.SeedSequence(d).spawn(2)):
